@@ -21,7 +21,6 @@ from .cvss import (
 from .errors import (
     ComputationError,
     DegenerateCurve,
-    DegenerateDistribution,
     DocumentError,
     EmptyAssessment,
     InputError,
@@ -48,13 +47,9 @@ from .incidence import (
     CountKind,
     IncidentLikelihood,
     Regime,
-    TailSide,
     attack_count_pmf,
-    attack_count_tail,
-    conditional_success_pmf,
     incident_likelihood,
     likelihood_change,
-    likelihood_no_change,
 )
 from .oracle import EmpiricalCounts, OracleReport, SimConfig, compare_to_analytic, simulate
 from .posture import (
@@ -76,7 +71,6 @@ from .success import (
     LogisticParams,
     SuccessDistribution,
     pert_from_maturity,
-    pert_pdf,
     solve_asymptotes,
     success_probability,
 )
@@ -96,7 +90,6 @@ __all__ = [
     "CountKind",
     "CvssVector",
     "DegenerateCurve",
-    "DegenerateDistribution",
     "DocumentError",
     "EmpiricalCounts",
     "EmptyAssessment",
@@ -121,27 +114,22 @@ __all__ = [
     "SimConfig",
     "SuccessDistribution",
     "SupportMismatch",
-    "TailSide",
     "Threat",
     "assess_posture",
     "attack_count_pmf",
-    "attack_count_tail",
     "attacker_weight",
     "category_complexity",
     "classify_attractiveness",
     "compare_to_analytic",
     "complexity_index",
-    "conditional_success_pmf",
     "cvss_likelihood",
     "incident_likelihood",
     "likelihood_change",
-    "likelihood_no_change",
     "lognormal_params",
     "loss_exceedance_curve",
     "maturity_index",
     "per_threat_maturity",
     "pert_from_maturity",
-    "pert_pdf",
     "run_fair",
     "run_htma",
     "sample_event_count",

@@ -39,12 +39,8 @@ class DocumentError(InputError):
     """An input document failed to parse or validate; the message names the field."""
 
 
-class DegenerateDistribution(ComputationError):
-    """The operation needs a non-degenerate support; use the point-mass path."""
-
-
 class QuadratureFailure(ComputationError):
-    """The adaptive integrator could not meet the requested tolerance."""
+    """The quadrature rule could not meet its tolerance within its node cap."""
 
 
 class SupportMismatch(ComputationError):

@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import betaln
+import numpy as np
+from scipy.special import roots_jacobi
 
-from .errors import DegenerateCurve, DegenerateDistribution, InputError
+from .errors import DegenerateCurve, InputError
 
 #: Curve defaults used by the CLI when the run configuration omits them.
 DEFAULT_GROWTH_RATE = -2.0
@@ -188,28 +189,12 @@ def pert_from_maturity(
     return SuccessDistribution.from_triple(p_m, p_star, p_M, w=w)
 
 
-def pert_pdf(dist: SuccessDistribution, p: float) -> float:
-    """Density of the PERT band at p; zero outside [p_m, p_M].
+def pert_rule(dist: SuccessDistribution, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m-node Gauss-Jacobi rule for the PERT band: nodes in (p_m, p_M), weights summing to one.
 
-    Evaluated through log-gamma so large shape sums cannot overflow.
-
-    Raises:
-        DegenerateDistribution: the band is a point mass and has no density.
+    The Jacobi weight (1 - x)^(beta - 1) (1 + x)^(alpha - 1) on [-1, 1] is the
+    band's density up to scale, so sum_i w_i g(p_i) integrates g against the
+    band, exactly for polynomials of degree below 2m (Golub & Welsch 1969).
     """
-    if dist.is_point_mass:
-        raise DegenerateDistribution(
-            "point-mass band has no density; evaluate the integrand at p_star instead"
-        )
-    if p < dist.p_m or p > dist.p_M:
-        return 0.0
-    span = dist.p_M - dist.p_m
-    log_pdf = -betaln(dist.alpha, dist.beta) - (dist.alpha + dist.beta - 1.0) * math.log(span)
-    if dist.alpha != 1.0:
-        if p == dist.p_m:
-            return 0.0
-        log_pdf += (dist.alpha - 1.0) * math.log(p - dist.p_m)
-    if dist.beta != 1.0:
-        if p == dist.p_M:
-            return 0.0
-        log_pdf += (dist.beta - 1.0) * math.log(dist.p_M - p)
-    return math.exp(log_pdf)
+    x, w = roots_jacobi(m, dist.beta - 1.0, dist.alpha - 1.0)
+    return dist.p_m + (dist.p_M - dist.p_m) * (x + 1.0) / 2.0, w / w.sum()

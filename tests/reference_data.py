@@ -12,6 +12,8 @@ a 0.001 grid the nearest, (-1.014, 4.276), still misses by 0.00505.
 """
 
 import json
+import signal
+from contextlib import contextmanager
 
 DERIVED_GROWTH_RATE = -1.0
 DERIVED_MIDPOINT = 4.3
@@ -138,3 +140,18 @@ def write_questionnaire(path, kind, scores, s_max=4, label=None, weights=None):
     if label is not None:
         payload["category_label"] = label
     return write_json(path, payload)
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail the enclosed block with TimeoutError once it has run for ``seconds``."""
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

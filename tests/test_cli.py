@@ -198,6 +198,33 @@ class TestLikelihood:
         assert run(["likelihood", "--config", config, "--out", tmp_path / "out"]) == 2
         assert "inputs.profile" in capsys.readouterr().err
 
+    def test_infinite_attempt_mean_exits_2(self, tmp_path, capsys):
+        ref.write_profile(tmp_path / "profile.json")
+        ref.write_threat_catalog(tmp_path / "threats.json")
+        config = tmp_path / "run.json"
+        config.write_text(
+            '{"schema_version": "1", "regime": "change",'
+            ' "count": {"t": 365, "n_avg": Infinity, "kind": "poisson"},'
+            ' "inputs": {"profile": "profile.json", "threats": "threats.json"}}',
+            encoding="utf-8",
+        )
+        with ref.deadline(15):
+            assert run(["likelihood", "--config", config, "--out", tmp_path / "out"]) == 2
+        assert "n_avg" in capsys.readouterr().err
+
+    def test_huge_attempt_mean_exits_1_at_the_work_cap(self, tmp_path, capsys):
+        ref.write_profile(tmp_path / "profile.json")
+        ref.write_threat_catalog(tmp_path / "threats.json")
+        config = ref.write_run_config(
+            tmp_path / "run.json",
+            {"profile": "profile.json", "threats": "threats.json"},
+            regime="no_change",
+            extra={"count": {"t": 365, "n_avg": 1e6, "kind": "poisson"}},
+        )
+        with ref.deadline(15):
+            assert run(["likelihood", "--config", config, "--out", tmp_path / "out"]) == 1
+        assert "work cap" in capsys.readouterr().err
+
 
 class TestHtma:
     @pytest.fixture

@@ -1,26 +1,30 @@
 import math
 
 import pytest
-from scipy import integrate
 
-from cyrisk.errors import InputError, QuadratureFailure
+from cyrisk import incidence
+from cyrisk.errors import ComputationError, InputError, QuadratureFailure
 from cyrisk.incidence import (
     AttackCountModel,
     CountKind,
     IncidentLikelihood,
     Regime,
-    TailSide,
     attack_count_pmf,
-    attack_count_tail,
-    conditional_success_pmf,
     incident_likelihood,
     likelihood_change,
-    likelihood_no_change,
 )
 from cyrisk.success import SuccessDistribution
+from reference_data import deadline
 
 MALWARE_BAND = SuccessDistribution.from_triple(0.28, 0.50, 0.72)
 YEAR = AttackCountModel(t=365, n_avg=4.0)
+
+
+def conditional_pmf(dist, n):
+    """Pr(S = s | N = n) over s: the saturated model t = n_avg = n puts an attempt in every slot."""
+    return incident_likelihood(
+        dist, AttackCountModel(t=n, n_avg=float(n)), Regime.NO_CHANGE
+    ).pmf
 
 
 class TestAttackCountPmf:
@@ -60,27 +64,11 @@ class TestAttackCountPmf:
             AttackCountModel(t=10, n_avg=11.0)  # binomial needs n_avg <= t
         with pytest.raises(InputError):
             AttackCountModel(t=10, n_avg=-1.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(InputError, match="n_avg"):
+                AttackCountModel(t=10, n_avg=bad, kind=CountKind.POISSON)
         # the Poisson alternative has no upper cap
         AttackCountModel(t=10, n_avg=11.0, kind=CountKind.POISSON)
-
-
-class TestAttackCountTail:
-    def test_full_support_edges(self):
-        assert attack_count_tail(YEAR, 365, TailSide.AT_MOST) == pytest.approx(1.0, abs=1e-12)
-        assert attack_count_tail(YEAR, 0, TailSide.AT_LEAST) == 1.0
-
-    @pytest.mark.parametrize("kind", [CountKind.BINOMIAL, CountKind.POISSON])
-    @pytest.mark.parametrize("n", [0, 1, 4, 17, 60])
-    def test_complementary_events(self, kind, n):
-        model = AttackCountModel(t=365, n_avg=4.0, kind=kind)
-        total = attack_count_tail(model, n, TailSide.AT_MOST) + attack_count_tail(
-            model, n + 1, TailSide.AT_LEAST
-        )
-        assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_at_most_matches_partial_sum(self):
-        expected = sum(attack_count_pmf(YEAR, k) for k in range(6))
-        assert attack_count_tail(YEAR, 5, TailSide.AT_MOST) == pytest.approx(expected, rel=1e-12)
 
 
 class TestBinomialPoissonAgreement:
@@ -97,52 +85,59 @@ class TestBinomialPoissonAgreement:
 
 class TestConditionalSuccess:
     def test_cannot_exceed_attempts(self):
-        assert conditional_success_pmf(MALWARE_BAND, 2, 3) == 0.0
+        assert max(conditional_pmf(MALWARE_BAND, 2)) == 2
 
     def test_point_mass_reduces_to_binomial(self):
         dist = SuccessDistribution.point_mass(0.5)
-        assert conditional_success_pmf(dist, 2, 1) == pytest.approx(0.5, rel=1e-12)
+        assert conditional_pmf(dist, 2)[1] == pytest.approx(0.5, rel=1e-12)
 
     def test_single_attempt_equals_band_mean(self):
-        assert conditional_success_pmf(MALWARE_BAND, 1, 1) == pytest.approx(0.5, abs=1e-4)
+        assert conditional_pmf(MALWARE_BAND, 1)[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_attempts_yield_zero_incidents(self):
-        assert conditional_success_pmf(MALWARE_BAND, 0, 0) == 1.0
+        model = AttackCountModel(t=1, n_avg=0.0)
+        assert incident_likelihood(MALWARE_BAND, model, Regime.NO_CHANGE).pmf == {0: 1.0}
 
     @pytest.mark.parametrize("n", [1, 3, 10, 25, 50])
     def test_rows_sum_to_one(self, n):
-        total = sum(conditional_success_pmf(MALWARE_BAND, n, s) for s in range(n + 1))
-        assert total == pytest.approx(1.0, abs=1e-8)
+        assert sum(conditional_pmf(MALWARE_BAND, n).values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(InputError):
-            conditional_success_pmf(MALWARE_BAND, -1, 0)
+            attack_count_pmf(YEAR, -1)
 
 
 class TestLikelihoodNoChange:
     def test_no_attempts_concentrates_at_zero(self):
         model = AttackCountModel(t=365, n_avg=0.0)
-        assert likelihood_no_change(MALWARE_BAND, model, 0) == 1.0
-        assert likelihood_no_change(MALWARE_BAND, model, 1) == 0.0
+        assert incident_likelihood(MALWARE_BAND, model, Regime.NO_CHANGE).pmf == {0: 1.0}
 
     def test_pmf_sums_to_one(self):
         lik = incident_likelihood(MALWARE_BAND, YEAR, Regime.NO_CHANGE)
-        assert sum(lik.pmf.values()) == pytest.approx(1.0, abs=1e-6)
+        assert sum(lik.pmf.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_scalar_matches_pmf_entry(self):
-        lik = incident_likelihood(MALWARE_BAND, YEAR, Regime.NO_CHANGE)
-        for s in (0, 1, 2, 5):
-            assert likelihood_no_change(MALWARE_BAND, YEAR, s) == pytest.approx(
-                lik.pmf[s], abs=1e-12
-            )
+        # reference: the explicit mixture over attempt counts n,
+        # sum_n Pr(N = n) Pr(S = s | N = n), against the thinned kernel
+        given_n = [conditional_pmf(MALWARE_BAND, n) if n else {0: 1.0} for n in range(41)]
+        for kind in CountKind:
+            model = AttackCountModel(t=365, n_avg=4.0, kind=kind)
+            lik = incident_likelihood(MALWARE_BAND, model, Regime.NO_CHANGE)
+            for s in (0, 1, 2, 5, 12):
+                mixture = math.fsum(
+                    attack_count_pmf(model, n) * given_n[n].get(s, 0.0) for n in range(41)
+                )
+                assert lik.pmf[s] == pytest.approx(mixture, abs=1e-12), (kind, s)
 
     def test_zero_attempt_mass_lands_on_s_zero(self):
         # Pr(S=0) must include the full no-attempt probability
-        assert likelihood_no_change(MALWARE_BAND, YEAR, 0) > attack_count_pmf(YEAR, 0)
+        pmf = incident_likelihood(MALWARE_BAND, YEAR, Regime.NO_CHANGE).pmf
+        assert pmf[0] > attack_count_pmf(YEAR, 0)
 
     def test_incident_count_beyond_slots_rejected(self):
-        with pytest.raises(InputError):
-            likelihood_no_change(MALWARE_BAND, YEAR, 366)
+        # the support stops at t even where the tail bound reaches past it
+        model = AttackCountModel(t=12, n_avg=10.0)
+        assert max(incident_likelihood(MALWARE_BAND, model, Regime.NO_CHANGE).pmf) == 12
 
 
 class TestLikelihoodChange:
@@ -199,8 +194,13 @@ class TestIncidentLikelihood:
         assert lik.quadrature_error < 1e-5
 
     def test_mean_events_against_band_mean(self):
-        lik = incident_likelihood(MALWARE_BAND, YEAR, Regime.NO_CHANGE)
-        assert lik.mean_events == pytest.approx(4.0 * MALWARE_BAND.mean, rel=1e-4)
+        # asymmetric bands catch an alpha/beta swap in the quadrature rule
+        for triple in [(0.28, 0.50, 0.72), (0.08, 0.17, 0.34), (0.79, 0.90, 0.95)]:
+            band = SuccessDistribution.from_triple(*triple)
+            for kind in CountKind:
+                model = AttackCountModel(t=365, n_avg=4.0, kind=kind)
+                lik = incident_likelihood(band, model, Regime.NO_CHANGE)
+                assert lik.mean_events == pytest.approx(4.0 * band.mean, rel=1e-9), (triple, kind)
 
     def test_point_mass_band_needs_no_quadrature(self):
         dist = SuccessDistribution.point_mass(0.3)
@@ -221,12 +221,38 @@ class TestIncidentLikelihood:
 
 class TestQuadratureFailure:
     def test_integration_trouble_is_reported(self, monkeypatch):
-        def unstable_quad(*args, **kwargs):
-            import warnings
+        # at n_avg = 2000 the kernel is narrow in p: 128 nodes leave a gap of
+        # about 4e-7, so a rule capped at 128 nodes cannot reach the tolerance
+        model = AttackCountModel(t=365, n_avg=2000.0, kind=CountKind.POISSON)
+        band = SuccessDistribution.from_triple(0.05, 0.50, 0.95)
+        assert incident_likelihood(band, model, Regime.NO_CHANGE).quadrature_error <= 1e-8
+        monkeypatch.setattr(incidence, "MAX_NODES", 128)
+        with pytest.raises(QuadratureFailure, match="128 nodes"):
+            incident_likelihood(band, model, Regime.NO_CHANGE)
 
-            warnings.warn("round-off error detected", integrate.IntegrationWarning)
-            return 0.0, 1.0
 
-        monkeypatch.setattr(integrate, "quad", unstable_quad)
-        with pytest.raises(QuadratureFailure):
-            likelihood_change(MALWARE_BAND, YEAR)
+class TestBoundedWork:
+    """Large slot counts and attempt means finish quickly or fail through the work cap."""
+
+    SOLVER_BAND = SuccessDistribution.from_triple(0.28, 0.50, 0.72)
+
+    @pytest.mark.parametrize("t", [200_000, 10_000_000])
+    def test_large_slot_counts_finish(self, t):
+        binom = AttackCountModel(t=t, n_avg=4.0)
+        poisson = AttackCountModel(t=t, n_avg=4.0, kind=CountKind.POISSON)
+        with deadline(2):
+            change = likelihood_change(MALWARE_BAND, binom)
+            pmf = incident_likelihood(MALWARE_BAND, binom, Regime.NO_CHANGE).pmf
+            poisson_change = likelihood_change(MALWARE_BAND, poisson)
+            poisson_pmf = incident_likelihood(MALWARE_BAND, poisson, Regime.NO_CHANGE).pmf
+        assert abs(change - poisson_change) <= 4.0**2 / t
+        assert math.fsum(pmf.values()) == pytest.approx(1.0, abs=1e-9)
+        assert math.fsum(poisson_pmf.values()) == pytest.approx(1.0, abs=1e-9)
+
+    def test_huge_attempt_mean_hits_the_work_cap(self):
+        model = AttackCountModel(t=365, n_avg=1e6, kind=CountKind.POISSON)
+        with deadline(10), pytest.raises(ComputationError, match="work cap"):
+            incident_likelihood(MALWARE_BAND, model, Regime.NO_CHANGE)
+        # the change regime needs no support and still answers
+        with deadline(10):
+            assert likelihood_change(MALWARE_BAND, model) == 1.0

@@ -2,14 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
-from cyrisk.errors import DegenerateCurve, DegenerateDistribution, InputError
+from cyrisk.errors import DegenerateCurve, InputError
 from cyrisk.success import (
     LogisticParams,
     SuccessDistribution,
     pert_from_maturity,
-    pert_pdf,
+    pert_rule,
     solve_asymptotes,
     success_probability,
 )
@@ -159,16 +158,20 @@ class TestPertFromMaturity:
 
 
 class TestPertPdf:
+    """The band's density, as carried by its Gauss-Jacobi rule."""
+
     def test_zero_outside_support(self):
         dist = SuccessDistribution.from_triple(0.28, 0.50, 0.72)
-        assert pert_pdf(dist, 0.1) == 0.0
-        assert pert_pdf(dist, 0.9) == 0.0
+        nodes, _ = pert_rule(dist, 64)
+        assert np.all((nodes > dist.p_m) & (nodes < dist.p_M))
 
     def test_symmetric_band_peaks_at_mode(self):
         dist = SuccessDistribution.from_triple(0.28, 0.50, 0.72)
-        at_mode = pert_pdf(dist, 0.50)
-        for p in (0.30, 0.40, 0.60, 0.70):
-            assert pert_pdf(dist, p) < at_mode
+        nodes, weights = pert_rule(dist, 64)
+        assert np.allclose(nodes - 0.50, 0.50 - nodes[::-1], atol=1e-14)
+        assert np.allclose(weights, weights[::-1], atol=1e-14)
+        # weights rise towards the mode and fall after it
+        assert np.all(np.diff(weights[:32]) > 0) and np.all(np.diff(weights[32:]) < 0)
 
     @pytest.mark.parametrize(
         "triple",
@@ -176,9 +179,9 @@ class TestPertPdf:
     )
     def test_normalizes_to_one(self, triple):
         dist = SuccessDistribution.from_triple(*triple)
-        total, _ = quad(lambda p: pert_pdf(dist, p), dist.p_m, dist.p_M,
-                        epsabs=1e-12, epsrel=1e-12)
-        assert total == pytest.approx(1.0, abs=1e-9)
+        _, weights = pert_rule(dist, 64)
+        assert np.all(weights > 0)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize(
         "triple",
@@ -186,15 +189,8 @@ class TestPertPdf:
     )
     def test_quadrature_mean_matches_closed_form(self, triple):
         dist = SuccessDistribution.from_triple(*triple)
-        mean, _ = quad(lambda p: p * pert_pdf(dist, p), dist.p_m, dist.p_M,
-                       epsabs=1e-12, epsrel=1e-12)
-        assert mean == pytest.approx(dist.mean, abs=1e-9)
-
-    def test_point_mass_has_no_density(self):
-        dist = SuccessDistribution.point_mass(0.4)
-        assert dist.is_point_mass
-        with pytest.raises(DegenerateDistribution):
-            pert_pdf(dist, 0.4)
+        nodes, weights = pert_rule(dist, 64)
+        assert weights @ nodes == pytest.approx(dist.mean, abs=1e-12)
 
     def test_near_degenerate_triple_collapses_to_point_mass(self):
         dist = SuccessDistribution.from_triple(0.5, 0.5, 0.5 + 1e-13)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DocumentError
+from .errors import parse_enum
 
 
 class _Metric(Enum):
@@ -87,21 +87,12 @@ class CvssVector:
     def from_labels(cls, av: str, ac: str, au: str, e: str = "not_defined",
                     rc: str = "not_defined") -> "CvssVector":
         """Build a vector from lower-case metric labels, e.g. ``("network", "low", "none")``."""
-        def parse(enum_type, label, field):
-            try:
-                return enum_type(str(label).strip().lower())
-            except ValueError:
-                allowed = ", ".join(m.value for m in enum_type)
-                raise DocumentError(
-                    f"cvss.{field}: unknown level {label!r} (expected one of: {allowed})"
-                ) from None
-
         return cls(
-            access_vector=parse(AccessVector, av, "av"),
-            access_complexity=parse(AccessComplexity, ac, "ac"),
-            authentication=parse(Authentication, au, "au"),
-            exploitability=parse(Exploitability, e, "e"),
-            report_confidence=parse(ReportConfidence, rc, "rc"),
+            access_vector=parse_enum(AccessVector, av, "cvss.av"),
+            access_complexity=parse_enum(AccessComplexity, ac, "cvss.ac"),
+            authentication=parse_enum(Authentication, au, "cvss.au"),
+            exploitability=parse_enum(Exploitability, e, "cvss.e"),
+            report_confidence=parse_enum(ReportConfidence, rc, "cvss.rc"),
         )
 
 

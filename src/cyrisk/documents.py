@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from .cvss import CvssVector
-from .errors import DocumentError
+from .errors import DocumentError, parse_enum
 from .fair import LossCategory
 from .htma import ControlWeightMatrix, Threat
 from .incidence import AttackCountModel, CountKind, IncidentLikelihood, Regime
@@ -53,7 +54,13 @@ def _require(mapping: Mapping[str, Any], key: str, context: str) -> Any:
 def _as_number(value: Any, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DocumentError(f"{context}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal past the float range
+        number = math.inf
+    if not math.isfinite(number):  # json.loads reads 1e400 as inf
+        raise DocumentError(f"{context}: expected a finite number, got {value!r}")
+    return number
 
 
 def _as_int(value: Any, context: str) -> int:
@@ -77,16 +84,6 @@ def _check_version(doc: Mapping[str, Any], context: str) -> None:
         )
 
 
-def _parse_enum(enum_type, value: Any, context: str):
-    try:
-        return enum_type(str(value).strip().lower())
-    except ValueError:
-        allowed = ", ".join(m.value for m in enum_type)
-        raise DocumentError(
-            f"{context}: unknown value {value!r} (expected one of: {allowed})"
-        ) from None
-
-
 # ---------------------------------------------------------------------------
 # questionnaires and posture profiles
 
@@ -97,7 +94,7 @@ def load_questionnaire(path: str | Path) -> Questionnaire:
     if not isinstance(doc, Mapping):
         raise DocumentError(f"{path}: expected a JSON object")
     _check_version(doc, str(path))
-    kind = _parse_enum(QuestionnaireKind, _require(doc, "kind", str(path)), f"{path}: kind")
+    kind = parse_enum(QuestionnaireKind, _require(doc, "kind", str(path)), f"{path}: kind")
     s_max = _as_int(_require(doc, "s_max", str(path)), f"{path}: s_max")
     label = doc.get("category_label")
     if label is not None:
@@ -174,7 +171,7 @@ def load_profile(path: str | Path) -> PostureProfile:
             complexity_index=_as_number(
                 _require(doc, "complexity_index", str(path)), f"{path}: complexity_index"
             ),
-            attractiveness=_parse_enum(
+            attractiveness=parse_enum(
                 Attractiveness,
                 _require(doc, "attractiveness", str(path)),
                 f"{path}: attractiveness",
@@ -425,13 +422,13 @@ def load_run_config(path: str | Path) -> RunConfig:
         t=_as_int(count.get("t", 365), f"{path}: count.t"),
         delta_t=_as_number(count.get("delta_t", 1.0), f"{path}: count.delta_t"),
         n_avg=_as_number(count.get("n_avg", 0.0), f"{path}: count.n_avg"),
-        count_kind=_parse_enum(
+        count_kind=parse_enum(
             CountKind, count.get("kind", "binomial"), f"{path}: count.kind"
         ),
         trials=_as_int(doc.get("trials", 10_000), f"{path}: trials"),
         replications=_as_int(doc.get("replications", 100_000), f"{path}: replications"),
         seed=seed,
-        regime=_parse_enum(Regime, doc.get("regime", "change"), f"{path}: regime"),
+        regime=parse_enum(Regime, doc.get("regime", "change"), f"{path}: regime"),
         inputs=dict(inputs),
         output_dir=output_dir,
         success=success,

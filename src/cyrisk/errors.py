@@ -1,10 +1,18 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the input checks that raise them.
 
 Two branches matter to callers: ``InputError`` covers everything a user can
 fix in their input documents or parameters, ``ComputationError`` covers
 numeric routines that could not complete within their contract. The CLI maps
 the former to exit code 2 and the latter to exit code 1.
 """
+
+from __future__ import annotations
+
+import math
+from enum import Enum
+from typing import Any, TypeVar
+
+_E = TypeVar("_E", bound=Enum)
 
 
 class RiskModelError(Exception):
@@ -45,3 +53,26 @@ class QuadratureFailure(ComputationError):
 
 class SupportMismatch(ComputationError):
     """Two distributions under comparison are not defined on comparable supports."""
+
+
+def require_finite(context: str, **fields: float | None) -> None:
+    """Raise InputError naming the first of ``fields`` that is NaN or infinite.
+
+    Unset (None) fields pass. The ``not x >= 0`` range checks catch NaN but
+    not inf, and ``json.loads("1e400")`` gives inf, so every validator that
+    takes floats calls this first.
+    """
+    for name, value in fields.items():
+        if value is not None and not math.isfinite(value):
+            raise InputError(f"{context}: {name} must be finite, got {value}")
+
+
+def parse_enum(enum_type: type[_E], value: Any, context: str) -> _E:
+    """The member of ``enum_type`` whose value is ``value`` trimmed and lower-cased."""
+    try:
+        return enum_type(str(value).strip().lower())
+    except ValueError:
+        allowed = ", ".join(m.value for m in enum_type)
+        raise DocumentError(
+            f"{context}: unknown value {value!r} (expected one of: {allowed})"
+        ) from None

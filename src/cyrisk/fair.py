@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InputError, InvalidRange
+from .errors import InputError, InvalidRange, require_finite
 from .incidence import IncidentLikelihood
 
 #: Stated estimate confidence maps to the PERT shape as gamma = confidence / 5,
@@ -45,6 +45,13 @@ class LossCategory:
     currency: str = "EUR"
 
     def __post_init__(self) -> None:
+        require_finite(
+            f"loss category {self.name!r}",
+            low=self.low,
+            most_likely=self.most_likely,
+            high=self.high,
+            confidence=self.confidence,
+        )
         triple = (self.low, self.most_likely, self.high)
         ordered = sorted(triple)
         if list(triple) != ordered:

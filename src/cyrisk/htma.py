@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .cvss import CvssVector
-from .errors import InputError, InvalidRange, NoApplicableControls
+from .errors import InputError, InvalidRange, NoApplicableControls, require_finite
 from .posture import Questionnaire, score_index
 
 #: A 90% confidence interval spans 2 x 1.645 log-normal standard deviations.
@@ -48,6 +48,12 @@ class Threat:
     expert_likelihood: float | None = None
 
     def __post_init__(self) -> None:
+        require_finite(
+            f"threat {self.id}",
+            impact_low=self.impact_low,
+            impact_high=self.impact_high,
+            expert_likelihood=self.expert_likelihood,
+        )
         if self.impact_low < 0:
             raise InvalidRange(
                 f"threat {self.id}: impact_low must be >= 0, got {self.impact_low}"
@@ -90,6 +96,7 @@ class ControlWeightMatrix:
                     f"for {len(self.threats)} threats"
                 )
             for value in row:
+                require_finite(f"control {control!r}", weight=value)
                 if not value >= 0:
                     raise InputError(
                         f"weight for control {control!r} must be >= 0, got {value}"

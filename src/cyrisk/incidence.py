@@ -32,9 +32,8 @@ from enum import Enum
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.special import xlog1py, xlogy
 
-from .errors import ComputationError, InputError, QuadratureFailure
+from .errors import ComputationError, InputError, QuadratureFailure, require_finite
 from .success import SuccessDistribution, pert_rule
 
 #: The no-change support ends where the incident tail at p_M is below this.
@@ -72,10 +71,11 @@ class AttackCountModel:
     delta_t: float = 1.0
 
     def __post_init__(self) -> None:
+        require_finite("attack count model", n_avg=self.n_avg, delta_t=self.delta_t)
         if self.t < 1:
             raise InputError(f"slot count t must be >= 1, got {self.t}")
-        if not (math.isfinite(self.n_avg) and self.n_avg >= 0):
-            raise InputError(f"n_avg must be finite and >= 0, got {self.n_avg}")
+        if not self.n_avg >= 0:
+            raise InputError(f"n_avg must be >= 0, got {self.n_avg}")
         if self.kind is CountKind.BINOMIAL and self.n_avg > self.t:
             raise InputError(
                 f"binomial model needs n_avg <= t, got n_avg={self.n_avg}, t={self.t}"
@@ -87,6 +87,11 @@ class AttackCountModel:
     def attempt_probability(self) -> float:
         """Per-slot probability of an attempt under the binomial parameterization."""
         return self.n_avg / self.t
+
+
+def _times_log(count: np.ndarray, log_rate: np.ndarray) -> np.ndarray:
+    """count * log_rate with 0 * log 0 = 0, so that a certain count keeps probability 1."""
+    return np.where(count == 0, 0.0, count * log_rate)
 
 
 def _count_kernel(model: AttackCountModel, p: np.ndarray, top: int) -> np.ndarray:
@@ -106,14 +111,15 @@ def _count_kernel(model: AttackCountModel, p: np.ndarray, top: int) -> np.ndarra
         )
     s = np.arange(top + 1)
     k = np.arange(top)
-    if model.kind is CountKind.BINOMIAL:
-        log_coef = np.cumsum(np.log((model.t - k) / (k + 1.0)))
-        rate = p[:, None] * model.attempt_probability
-        log_pmf = xlogy(s, rate) + xlog1py(model.t - s, -rate)
-    else:
-        log_coef = -np.cumsum(np.log(k + 1.0))
-        rate = p[:, None] * model.n_avg
-        log_pmf = xlogy(s, rate) - rate
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if model.kind is CountKind.BINOMIAL:
+            log_coef = np.cumsum(np.log((model.t - k) / (k + 1.0)))
+            rate = p[:, None] * model.attempt_probability
+            log_pmf = _times_log(s, np.log(rate)) + _times_log(model.t - s, np.log1p(-rate))
+        else:
+            log_coef = -np.cumsum(np.log(k + 1.0))
+            rate = p[:, None] * model.n_avg
+            log_pmf = _times_log(s, np.log(rate)) - rate
     log_pmf[:, 1:] += log_coef
     return np.exp(log_pmf)
 
@@ -147,13 +153,19 @@ def _band_mixture(
     """Mix integrand(p) over the band: (mixture, gap between the last two rules)."""
     if dist.is_point_mass:
         return integrand(np.array([dist.p_star]))[0], 0.0
-    nodes, weights = pert_rule(dist, MIN_NODES)
-    coarse = weights @ integrand(nodes)
+
+    def mix(m: int) -> np.ndarray:
+        # mixing the offsets from the first node's value keeps a constant exact:
+        # the weights sum to one only up to rounding
+        nodes, weights = pert_rule(dist, m)
+        values = integrand(nodes)
+        return values[0] + weights @ (values - values[0])
+
+    coarse = mix(MIN_NODES)
     m = MIN_NODES
     while m < MAX_NODES:
         m *= 2
-        nodes, weights = pert_rule(dist, m)
-        fine = weights @ integrand(nodes)
+        fine = mix(m)
         gap = float(np.max(np.abs(fine - coarse)))
         if gap <= NODE_TOL:
             return fine, gap

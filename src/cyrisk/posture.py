@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .errors import EmptyAssessment, InputError, NoApplicableControls
+from .errors import EmptyAssessment, InputError, NoApplicableControls, require_finite
 
 
 class QuestionnaireKind(Enum):
@@ -63,7 +63,8 @@ class ControlResponse:
             raise InputError(
                 f"control {self.control_id!r}: score must be >= 0, got {self.score}"
             )
-        if not self.weight >= 0:  # also rejects NaN
+        require_finite(f"control {self.control_id!r}", weight=self.weight)
+        if not self.weight >= 0:
             raise InputError(
                 f"control {self.control_id!r}: weight must be >= 0, got {self.weight}"
             )

@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
-from .errors import DegenerateCurve, InputError
+from .errors import DegenerateCurve, InputError, require_finite
 
 #: Curve defaults used by the CLI when the run configuration omits them.
 DEFAULT_GROWTH_RATE = -2.0
@@ -36,7 +35,8 @@ def _sigmoid(z: float) -> float:
     return e / (1.0 + e)
 
 
-def _check_curve_inputs(growth_rate: float, upper: float, lower: float) -> None:
+def _check_curve_inputs(growth_rate: float, midpoint: float, upper: float, lower: float) -> None:
+    require_finite("logistic curve", B=growth_rate, x0=midpoint, U=upper, L=lower)
     if not growth_rate < 0:
         raise InputError(f"growth rate B must be negative, got {growth_rate}")
     if not (0.0 < lower < upper < 1.0):
@@ -61,7 +61,7 @@ class LogisticParams:
     K: float
 
     def __post_init__(self) -> None:
-        _check_curve_inputs(self.B, self.U, self.L)
+        _check_curve_inputs(self.B, self.x0, self.U, self.L)
         if abs(self.curve(0.0) - self.U) > 1e-12 or abs(self.curve(10.0) - self.L) > 1e-12:
             raise InputError("A and K do not satisfy the endpoint conditions f(0)=U, f(10)=L")
 
@@ -85,7 +85,7 @@ def solve_asymptotes(
         DegenerateCurve: the curve is numerically flat between x=0 and x=10,
             which makes the system singular.
     """
-    _check_curve_inputs(growth_rate, upper, lower)
+    _check_curve_inputs(growth_rate, midpoint, upper, lower)
     g0 = _sigmoid(growth_rate * (0.0 - midpoint))
     g10 = _sigmoid(growth_rate * (10.0 - midpoint))
     denom = g0 - g10
@@ -128,6 +128,7 @@ class SuccessDistribution:
     w: float = 1.0
 
     def __post_init__(self) -> None:
+        require_finite("PERT band", alpha=self.alpha, beta=self.beta)
         if not (0.0 < self.p_m <= self.p_star <= self.p_M < 1.0):
             raise InputError(
                 "need 0 < p_m <= p_star <= p_M < 1, got "
@@ -181,6 +182,7 @@ def pert_from_maturity(
     0..10 scale; the curve is decreasing, so x+q yields the band minimum and
     x-q the maximum.
     """
+    require_finite("PERT band", q=q)
     if not q > 0:
         raise InputError(f"spread q must be positive, got {q}")
     p_m = success_probability(params, min(x + q, 10.0), w)
@@ -192,9 +194,20 @@ def pert_from_maturity(
 def pert_rule(dist: SuccessDistribution, m: int) -> tuple[np.ndarray, np.ndarray]:
     """m-node Gauss-Jacobi rule for the PERT band: nodes in (p_m, p_M), weights summing to one.
 
-    The Jacobi weight (1 - x)^(beta - 1) (1 + x)^(alpha - 1) on [-1, 1] is the
-    band's density up to scale, so sum_i w_i g(p_i) integrates g against the
-    band, exactly for polynomials of degree below 2m (Golub & Welsch 1969).
+    The Jacobi weight (1 - x)^a (1 + x)^b on [-1, 1], a = beta - 1 and
+    b = alpha - 1, is the band's density up to scale, so sum_i w_i g(p_i)
+    integrates g against the band, exactly for polynomials of degree below 2m.
+    Golub & Welsch (1969): the nodes are the eigenvalues of the symmetric
+    tridiagonal matrix of the Jacobi three-term recurrence, and the weights
+    the squared first components of its unit eigenvectors.
     """
-    x, w = roots_jacobi(m, dist.beta - 1.0, dist.alpha - 1.0)
+    a, b = dist.beta - 1.0, dist.alpha - 1.0
+    k = np.arange(1.0, m)
+    n = 2.0 * k + a + b
+    diagonal = np.empty(m)
+    diagonal[0] = (b - a) / (a + b + 2.0)
+    diagonal[1:] = (b * b - a * a) / (n * (n + 2.0))
+    off = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + a + b) / (n * n * (n + 1.0) * (n - 1.0)))
+    x, vectors = np.linalg.eigh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
+    w = vectors[0] ** 2
     return dist.p_m + (dist.p_M - dist.p_m) * (x + 1.0) / 2.0, w / w.sum()

@@ -220,7 +220,8 @@ def test_criterion_05_simulation_oracle_grid():
     elapsed = time.perf_counter() - started
     report(
         5,
-        "analytic incident pmf matches 1e6-replication simulation on the 3x3 grid (|z| <= 3)",
+        "analytic incident pmf matches 1e6-replication simulation on the 3x3 grid "
+        "(pooled chi-square, level 1e-3)",
         all_pass and elapsed < 120.0,
         f"worst |z| {worst_z:.2f}, elapsed {elapsed:.1f}s",
     )

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -299,6 +303,15 @@ class TestFair:
             regime="no_change",
         )
 
+    def test_infinite_loss_bound_exits_2(self, tmp_path, fair_config, capsys):
+        (tmp_path / "categories.json").write_text(
+            '{"schema_version": "1", "categories": [{"name": "response",'
+            ' "min": 2750, "most_likely": 8250, "max": 1e400}]}',
+            encoding="utf-8",
+        )
+        assert run(["fair", "--config", fair_config, "--out", tmp_path / "out"]) == 2
+        assert "categories[0].max" in capsys.readouterr().err
+
     def test_emits_report_and_trials(self, tmp_path, fair_config):
         out = tmp_path / "out"
         with pytest.warns(UserWarning, match="not ordered"):
@@ -408,3 +421,18 @@ class TestSimulate:
         assert (first / "oracle_report.json").read_bytes() == (
             second / "oracle_report.json"
         ).read_bytes()
+
+
+def test_cli_import_leaves_scipy_out():
+    # every command starts by importing cyrisk.cli, so this is the start-up each one pays
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, cyrisk.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert result.stdout.strip() == "[]"

@@ -238,6 +238,17 @@ class TestLossCategoryDocument:
         assert categories[0].high == 22000.0
         assert categories[1].confidence == 20.0
 
+    @pytest.mark.parametrize("literal", ["1e400", "-1e400", "1" + "0" * 400])
+    def test_non_finite_number_named(self, tmp_path, literal):
+        # json.loads reads 1e400 as inf, and a 401-digit integer does not fit a float
+        path = tmp_path / "cats.json"
+        path.write_text(
+            '[{"name": "x", "min": 1, "most_likely": 2, "max": ' + literal + "}]",
+            encoding="utf-8",
+        )
+        with pytest.raises(DocumentError, match=r"categories\[0\]\.max: expected a finite number"):
+            load_loss_categories(path)
+
     def test_missing_band_field_named(self, tmp_path):
         path = dump(tmp_path / "cats.json", [{"name": "x", "min": 1, "max": 2}])
         with pytest.raises(DocumentError, match="most_likely"):

@@ -17,6 +17,8 @@ from cyrisk.success import SuccessDistribution
 from reference_data import deadline
 
 MALWARE_BAND = SuccessDistribution.from_triple(0.28, 0.50, 0.72)
+# an asymmetric band: its rule's weights do not sum to exactly one
+SKEWED_BAND = SuccessDistribution.from_triple(0.10, 0.20, 0.70)
 YEAR = AttackCountModel(t=365, n_avg=4.0)
 
 
@@ -96,7 +98,8 @@ class TestConditionalSuccess:
 
     def test_zero_attempts_yield_zero_incidents(self):
         model = AttackCountModel(t=1, n_avg=0.0)
-        assert incident_likelihood(MALWARE_BAND, model, Regime.NO_CHANGE).pmf == {0: 1.0}
+        for band in (MALWARE_BAND, SKEWED_BAND):
+            assert incident_likelihood(band, model, Regime.NO_CHANGE).pmf == {0: 1.0}
 
     @pytest.mark.parametrize("n", [1, 3, 10, 25, 50])
     def test_rows_sum_to_one(self, n):
@@ -110,7 +113,8 @@ class TestConditionalSuccess:
 class TestLikelihoodNoChange:
     def test_no_attempts_concentrates_at_zero(self):
         model = AttackCountModel(t=365, n_avg=0.0)
-        assert incident_likelihood(MALWARE_BAND, model, Regime.NO_CHANGE).pmf == {0: 1.0}
+        for band in (MALWARE_BAND, SKEWED_BAND):
+            assert incident_likelihood(band, model, Regime.NO_CHANGE).pmf == {0: 1.0}
 
     def test_pmf_sums_to_one(self):
         lik = incident_likelihood(MALWARE_BAND, YEAR, Regime.NO_CHANGE)
@@ -255,4 +259,5 @@ class TestBoundedWork:
             incident_likelihood(MALWARE_BAND, model, Regime.NO_CHANGE)
         # the change regime needs no support and still answers
         with deadline(10):
-            assert likelihood_change(MALWARE_BAND, model) == 1.0
+            for band in (MALWARE_BAND, SKEWED_BAND):
+                assert likelihood_change(band, model) == 1.0

@@ -11,7 +11,13 @@ from cyrisk.incidence import (
     incident_likelihood,
     likelihood_change,
 )
-from cyrisk.oracle import EmpiricalCounts, SimConfig, compare_to_analytic, simulate
+from cyrisk.oracle import (
+    EmpiricalCounts,
+    SimConfig,
+    _chi_square_tail,
+    compare_to_analytic,
+    simulate,
+)
 from cyrisk.success import SuccessDistribution
 
 MALWARE_BAND = SuccessDistribution.from_triple(0.28, 0.50, 0.72)
@@ -127,3 +133,22 @@ class TestCompareToAnalytic:
         config = SimConfig(replications=1_000, seed=0, model=YEAR, success=MALWARE_BAND)
         with pytest.raises(SupportMismatch):
             compare_to_analytic(simulate(config), analytic)
+
+
+class TestChiSquareTail:
+    def test_matches_scipy_chdtrc(self):
+        special = pytest.importorskip("scipy.special")
+        for k in range(1, 401):
+            xs = np.linspace(0.0, 4.0 * k + 50.0, 41)
+            got = np.array([_chi_square_tail(k, float(x)) for x in xs])
+            want = special.chdtrc(k, xs)
+            assert np.all(want > 0.0)
+            assert np.max(np.abs(got - want) / want) <= 1e-12, k
+
+    def test_closed_forms(self):
+        # k = 2 is exp(-x/2), k = 1 is erfc(sqrt(x/2)); far tails stay positive
+        for x in (0.0, 0.3, 7.0, 120.0):
+            assert _chi_square_tail(2, x) == pytest.approx(math.exp(-x / 2.0), rel=1e-14)
+            assert _chi_square_tail(1, x) == pytest.approx(math.erfc(math.sqrt(x / 2.0)), rel=1e-14)
+        assert 0.0 < _chi_square_tail(400, 2000.0) < 1e-200
+        assert _chi_square_tail(399, 1e-9) == 1.0

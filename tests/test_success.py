@@ -192,6 +192,38 @@ class TestPertPdf:
         nodes, weights = pert_rule(dist, 64)
         assert weights @ nodes == pytest.approx(dist.mean, abs=1e-12)
 
+    @pytest.mark.parametrize("triple", [(0.28, 0.50, 0.72), (0.08, 0.17, 0.34), (0.10, 0.10, 0.90)])
+    def test_exact_for_polynomials_below_degree_2m(self, triple):
+        # Beta moments: E[Y^j] = prod_{r < j} (alpha + r) / (alpha + beta + r)
+        dist = SuccessDistribution.from_triple(*triple)
+        nodes, weights = pert_rule(dist, 16)
+        y = (nodes - dist.p_m) / (dist.p_M - dist.p_m)
+        moment = 1.0
+        for j in range(32):
+            assert weights @ y**j == pytest.approx(moment, rel=1e-12), j
+            moment *= (dist.alpha + j) / (dist.alpha + dist.beta + j)
+
+    @pytest.mark.parametrize("m", [64, 128, 256, 1024])
+    def test_matches_scipy_gauss_jacobi(self, m):
+        special = pytest.importorskip("scipy.special")
+        integrands = [
+            lambda p: -np.expm1(-30.0 * p),
+            lambda p: np.exp(-50.0 * (p - 0.4) ** 2),
+            lambda p: p**7 * (1.0 - p) ** 3,
+        ]
+        # the shape is set by where the mode sits in the band, from alpha = 1 to beta = 1
+        bands = [(0.02, 0.3), (0.28, 0.72), (0.6, 0.99)]
+        for i, mode in enumerate((0.0, 0.1, 0.5, 0.9, 1.0)):
+            low, high = bands[i % len(bands)]
+            dist = SuccessDistribution.from_triple(low, low + mode * (high - low), high)
+            nodes, weights = pert_rule(dist, m)
+            x, w = special.roots_jacobi(m, dist.beta - 1.0, dist.alpha - 1.0)
+            ref_nodes = low + (high - low) * (x + 1.0) / 2.0
+            for g in integrands:
+                assert weights @ g(nodes) == pytest.approx(
+                    (w / w.sum()) @ g(ref_nodes), abs=1e-12
+                ), mode
+
     def test_near_degenerate_triple_collapses_to_point_mass(self):
         dist = SuccessDistribution.from_triple(0.5, 0.5, 0.5 + 1e-13)
         assert dist.is_point_mass

@@ -36,19 +36,18 @@ from .documents import (
     write_csv,
     write_json,
 )
-from .errors import DocumentError, InputError, RiskModelError
-from .fair import run_fair
-from .htma import Threat, per_threat_maturity, run_htma
-from .incidence import Regime, incident_likelihood
-from .oracle import SimConfig, compare_to_analytic, simulate
+from .errors import DocumentError, InputError, RiskModelError, parse_enum
+from .model import Regime
 from .posture import (
     Attractiveness,
+    PostureProfile,
     Questionnaire,
     assess_posture,
     attacker_weight,
     classify_attractiveness,
 )
 from .success import SuccessDistribution, pert_from_maturity, solve_asymptotes
+# The engines load numpy, so each command imports only the ones it runs.
 
 
 def _resolve_seed(flag_seed: int | None, config_seed: int | None) -> int:
@@ -92,12 +91,26 @@ def _required_input(config: RunConfig, name: str, base: Path) -> Path:
     return path
 
 
+def _band(
+    config: RunConfig, profile: PostureProfile, maturity: float, malicious: bool = True
+) -> SuccessDistribution:
+    """Success band at ``maturity`` on the profile's curve, weighted for the attacker."""
+    params = solve_asymptotes(
+        config.growth_rate, profile.complexity_index, config.upper, config.lower
+    )
+    weight = attacker_weight(profile.attractiveness, malicious)
+    return pert_from_maturity(params, maturity, weight, config.spread)
+
+
 def _threat_assessments(
     config: RunConfig,
     base: Path,
     regime: Regime,
 ) -> list[dict[str, Any]]:
     """Resolve per-threat maturity, success band and incident likelihood."""
+    from .htma import per_threat_maturity
+    from .incidence import incident_likelihood
+
     profile = load_profile(_required_input(config, "profile", base))
     threats = load_threats(_required_input(config, "threats", base))
 
@@ -115,9 +128,6 @@ def _threat_assessments(
                 f"control list: {', '.join(sorted(unknown))}"
             )
 
-    params = solve_asymptotes(
-        config.growth_rate, profile.complexity_index, config.upper, config.lower
-    )
     model = config.count_model()
 
     rows = []
@@ -130,8 +140,7 @@ def _threat_assessments(
                 f"threat {threat.id} ({threat.name}): maturity_index is missing and "
                 "no weight matrix was supplied to derive it"
             )
-        weight = attacker_weight(profile.attractiveness, threat.malicious)
-        dist = pert_from_maturity(params, maturity, weight, config.spread)
+        dist = _band(config, profile, maturity, threat.malicious)
         lik = incident_likelihood(dist, model, regime)
         if lik.value is not None:
             incident_probability = lik.value
@@ -141,7 +150,6 @@ def _threat_assessments(
             {
                 "threat": threat,
                 "maturity_index": maturity,
-                "weight": weight,
                 "dist": dist,
                 "likelihood": lik,
                 "incident_probability": incident_probability,
@@ -165,14 +173,7 @@ def cmd_assess(args: argparse.Namespace) -> int:
             )
         attractiveness = classify_attractiveness(args.attack_share)
     else:
-        try:
-            attractiveness = Attractiveness(args.attractiveness)
-        except ValueError:
-            allowed = ", ".join(a.value for a in Attractiveness)
-            raise DocumentError(
-                f"--attractiveness: unknown class {args.attractiveness!r} "
-                f"(expected one of: {allowed})"
-            ) from None
+        attractiveness = parse_enum(Attractiveness, args.attractiveness, "--attractiveness")
     profile = assess_posture(awareness, core, categories, attractiveness)
     out = _out_dir(args)
     write_json(out / "posture_profile.json", profile_to_dict(profile))
@@ -206,7 +207,7 @@ def cmd_likelihood(args: argparse.Namespace) -> int:
                 "id": row["threat"].id,
                 "name": row["threat"].name,
                 "maturity_index": row["maturity_index"],
-                "attacker_weight": row["weight"],
+                "attacker_weight": row["dist"].w,
                 "p_m": row["dist"].p_m,
                 "p_star": row["dist"].p_star,
                 "p_M": row["dist"].p_M,
@@ -242,6 +243,8 @@ def cmd_likelihood(args: argparse.Namespace) -> int:
 
 
 def cmd_htma(args: argparse.Namespace) -> int:
+    from .htma import run_htma
+
     config, base = _load_config(args)
     seed = _resolve_seed(args.seed, config.seed)
     threats = load_threats(_required_input(config, "threats", base))
@@ -293,16 +296,15 @@ def cmd_htma(args: argparse.Namespace) -> int:
 
 
 def cmd_fair(args: argparse.Namespace) -> int:
+    from .fair import run_fair
+    from .incidence import incident_likelihood
+
     config, base = _load_config(args)
     seed = _resolve_seed(args.seed, config.seed)
     profile = load_profile(_required_input(config, "profile", base))
     categories = load_loss_categories(_required_input(config, "loss_categories", base))
 
-    params = solve_asymptotes(
-        config.growth_rate, profile.complexity_index, config.upper, config.lower
-    )
-    weight = attacker_weight(profile.attractiveness, malicious=True)
-    dist = pert_from_maturity(params, profile.maturity_index, weight, config.spread)
+    dist = _band(config, profile, profile.maturity_index)
     lik = incident_likelihood(dist, config.count_model(), Regime.NO_CHANGE)
     result = run_fair(
         lik, categories, trials=config.trials, seed=seed, slots_per_period=config.t
@@ -369,7 +371,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     table = []
     for row in rows:
-        threat: Threat = row["threat"]
+        threat = row["threat"]
         baseline = cvss_likelihood(threat.cvss) if threat.cvss is not None else None
         table.append(
             {
@@ -416,19 +418,16 @@ def _success_band(config: RunConfig, base: Path) -> SuccessDistribution:
         )
     if "maturity_index" in block:
         profile = load_profile(_required_input(config, "profile", base))
-        params = solve_asymptotes(
-            config.growth_rate, profile.complexity_index, config.upper, config.lower
-        )
-        weight = attacker_weight(profile.attractiveness, malicious=True)
-        return pert_from_maturity(
-            params, block["maturity_index"], weight, config.spread
-        )
+        return _band(config, profile, block["maturity_index"])
     raise DocumentError(
         "run configuration: success: needs either p_m/p_star/p_M or maturity_index"
     )
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .incidence import incident_likelihood
+    from .oracle import SimConfig, compare_to_analytic, simulate
+
     config, base = _load_config(args)
     seed = _resolve_seed(args.seed, config.seed)
     dist = _success_band(config, base)
@@ -548,10 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not hasattr(args, "seed"):
-        args.seed = None
-    if not hasattr(args, "trials"):
-        args.trials = None
     try:
         return args.func(args)
     except InputError as exc:

@@ -16,9 +16,15 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .cvss import CvssVector
 from .errors import DocumentError, parse_enum
-from .fair import LossCategory
-from .htma import ControlWeightMatrix, Threat
-from .incidence import AttackCountModel, CountKind, IncidentLikelihood, Regime
+from .model import (
+    AttackCountModel,
+    ControlWeightMatrix,
+    CountKind,
+    IncidentLikelihood,
+    LossCategory,
+    Regime,
+    Threat,
+)
 from .posture import (
     Attractiveness,
     CategoryComplexity,
@@ -63,9 +69,14 @@ def _as_number(value: Any, context: str) -> float:
     return number
 
 
-def _as_int(value: Any, context: str) -> int:
+def _as_int(value: Any, context: str, int64: bool = True) -> int:
+    """An integer; in the signed 64-bit range of numpy's counts unless ``int64`` is off."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise DocumentError(f"{context}: expected an integer, got {value!r}")
+    if int64 and not -(2**63) <= value < 2**63:
+        raise DocumentError(
+            f"{context}: a {value.bit_length()}-bit integer is outside the signed 64-bit range"
+        )
     return value
 
 
@@ -401,7 +412,7 @@ def load_run_config(path: str | Path) -> RunConfig:
 
     seed = doc.get("seed")
     if seed is not None:
-        seed = _as_int(seed, f"{path}: seed")
+        seed = _as_int(seed, f"{path}: seed", int64=False)  # SeedSequence takes any size
     output_dir = doc.get("output_dir")
     if output_dir is not None:
         output_dir = _as_str(output_dir, f"{path}: output_dir")

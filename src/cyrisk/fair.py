@@ -8,76 +8,18 @@ contribute zero when none are supplied.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InputError, InvalidRange, require_finite
-from .incidence import IncidentLikelihood
+from .errors import InputError
+from .model import IncidentLikelihood, LossCategory
 
-#: Stated estimate confidence maps to the PERT shape as gamma = confidence / 5,
-#: so the conventional confidence of 20 recovers the canonical shape 4.
-CONFIDENCE_TO_SHAPE = 5.0
-DEFAULT_CONFIDENCE = 20.0
 DEFAULT_TRIALS = 10_000
 
 MODE_HISTOGRAM_BINS = 50
 SUMMARY_PERCENTILES = (10, 50, 90)
-
-
-@dataclass(frozen=True)
-class LossCategory:
-    """One loss category with a (min, most likely, max) band per event.
-
-    Bands arriving out of order are sorted into a valid PERT support; that is
-    the only ordering under which the three numbers can be a band at all, but
-    it is loud because it usually signals swapped columns in the source data.
-    """
-
-    name: str
-    low: float
-    most_likely: float
-    high: float
-    confidence: float = DEFAULT_CONFIDENCE
-    secondary: bool = False
-    currency: str = "EUR"
-
-    def __post_init__(self) -> None:
-        require_finite(
-            f"loss category {self.name!r}",
-            low=self.low,
-            most_likely=self.most_likely,
-            high=self.high,
-            confidence=self.confidence,
-        )
-        triple = (self.low, self.most_likely, self.high)
-        ordered = sorted(triple)
-        if list(triple) != ordered:
-            warnings.warn(
-                f"loss category {self.name!r}: band {triple} is not ordered; "
-                f"reordered to {tuple(ordered)}",
-                stacklevel=2,
-            )
-            object.__setattr__(self, "low", ordered[0])
-            object.__setattr__(self, "most_likely", ordered[1])
-            object.__setattr__(self, "high", ordered[2])
-        if self.low < 0:
-            raise InvalidRange(f"loss category {self.name!r}: losses must be >= 0")
-        if not self.confidence > 0:
-            raise InputError(
-                f"loss category {self.name!r}: confidence must be positive, got {self.confidence}"
-            )
-
-    @property
-    def shape(self) -> float:
-        return self.confidence / CONFIDENCE_TO_SHAPE
-
-    @property
-    def mean(self) -> float:
-        """Modified-PERT mean (low + shape * most_likely + high) / (shape + 2)."""
-        return (self.low + self.shape * self.most_likely + self.high) / (self.shape + 2.0)
 
 
 def sample_event_count(
@@ -153,7 +95,6 @@ class FairResult:
     percentiles: Mapping[str, Mapping[int, float]]
     slots_per_period: int
     trials: int
-    seed: int
 
     @property
     def lef(self) -> np.ndarray:
@@ -263,5 +204,4 @@ def run_fair(
         percentiles=percentiles,
         slots_per_period=slots_per_period,
         trials=trials,
-        seed=seed,
     )

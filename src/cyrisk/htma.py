@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cvss import CvssVector
-from .errors import InputError, InvalidRange, NoApplicableControls, require_finite
+from .errors import InputError, InvalidRange, NoApplicableControls
+from .model import ControlWeightMatrix, Threat
 from .posture import Questionnaire, score_index
 
 #: A 90% confidence interval spans 2 x 1.645 log-normal standard deviations.
@@ -24,94 +24,6 @@ LOGNORMAL_CI_FACTOR = 3.29
 DEFAULT_TRIALS = 10_000
 LEC_POINTS = 200
 LEC_UPPER_QUANTILE = 0.999
-
-
-@dataclass(frozen=True)
-class Threat:
-    """One threat: impact band (90% CI bounds) plus, once computed, its likelihood.
-
-    maturity_index may be left unset when it is meant to be derived from a
-    control-weight matrix; likelihood is filled by the likelihood step before
-    the Monte Carlo runs. expert_likelihood is reference data carried through
-    to comparison reports untouched.
-    """
-
-    id: int
-    name: str
-    impact_low: float
-    impact_high: float
-    maturity_index: float | None = None
-    likelihood: float | None = None
-    malicious: bool = True
-    currency: str = "EUR"
-    cvss: CvssVector | None = None
-    expert_likelihood: float | None = None
-
-    def __post_init__(self) -> None:
-        require_finite(
-            f"threat {self.id}",
-            impact_low=self.impact_low,
-            impact_high=self.impact_high,
-            expert_likelihood=self.expert_likelihood,
-        )
-        if self.impact_low < 0:
-            raise InvalidRange(
-                f"threat {self.id}: impact_low must be >= 0, got {self.impact_low}"
-            )
-        if not self.impact_high > self.impact_low:
-            raise InvalidRange(
-                f"threat {self.id}: impact_high must exceed impact_low, got "
-                f"[{self.impact_low}, {self.impact_high}]"
-            )
-        if self.maturity_index is not None and not 0.0 <= self.maturity_index <= 10.0:
-            raise InputError(
-                f"threat {self.id}: maturity_index must be in [0, 10], got {self.maturity_index}"
-            )
-        if self.likelihood is not None and not 0.0 <= self.likelihood <= 1.0:
-            raise InputError(
-                f"threat {self.id}: likelihood must be in [0, 1], got {self.likelihood}"
-            )
-
-
-@dataclass(frozen=True)
-class ControlWeightMatrix:
-    """Control-by-threat relevance weights; column j selects threat j's control subset."""
-
-    controls: tuple[str, ...]
-    threats: tuple[int, ...]
-    weights: tuple[tuple[float, ...], ...]  # one row per control
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "controls", tuple(self.controls))
-        object.__setattr__(self, "threats", tuple(self.threats))
-        object.__setattr__(self, "weights", tuple(tuple(row) for row in self.weights))
-        if len(self.weights) != len(self.controls):
-            raise InputError(
-                f"weight matrix has {len(self.weights)} rows for {len(self.controls)} controls"
-            )
-        for control, row in zip(self.controls, self.weights):
-            if len(row) != len(self.threats):
-                raise InputError(
-                    f"weight row for control {control!r} has {len(row)} entries "
-                    f"for {len(self.threats)} threats"
-                )
-            for value in row:
-                require_finite(f"control {control!r}", weight=value)
-                if not value >= 0:
-                    raise InputError(
-                        f"weight for control {control!r} must be >= 0, got {value}"
-                    )
-        for j, threat_id in enumerate(self.threats):
-            if not any(row[j] > 0 for row in self.weights):
-                raise InputError(f"threat {threat_id} has no positively weighted control")
-
-    def column(self, threat_id: int) -> dict[str, float]:
-        """Relevance weight per control id for one threat."""
-        try:
-            j = self.threats.index(threat_id)
-        except ValueError:
-            raise InputError(f"unknown threat id {threat_id} in weight matrix") from None
-        return {c: row[j] for c, row in zip(self.controls, self.weights)}
 
 
 def per_threat_maturity(
@@ -174,7 +86,6 @@ class HtmaResult:
     losses: np.ndarray
     lec: tuple[LECPoint, ...]
     trials: int
-    seed: int
 
 
 def loss_exceedance_curve(
@@ -216,5 +127,4 @@ def run_htma(
         losses=losses,
         lec=tuple(loss_exceedance_curve(losses)),
         trials=trials,
-        seed=seed,
     )

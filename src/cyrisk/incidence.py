@@ -27,14 +27,13 @@ error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
-from .errors import ComputationError, InputError, QuadratureFailure, require_finite
-from .success import SuccessDistribution, pert_rule
+from .errors import ComputationError, InputError, QuadratureFailure
+from .model import AttackCountModel, CountKind, IncidentLikelihood, Regime
+from .success import SuccessDistribution
 
 #: The no-change support ends where the incident tail at p_M is below this.
 TAIL_CUTOFF = 1e-12
@@ -45,48 +44,6 @@ MAX_NODES = 1024
 NODE_TOL = 1e-8
 #: Most (node, incident count) kernel cells one rule may evaluate.
 MAX_KERNEL_CELLS = 2**21
-
-
-class CountKind(Enum):
-    BINOMIAL = "binomial"
-    POISSON = "poisson"
-
-
-class Regime(Enum):
-    NO_CHANGE = "no_change"
-    CHANGE = "change"
-
-
-@dataclass(frozen=True)
-class AttackCountModel:
-    """Distribution of attack attempts over t slots with mean n_avg per period.
-
-    n_avg is typically the attempt count observed in a previous period of the
-    same length. delta_t records the slot length and is informational only.
-    """
-
-    t: int
-    n_avg: float
-    kind: CountKind = CountKind.BINOMIAL
-    delta_t: float = 1.0
-
-    def __post_init__(self) -> None:
-        require_finite("attack count model", n_avg=self.n_avg, delta_t=self.delta_t)
-        if self.t < 1:
-            raise InputError(f"slot count t must be >= 1, got {self.t}")
-        if not self.n_avg >= 0:
-            raise InputError(f"n_avg must be >= 0, got {self.n_avg}")
-        if self.kind is CountKind.BINOMIAL and self.n_avg > self.t:
-            raise InputError(
-                f"binomial model needs n_avg <= t, got n_avg={self.n_avg}, t={self.t}"
-            )
-        if not self.delta_t > 0:
-            raise InputError(f"delta_t must be positive, got {self.delta_t}")
-
-    @property
-    def attempt_probability(self) -> float:
-        """Per-slot probability of an attempt under the binomial parameterization."""
-        return self.n_avg / self.t
 
 
 def _times_log(count: np.ndarray, log_rate: np.ndarray) -> np.ndarray:
@@ -147,6 +104,28 @@ def _support_end(model: AttackCountModel, p: float) -> int:
     return min(top, model.t) if model.kind is CountKind.BINOMIAL else top
 
 
+def pert_rule(dist: SuccessDistribution, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m-node Gauss-Jacobi rule for the PERT band: nodes in (p_m, p_M), weights summing to one.
+
+    The Jacobi weight (1 - x)^a (1 + x)^b on [-1, 1], a = beta - 1 and
+    b = alpha - 1, is the band's density up to scale, so sum_i w_i g(p_i)
+    integrates g against the band, exactly for polynomials of degree below 2m.
+    Golub & Welsch (1969): the nodes are the eigenvalues of the symmetric
+    tridiagonal matrix of the Jacobi three-term recurrence, and the weights
+    the squared first components of its unit eigenvectors.
+    """
+    a, b = dist.beta - 1.0, dist.alpha - 1.0
+    k = np.arange(1.0, m)
+    n = 2.0 * k + a + b
+    diagonal = np.empty(m)
+    diagonal[0] = (b - a) / (a + b + 2.0)
+    diagonal[1:] = (b * b - a * a) / (n * (n + 2.0))
+    off = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + a + b) / (n * n * (n + 1.0) * (n - 1.0)))
+    x, vectors = np.linalg.eigh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
+    w = vectors[0] ** 2
+    return dist.p_m + (dist.p_M - dist.p_m) * (x + 1.0) / 2.0, w / w.sum()
+
+
 def _band_mixture(
     dist: SuccessDistribution, integrand: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[np.ndarray, float]:
@@ -188,43 +167,6 @@ def attack_count_pmf(model: AttackCountModel, n: int) -> float:
 def likelihood_change(dist: SuccessDistribution, model: AttackCountModel) -> float:
     """Pr(the period produces an incident), with posture reassessed after the first one."""
     return incident_likelihood(dist, model, Regime.CHANGE).value
-
-
-@dataclass(frozen=True)
-class IncidentLikelihood:
-    """Incident-likelihood result for one period.
-
-    NO_CHANGE carries the full pmf over incident counts; CHANGE carries the
-    scalar probability of the single incident. quadrature_error is the
-    largest per-cell gap between the last two Gauss-Jacobi rules (0 for a
-    point-mass band).
-    """
-
-    regime: Regime
-    pmf: Mapping[int, float] | None
-    value: float | None
-    quadrature_error: float
-
-    def __post_init__(self) -> None:
-        if (self.pmf is None) == (self.value is None):
-            raise InputError("exactly one of pmf and value must be set")
-        if self.regime is Regime.NO_CHANGE and self.pmf is None:
-            raise InputError("no-change results carry a pmf")
-        if self.regime is Regime.CHANGE and self.value is None:
-            raise InputError("change results carry a scalar value")
-        if self.value is not None and not 0.0 <= self.value <= 1.0:
-            raise InputError(f"likelihood must be in [0, 1], got {self.value}")
-        if self.pmf is not None:
-            for s, p in self.pmf.items():
-                if not 0.0 <= p <= 1.0:
-                    raise InputError(f"pmf[{s}] must be in [0, 1], got {p}")
-
-    @property
-    def mean_events(self) -> float:
-        """Expected incident count (NO_CHANGE only)."""
-        if self.pmf is None:
-            raise InputError("mean_events needs the full pmf")
-        return sum(s * p for s, p in self.pmf.items())
 
 
 def incident_likelihood(

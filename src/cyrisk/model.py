@@ -1,0 +1,239 @@
+"""Value types the documents describe, free of numpy: the engines (``incidence``,
+``htma``, ``fair``, ``oracle``) compute with them, and ``documents`` and ``cli``
+read and write them without loading numpy.
+"""
+
+from __future__ import annotations
+
+import warnings
+from dataclasses import dataclass
+from enum import Enum
+from typing import Mapping
+
+from .cvss import CvssVector
+from .errors import InputError, InvalidRange, require_finite
+
+#: Stated estimate confidence maps to the PERT shape as gamma = confidence / 5,
+#: so the conventional confidence of 20 recovers the canonical shape 4.
+CONFIDENCE_TO_SHAPE = 5.0
+DEFAULT_CONFIDENCE = 20.0
+
+
+class CountKind(Enum):
+    BINOMIAL = "binomial"
+    POISSON = "poisson"
+
+
+class Regime(Enum):
+    NO_CHANGE = "no_change"
+    CHANGE = "change"
+
+
+@dataclass(frozen=True)
+class AttackCountModel:
+    """Distribution of attack attempts over t slots with mean n_avg per period.
+
+    n_avg is typically the attempt count observed in a previous period of the
+    same length. delta_t records the slot length and is informational only.
+    """
+
+    t: int
+    n_avg: float
+    kind: CountKind = CountKind.BINOMIAL
+    delta_t: float = 1.0
+
+    def __post_init__(self) -> None:
+        require_finite("attack count model", n_avg=self.n_avg, delta_t=self.delta_t)
+        if self.t < 1:
+            raise InputError(f"slot count t must be >= 1, got {self.t}")
+        if not self.n_avg >= 0:
+            raise InputError(f"n_avg must be >= 0, got {self.n_avg}")
+        if self.kind is CountKind.BINOMIAL and self.n_avg > self.t:
+            raise InputError(
+                f"binomial model needs n_avg <= t, got n_avg={self.n_avg}, t={self.t}"
+            )
+        if not self.delta_t > 0:
+            raise InputError(f"delta_t must be positive, got {self.delta_t}")
+
+    @property
+    def attempt_probability(self) -> float:
+        """Per-slot probability of an attempt under the binomial parameterization."""
+        return self.n_avg / self.t
+
+
+@dataclass(frozen=True)
+class IncidentLikelihood:
+    """Incident-likelihood result for one period.
+
+    NO_CHANGE carries the full pmf over incident counts; CHANGE carries the
+    scalar probability of the single incident. quadrature_error is the
+    largest per-cell gap between the last two Gauss-Jacobi rules (0 for a
+    point-mass band).
+    """
+
+    regime: Regime
+    pmf: Mapping[int, float] | None
+    value: float | None
+    quadrature_error: float
+
+    def __post_init__(self) -> None:
+        if (self.pmf is None) == (self.value is None):
+            raise InputError("exactly one of pmf and value must be set")
+        if self.regime is Regime.NO_CHANGE and self.pmf is None:
+            raise InputError("no-change results carry a pmf")
+        if self.regime is Regime.CHANGE and self.value is None:
+            raise InputError("change results carry a scalar value")
+        if self.value is not None and not 0.0 <= self.value <= 1.0:
+            raise InputError(f"likelihood must be in [0, 1], got {self.value}")
+        if self.pmf is not None:
+            for s, p in self.pmf.items():
+                if not 0.0 <= p <= 1.0:
+                    raise InputError(f"pmf[{s}] must be in [0, 1], got {p}")
+
+    @property
+    def mean_events(self) -> float:
+        """Expected incident count (NO_CHANGE only)."""
+        if self.pmf is None:
+            raise InputError("mean_events needs the full pmf")
+        return sum(s * p for s, p in self.pmf.items())
+
+
+@dataclass(frozen=True)
+class Threat:
+    """One threat: impact band (90% CI bounds) plus, once computed, its likelihood.
+
+    maturity_index may be left unset when it is meant to be derived from a
+    control-weight matrix; likelihood is filled by the likelihood step before
+    the Monte Carlo runs. expert_likelihood is reference data carried through
+    to comparison reports untouched.
+    """
+
+    id: int
+    name: str
+    impact_low: float
+    impact_high: float
+    maturity_index: float | None = None
+    likelihood: float | None = None
+    malicious: bool = True
+    currency: str = "EUR"
+    cvss: CvssVector | None = None
+    expert_likelihood: float | None = None
+
+    def __post_init__(self) -> None:
+        require_finite(
+            f"threat {self.id}",
+            impact_low=self.impact_low,
+            impact_high=self.impact_high,
+            expert_likelihood=self.expert_likelihood,
+        )
+        if self.impact_low < 0:
+            raise InvalidRange(
+                f"threat {self.id}: impact_low must be >= 0, got {self.impact_low}"
+            )
+        if not self.impact_high > self.impact_low:
+            raise InvalidRange(
+                f"threat {self.id}: impact_high must exceed impact_low, got "
+                f"[{self.impact_low}, {self.impact_high}]"
+            )
+        if self.maturity_index is not None and not 0.0 <= self.maturity_index <= 10.0:
+            raise InputError(
+                f"threat {self.id}: maturity_index must be in [0, 10], got {self.maturity_index}"
+            )
+        if self.likelihood is not None and not 0.0 <= self.likelihood <= 1.0:
+            raise InputError(
+                f"threat {self.id}: likelihood must be in [0, 1], got {self.likelihood}"
+            )
+
+
+@dataclass(frozen=True)
+class ControlWeightMatrix:
+    """Control-by-threat relevance weights; column j selects threat j's control subset."""
+
+    controls: tuple[str, ...]
+    threats: tuple[int, ...]
+    weights: tuple[tuple[float, ...], ...]  # one row per control
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "controls", tuple(self.controls))
+        object.__setattr__(self, "threats", tuple(self.threats))
+        object.__setattr__(self, "weights", tuple(tuple(row) for row in self.weights))
+        if len(self.weights) != len(self.controls):
+            raise InputError(
+                f"weight matrix has {len(self.weights)} rows for {len(self.controls)} controls"
+            )
+        for control, row in zip(self.controls, self.weights):
+            if len(row) != len(self.threats):
+                raise InputError(
+                    f"weight row for control {control!r} has {len(row)} entries "
+                    f"for {len(self.threats)} threats"
+                )
+            for value in row:
+                require_finite(f"control {control!r}", weight=value)
+                if not value >= 0:
+                    raise InputError(
+                        f"weight for control {control!r} must be >= 0, got {value}"
+                    )
+        for j, threat_id in enumerate(self.threats):
+            if not any(row[j] > 0 for row in self.weights):
+                raise InputError(f"threat {threat_id} has no positively weighted control")
+
+    def column(self, threat_id: int) -> dict[str, float]:
+        """Relevance weight per control id for one threat."""
+        try:
+            j = self.threats.index(threat_id)
+        except ValueError:
+            raise InputError(f"unknown threat id {threat_id} in weight matrix") from None
+        return {c: row[j] for c, row in zip(self.controls, self.weights)}
+
+
+@dataclass(frozen=True)
+class LossCategory:
+    """One loss category with a (min, most likely, max) band per event.
+
+    Bands arriving out of order are sorted into a valid PERT support; that is
+    the only ordering under which the three numbers can be a band at all, but
+    it is loud because it usually signals swapped columns in the source data.
+    """
+
+    name: str
+    low: float
+    most_likely: float
+    high: float
+    confidence: float = DEFAULT_CONFIDENCE
+    secondary: bool = False
+    currency: str = "EUR"
+
+    def __post_init__(self) -> None:
+        require_finite(
+            f"loss category {self.name!r}",
+            low=self.low,
+            most_likely=self.most_likely,
+            high=self.high,
+            confidence=self.confidence,
+        )
+        triple = (self.low, self.most_likely, self.high)
+        ordered = sorted(triple)
+        if list(triple) != ordered:
+            warnings.warn(
+                f"loss category {self.name!r}: band {triple} is not ordered; "
+                f"reordered to {tuple(ordered)}",
+                stacklevel=2,
+            )
+            object.__setattr__(self, "low", ordered[0])
+            object.__setattr__(self, "most_likely", ordered[1])
+            object.__setattr__(self, "high", ordered[2])
+        if self.low < 0:
+            raise InvalidRange(f"loss category {self.name!r}: losses must be >= 0")
+        if not self.confidence > 0:
+            raise InputError(
+                f"loss category {self.name!r}: confidence must be positive, got {self.confidence}"
+            )
+
+    @property
+    def shape(self) -> float:
+        return self.confidence / CONFIDENCE_TO_SHAPE
+
+    @property
+    def mean(self) -> float:
+        """Modified-PERT mean (low + shape * most_likely + high) / (shape + 2)."""
+        return (self.low + self.shape * self.most_likely + self.high) / (self.shape + 2.0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, SupportMismatch
-from .incidence import AttackCountModel, CountKind, IncidentLikelihood
+from .model import AttackCountModel, CountKind, IncidentLikelihood
 from .success import SuccessDistribution
 
 #: Chi-square level: the oracle's false-alarm rate at a correct pmf.
@@ -39,10 +39,9 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class EmpiricalCounts:
-    """Normalized incident-count histogram with binomial standard errors."""
+    """Normalized incident-count histogram."""
 
     probabilities: np.ndarray  # index s -> empirical Pr(S = s)
-    std_errors: np.ndarray
     replications: int
 
     def probability(self, s: int) -> float:
@@ -70,11 +69,7 @@ def simulate(config: SimConfig) -> EmpiricalCounts:
     else:
         attempts = rng.poisson(model.n_avg, size=reps)
     incidents = rng.binomial(attempts, p)
-    probabilities = np.bincount(incidents) / reps
-    std_errors = np.sqrt(probabilities * (1.0 - probabilities) / reps)
-    return EmpiricalCounts(
-        probabilities=probabilities, std_errors=std_errors, replications=reps
-    )
+    return EmpiricalCounts(probabilities=np.bincount(incidents) / reps, replications=reps)
 
 
 def _chi_square_tail(k: int, x: float) -> float:

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegenerateCurve, InputError, require_finite
 
 #: Curve defaults used by the CLI when the run configuration omits them.
@@ -189,25 +187,3 @@ def pert_from_maturity(
     p_M = success_probability(params, max(x - q, 0.0), w)
     p_star = success_probability(params, x, w)
     return SuccessDistribution.from_triple(p_m, p_star, p_M, w=w)
-
-
-def pert_rule(dist: SuccessDistribution, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """m-node Gauss-Jacobi rule for the PERT band: nodes in (p_m, p_M), weights summing to one.
-
-    The Jacobi weight (1 - x)^a (1 + x)^b on [-1, 1], a = beta - 1 and
-    b = alpha - 1, is the band's density up to scale, so sum_i w_i g(p_i)
-    integrates g against the band, exactly for polynomials of degree below 2m.
-    Golub & Welsch (1969): the nodes are the eigenvalues of the symmetric
-    tridiagonal matrix of the Jacobi three-term recurrence, and the weights
-    the squared first components of its unit eigenvectors.
-    """
-    a, b = dist.beta - 1.0, dist.alpha - 1.0
-    k = np.arange(1.0, m)
-    n = 2.0 * k + a + b
-    diagonal = np.empty(m)
-    diagonal[0] = (b - a) / (a + b + 2.0)
-    diagonal[1:] = (b * b - a * a) / (n * (n + 2.0))
-    off = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + a + b) / (n * n * (n + 1.0) * (n - 1.0)))
-    x, vectors = np.linalg.eigh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
-    w = vectors[0] ** 2
-    return dist.p_m + (dist.p_M - dist.p_m) * (x + 1.0) / 2.0, w / w.sum()

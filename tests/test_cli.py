@@ -423,16 +423,53 @@ class TestSimulate:
         ).read_bytes()
 
 
-def test_cli_import_leaves_scipy_out():
-    # every command starts by importing cyrisk.cli, so this is the start-up each one pays
+@pytest.mark.parametrize(
+    "command, field",
+    [("likelihood", "count.t"), ("htma", "trials"), ("simulate", "replications")],
+)
+def test_count_past_int64_exits_2(tmp_path, capsys, command, field):
+    ref.write_profile(tmp_path / "profile.json")
+    ref.write_threat_catalog(tmp_path / "threats.json", with_likelihood=True)
+    extra = {"success": {"p_m": 0.28, "p_star": 0.50, "p_M": 0.72}}
+    if field == "count.t":
+        extra["count"] = {"t": 2**63, "n_avg": 1.0}
+    else:
+        extra[field] = 2**63
+    config = ref.write_run_config(
+        tmp_path / "run.json", {"profile": "profile.json", "threats": "threats.json"},
+        extra=extra,
+    )
+    assert run([command, "--config", config, "--out", tmp_path / "out"]) == 2
+    assert f"{field}: a 64-bit integer is outside the signed 64-bit range" in (
+        capsys.readouterr().err
+    )
+
+
+def probe(code, *argv):
+    """Run ``code`` in a fresh interpreter that imports this checkout's cyrisk."""
     src = Path(__file__).resolve().parents[1] / "src"
-    probe = "import sys, cyrisk.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     result = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", code, *map(str, argv)],
         capture_output=True,
         text=True,
         check=True,
         env={**os.environ, "PYTHONPATH": str(src)},
         timeout=60,
     )
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+@pytest.mark.parametrize("package", ["scipy", "numpy"])
+def test_cli_import_leaves_out(package):
+    # every command starts by importing cyrisk.cli, so this is the start-up each one pays
+    code = f"import sys, cyrisk.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
+    assert probe(code) == "[]"
+
+
+def test_assess_leaves_numpy_out(tmp_path, questionnaires):
+    aw, core, cats = questionnaires
+    code = "import sys, cyrisk.cli; print(cyrisk.cli.main(sys.argv[1:]), 'numpy' in sys.modules)"
+    assert probe(
+        code, "assess", "--awareness", aw, "--maturity", core, "--complexity", *cats,
+        "--attack-share", "3.0", "--out", tmp_path / "out",
+    ).splitlines()[-1] == "0 False"

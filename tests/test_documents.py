@@ -15,7 +15,7 @@ from cyrisk.documents import (
     write_json,
 )
 from cyrisk.errors import DocumentError
-from cyrisk.incidence import CountKind, IncidentLikelihood, Regime
+from cyrisk.model import CountKind, IncidentLikelihood, Regime
 from cyrisk.posture import Attractiveness, PostureProfile, QuestionnaireKind
 
 

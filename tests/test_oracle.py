@@ -91,7 +91,6 @@ class TestCompareToAnalytic:
             probabilities[s] = p
         empirical = EmpiricalCounts(
             probabilities=probabilities,
-            std_errors=np.zeros_like(probabilities),
             replications=10**6,
         )
         report = compare_to_analytic(empirical, analytic)
@@ -108,7 +107,6 @@ class TestCompareToAnalytic:
         probabilities /= probabilities.sum()
         empirical = EmpiricalCounts(
             probabilities=probabilities,
-            std_errors=np.zeros_like(probabilities),
             replications=10**6,
         )
         report = compare_to_analytic(empirical, analytic)

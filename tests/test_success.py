@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from cyrisk.errors import DegenerateCurve, InputError
+from cyrisk.incidence import pert_rule
 from cyrisk.success import (
     LogisticParams,
     SuccessDistribution,
     pert_from_maturity,
-    pert_rule,
     solve_asymptotes,
     success_probability,
 )

@@ -5,8 +5,7 @@ import math
 import pytest
 
 from cyrisk.errors import InputError
-from cyrisk.fair import LossCategory
-from cyrisk.htma import Threat
+from cyrisk.model import LossCategory, Threat
 from cyrisk.success import pert_from_maturity, solve_asymptotes
 
 CURVE = solve_asymptotes(-1.0, 4.3)

@@ -36,7 +36,8 @@ from .documents import (
     write_csv,
     write_json,
 )
-from .errors import DocumentError, InputError, RiskModelError, parse_enum
+from .errors import DocumentError, InputError, RiskModelError, parse_enum, require_int64
+from .incidence import incident_likelihood
 from .model import Regime
 from .posture import (
     Attractiveness,
@@ -45,9 +46,11 @@ from .posture import (
     assess_posture,
     attacker_weight,
     classify_attractiveness,
+    per_threat_maturity,
 )
 from .success import SuccessDistribution, pert_from_maturity, solve_asymptotes
-# The engines load numpy, so each command imports only the ones it runs.
+# The engines load numpy, so each command imports only the ones it runs; the
+# no-change incident pmf loads it too, and only when a command asks for it.
 
 
 def _resolve_seed(flag_seed: int | None, config_seed: int | None) -> int:
@@ -75,9 +78,9 @@ def _load_config(args: argparse.Namespace) -> tuple[RunConfig, Path]:
     config_path = Path(args.config)
     config = load_run_config(config_path)
     if args.trials is not None:
-        config = replace(config, trials=args.trials)
+        config = replace(config, trials=require_int64("--trials", args.trials))
     if getattr(args, "replications", None) is not None:
-        config = replace(config, replications=args.replications)
+        config = replace(config, replications=require_int64("--replications", args.replications))
     if getattr(args, "regime", None) is not None:
         regime = Regime.NO_CHANGE if args.regime == "no-change" else Regime.CHANGE
         config = replace(config, regime=regime)
@@ -108,9 +111,6 @@ def _threat_assessments(
     regime: Regime,
 ) -> list[dict[str, Any]]:
     """Resolve per-threat maturity, success band and incident likelihood."""
-    from .htma import per_threat_maturity
-    from .incidence import incident_likelihood
-
     profile = load_profile(_required_input(config, "profile", base))
     threats = load_threats(_required_input(config, "threats", base))
 
@@ -297,7 +297,6 @@ def cmd_htma(args: argparse.Namespace) -> int:
 
 def cmd_fair(args: argparse.Namespace) -> int:
     from .fair import run_fair
-    from .incidence import incident_likelihood
 
     config, base = _load_config(args)
     seed = _resolve_seed(args.seed, config.seed)
@@ -425,7 +424,6 @@ def _success_band(config: RunConfig, base: Path) -> SuccessDistribution:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from .incidence import incident_likelihood
     from .oracle import SimConfig, compare_to_analytic, simulate
 
     config, base = _load_config(args)

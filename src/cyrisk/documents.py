@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from .cvss import CvssVector
-from .errors import DocumentError, parse_enum
+from .errors import DocumentError, parse_enum, require_int64
 from .model import (
     AttackCountModel,
     ControlWeightMatrix,
@@ -43,11 +43,11 @@ _NA_TOKENS = {"na", "n/a"}
 def _load_json(path: Path) -> Any:
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"{path}: cannot read ({exc})") from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal past 4300 digits
         raise DocumentError(f"{path}: invalid JSON ({exc})") from None
 
 
@@ -73,11 +73,7 @@ def _as_int(value: Any, context: str, int64: bool = True) -> int:
     """An integer; in the signed 64-bit range of numpy's counts unless ``int64`` is off."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise DocumentError(f"{context}: expected an integer, got {value!r}")
-    if int64 and not -(2**63) <= value < 2**63:
-        raise DocumentError(
-            f"{context}: a {value.bit_length()}-bit integer is outside the signed 64-bit range"
-        )
-    return value
+    return require_int64(context, value) if int64 else value
 
 
 def _as_str(value: Any, context: str) -> str:

@@ -67,6 +67,16 @@ def require_finite(context: str, **fields: float | None) -> None:
             raise InputError(f"{context}: {name} must be finite, got {value}")
 
 
+def require_int64(context: str, value: int) -> int:
+    """``value``, or DocumentError naming ``context`` if it is outside the signed
+    64-bit range of numpy's counts."""
+    if not -(2**63) <= value < 2**63:
+        raise DocumentError(
+            f"{context}: a {value.bit_length()}-bit integer is outside the signed 64-bit range"
+        )
+    return value
+
+
 def parse_enum(enum_type: type[_E], value: Any, context: str) -> _E:
     """The member of ``enum_type`` whose value is ``value`` trimmed and lower-cased."""
     try:

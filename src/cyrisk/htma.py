@@ -9,14 +9,13 @@ empirical complementary CDF of those losses on an even grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, InvalidRange, NoApplicableControls
-from .model import ControlWeightMatrix, Threat
-from .posture import Questionnaire, score_index
+from .errors import InputError, InvalidRange
+from .model import Threat
 
 #: A 90% confidence interval spans 2 x 1.645 log-normal standard deviations.
 LOGNORMAL_CI_FACTOR = 3.29
@@ -24,33 +23,6 @@ LOGNORMAL_CI_FACTOR = 3.29
 DEFAULT_TRIALS = 10_000
 LEC_POINTS = 200
 LEC_UPPER_QUANTILE = 0.999
-
-
-def per_threat_maturity(
-    questionnaire: Questionnaire, matrix: ControlWeightMatrix, threat_id: int
-) -> float:
-    """Maturity index over the subset of controls relevant to one threat.
-
-    Controls with zero relevance are dropped; the rest keep their own weight
-    multiplied by the relevance coefficient.
-    """
-    column = matrix.column(threat_id)
-    subset = []
-    for response in questionnaire.responses:
-        relevance = column.get(response.control_id, 0.0)
-        if relevance > 0.0:
-            subset.append(replace(response, weight=response.weight * relevance))
-    if not subset:
-        raise NoApplicableControls(
-            f"threat {threat_id}: none of its weighted controls appear in the responses"
-        )
-    sub_questionnaire = Questionnaire(
-        responses=tuple(subset),
-        s_max=questionnaire.s_max,
-        kind=questionnaire.kind,
-        category_label=questionnaire.category_label,
-    )
-    return score_index(sub_questionnaire)
 
 
 def lognormal_params(low: float, high: float) -> tuple[float, float]:

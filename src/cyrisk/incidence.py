@@ -1,167 +1,125 @@
 """Attack attempts per period and the incident likelihoods they induce.
 
 A period holds t slots with at most one attempt each, so the attempt count is
-binomial with per-slot probability n_avg/t (a Poisson alternative is offered
-for n_avg much smaller than t). Each attempt succeeds with the single-attack
-success probability p, which is uncertain within its PERT band.
+binomial with per-slot probability r = n_avg/t (a Poisson alternative is
+offered for n_avg much smaller than t). Each attempt succeeds with the
+single-attack success probability p, which is uncertain within its PERT band
+p = p_m + w X, w = p_M - p_m, X ~ Beta(alpha, beta).
 
 The thinning identity carries the whole computation: for a fixed p every slot
-produces an incident with probability p n_avg/t, independently of the others,
-so the incident count S is Binomial(t, p n_avg/t), or Poisson(n_avg p) under
-Poisson attempts. Each likelihood is therefore one integral of that kernel
-over the band, a scaled Beta(alpha, beta), and one Gauss-Jacobi rule
-evaluates it for every incident count at once:
+produces an incident with probability p r, independently of the others, so
+the incident count S is Binomial(t, p r), or Poisson(n_avg p) under Poisson
+attempts, with kernel K(s; p). Each likelihood mixes that kernel over the band:
 
 * NO_CHANGE: the posture stays fixed all period, giving the full probability
-  mass function of the incident count, pmf(s) = sum_i w_i K(s; p_i).
-* CHANGE: the organization reassesses after the first incident, giving a
-  single probability that at least that first incident happens,
-  sum_i w_i (1 - K(0; p_i)), evaluated through expm1/log1p so tiny
-  likelihoods keep full precision.
+  mass function of the incident count. :mod:`cyrisk.mixture` evaluates it with a
+  Gauss-Jacobi rule, and is imported for this regime alone, so the change
+  regime never loads numpy.
+* CHANGE: the organization reassesses after the first incident, giving the
+  single probability L = 1 - E that at least that first incident happens,
+  E = E[K(0; p)]. E has an exact series of positive terms:
 
-The rule starts at MIN_NODES nodes and doubles until two successive rules
-agree within NODE_TOL in every cell; that gap is the reported quadrature
-error.
+  - Poisson, by Kummer's transformation (Abramowitz & Stegun 13.1.27):
+    E = exp(-n_avg p_M) 1F1(beta; alpha + beta; n_avg w);
+  - binomial, by Euler's transformation (A&S 15.3.3), with
+    z = r w / (1 - r p_m):
+    E = (1 - r p_M)^t (1 - z)^beta 2F1(alpha + beta + t, beta; alpha + beta; z).
+
+  Since alpha, beta >= 1 the term ratio never rises, so once it is below one
+  the tail is at most the last term times ratio / (1 - ratio). The sum stops
+  when that bound is below SERIES_TOL of the sum, and the bound carried to L
+  is the reported quadrature error. E enters L through log1p and expm1, so
+  tiny likelihoods keep full precision.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
-import numpy as np
-
-from .errors import ComputationError, InputError, QuadratureFailure
+from .errors import ComputationError
 from .model import AttackCountModel, CountKind, IncidentLikelihood, Regime
 from .success import SuccessDistribution
 
-#: The no-change support ends where the incident tail at p_M is below this.
-TAIL_CUTOFF = 1e-12
-#: Node counts of the first and of the largest Gauss-Jacobi rule tried.
-MIN_NODES = 64
-MAX_NODES = 1024
-#: Largest per-cell gap accepted between the m-node and the 2m-node rule.
-NODE_TOL = 1e-8
-#: Most (node, incident count) kernel cells one rule may evaluate.
-MAX_KERNEL_CELLS = 2**21
+#: The change-regime series stops once its tail bound is below this share of the sum.
+SERIES_TOL = 2.0**-60
+#: Where a bound puts E below this, the change likelihood is 1.0 in double precision.
+CERTAIN_BOUND = 2.0**-54
+#: Most terms the change-regime series may sum.
+MAX_TERMS = 2**21
+#: A partial sum past this is divided by it, and the divisions counted.
+_RESCALE = 1e150
 
 
-def _times_log(count: np.ndarray, log_rate: np.ndarray) -> np.ndarray:
-    """count * log_rate with 0 * log 0 = 0, so that a certain count keeps probability 1."""
-    return np.where(count == 0, 0.0, count * log_rate)
+def _log_no_incident(model: AttackCountModel, p: float) -> float:
+    """log K(0; p): the log-probability that success probability p gives no incident all period."""
+    if model.kind is CountKind.BINOMIAL:
+        return model.t * math.log1p(-model.attempt_probability * p)
+    return -model.n_avg * p
 
 
-def _count_kernel(model: AttackCountModel, p: np.ndarray, top: int) -> np.ndarray:
-    """Pr(S = s | p) for s = 0..top, one row per success probability in p.
-
-    The log-coefficients log C(t, s) and log s! are running sums of logs:
-    at t = 1e7 they stay within 1.4e-12 of exact over the first 200 counts,
-    where log-gamma differences are off by 4e-8.
+def _change_likelihood(dist: SuccessDistribution, model: AttackCountModel) -> tuple[float, float]:
+    """(L = 1 - E[K(0; p)] over the band, a bound on its truncation error).
 
     Raises:
-        ComputationError: the table would exceed MAX_KERNEL_CELLS.
+        ComputationError: the series needs more than MAX_TERMS terms.
     """
-    if p.size * (top + 1) > MAX_KERNEL_CELLS:
-        raise ComputationError(
-            f"the incident pmf needs {p.size} x {top + 1} kernel cells, "
-            f"over the work cap of {MAX_KERNEL_CELLS}"
-        )
-    s = np.arange(top + 1)
-    k = np.arange(top)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if model.kind is CountKind.BINOMIAL:
-            log_coef = np.cumsum(np.log((model.t - k) / (k + 1.0)))
-            rate = p[:, None] * model.attempt_probability
-            log_pmf = _times_log(s, np.log(rate)) + _times_log(model.t - s, np.log1p(-rate))
-        else:
-            log_coef = -np.cumsum(np.log(k + 1.0))
-            rate = p[:, None] * model.n_avg
-            log_pmf = _times_log(s, np.log(rate)) - rate
-    log_pmf[:, 1:] += log_coef
-    return np.exp(log_pmf)
-
-
-def _first_incident(model: AttackCountModel, p: np.ndarray) -> np.ndarray:
-    """Pr(S >= 1 | p) = 1 - K(0; p), kept at full precision for tiny p."""
-    if model.kind is CountKind.BINOMIAL:
-        return -np.expm1(model.t * np.log1p(-model.attempt_probability * p))
-    return -np.expm1(-model.n_avg * p)
-
-
-def _support_end(model: AttackCountModel, p: float) -> int:
-    """Last incident count kept: at success probability p the count exceeds it
-    with probability below TAIL_CUTOFF.
-
-    Bernstein's inequality with variance at most the mean mu: Pr(S >= mu + x)
-    <= exp(-L) for x = L/3 + sqrt((L/3)^2 + 2 mu L), L = -ln TAIL_CUTOFF.
-    The mixture's tail is at most the tail at the band's largest p.
-    """
-    mu = model.n_avg * p
-    if mu == 0.0:
-        return 0
-    third = -math.log(TAIL_CUTOFF) / 3.0
-    top = math.ceil(mu + third + math.sqrt(third * third + 6.0 * third * mu))
-    return min(top, model.t) if model.kind is CountKind.BINOMIAL else top
-
-
-def pert_rule(dist: SuccessDistribution, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """m-node Gauss-Jacobi rule for the PERT band: nodes in (p_m, p_M), weights summing to one.
-
-    The Jacobi weight (1 - x)^a (1 + x)^b on [-1, 1], a = beta - 1 and
-    b = alpha - 1, is the band's density up to scale, so sum_i w_i g(p_i)
-    integrates g against the band, exactly for polynomials of degree below 2m.
-    Golub & Welsch (1969): the nodes are the eigenvalues of the symmetric
-    tridiagonal matrix of the Jacobi three-term recurrence, and the weights
-    the squared first components of its unit eigenvectors.
-    """
-    a, b = dist.beta - 1.0, dist.alpha - 1.0
-    k = np.arange(1.0, m)
-    n = 2.0 * k + a + b
-    diagonal = np.empty(m)
-    diagonal[0] = (b - a) / (a + b + 2.0)
-    diagonal[1:] = (b * b - a * a) / (n * (n + 2.0))
-    off = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + a + b) / (n * n * (n + 1.0) * (n - 1.0)))
-    x, vectors = np.linalg.eigh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
-    w = vectors[0] ** 2
-    return dist.p_m + (dist.p_M - dist.p_m) * (x + 1.0) / 2.0, w / w.sum()
-
-
-def _band_mixture(
-    dist: SuccessDistribution, integrand: Callable[[np.ndarray], np.ndarray]
-) -> tuple[np.ndarray, float]:
-    """Mix integrand(p) over the band: (mixture, gap between the last two rules)."""
     if dist.is_point_mass:
-        return integrand(np.array([dist.p_star]))[0], 0.0
+        return -math.expm1(_log_no_incident(model, dist.p_star)), 0.0
+    a, b = dist.alpha, dist.beta
+    w = dist.p_M - dist.p_m
+    # E = exp(log_prefactor) sum_k term_k, term_0 = 1, and
+    # term_(k+1) / term_k = (b + k)(u + v k) / ((a + b + k)(k + 1))
+    if model.kind is CountKind.BINOMIAL:
+        r = model.attempt_probability
+        z = r * w / (1.0 - r * dist.p_m)
+        log_prefactor = _log_no_incident(model, dist.p_M) + b * math.log1p(-z)
+        u, v, z_eff = (a + b + model.t) * z, z, model.t * z
+    else:
+        log_prefactor = _log_no_incident(model, dist.p_M)
+        u, v, z_eff = model.n_avg * w, 0.0, model.n_avg * w
 
-    def mix(m: int) -> np.ndarray:
-        # mixing the offsets from the first node's value keeps a constant exact:
-        # the weights sum to one only up to rounding
-        nodes, weights = pert_rule(dist, m)
-        values = integrand(nodes)
-        return values[0] + weights @ (values - values[0])
+    # E <= K(0; p_m) min(1, Gamma(a + b) / Gamma(b) z_eff^-a), from (1 - x)^(b - 1) <= 1
+    # and (1 - z x)^t <= exp(-t z x): far below 2^-54 there is nothing to sum
+    log_bound = _log_no_incident(model, dist.p_m)
+    if z_eff > 0.0:
+        log_bound += min(0.0, math.lgamma(a + b) - math.lgamma(b) - a * math.log(z_eff))
+    if log_bound < math.log(CERTAIN_BOUND):
+        return 1.0, math.exp(log_bound)
 
-    coarse = mix(MIN_NODES)
-    m = MIN_NODES
-    while m < MAX_NODES:
-        m *= 2
-        fine = mix(m)
-        gap = float(np.max(np.abs(fine - coarse)))
-        if gap <= NODE_TOL:
-            return fine, gap
-        coarse = fine
-    raise QuadratureFailure(
-        f"Gauss-Jacobi rules of {m // 2} and {m} nodes still differ by {gap:.3g}, "
-        f"over the tolerance {NODE_TOL:g}"
-    )
+    # the ratio stays above one at least while b/(a + b) (u + v k) > k + 1
+    gamma = b / (a + b)
+    rising = (gamma * u - 1.0) / (1.0 - gamma * v)
+    if rising > MAX_TERMS:
+        raise ComputationError(
+            f"the change-regime series rises for at least {rising:.3g} terms, "
+            f"over the term cap of {MAX_TERMS}"
+        )
+    term = gamma * u  # the term after the leading 1
+    total = 0.0
+    scale = 0
+    k = 1
+    while True:
+        total += term
+        ratio = (b + k) * (u + v * k) / ((a + b + k) * (k + 1))
+        if ratio < 1.0:
+            tail = term * ratio / (1.0 - ratio)
+            if tail <= SERIES_TOL * total:
+                break
+        if k == MAX_TERMS:
+            raise ComputationError(
+                f"the change-regime series has not converged after the term cap of {MAX_TERMS}"
+            )
+        term *= ratio
+        k += 1
+        if total > _RESCALE:
+            total /= _RESCALE
+            term /= _RESCALE
+            scale += 1
 
-
-def attack_count_pmf(model: AttackCountModel, n: int) -> float:
-    """Exact probability of seeing n attempts in the period: the incident kernel at p = 1."""
-    if model.kind is CountKind.BINOMIAL and not 0 <= n <= model.t:
-        raise InputError(f"attempt count must be in [0, {model.t}], got {n}")
-    if n < 0:
-        raise InputError(f"attempt count must be >= 0, got {n}")
-    return min(float(_count_kernel(model, np.array([1.0]), n)[0, n]), 1.0)
+    log_rescale = scale * math.log(_RESCALE)
+    log_sum = math.log1p(total) if scale == 0 else math.log(total) + log_rescale
+    error = math.exp(log_prefactor + math.log(tail) + log_rescale) if tail > 0.0 else 0.0
+    return max(0.0, -math.expm1(log_prefactor + log_sum)), error
 
 
 def likelihood_change(dist: SuccessDistribution, model: AttackCountModel) -> float:
@@ -175,19 +133,16 @@ def incident_likelihood(
     """Evaluate the incident distribution for one period under the given regime.
 
     Raises:
-        ComputationError: the no-change support is too large for the work cap.
-        QuadratureFailure: MAX_NODES nodes do not reach NODE_TOL.
+        ComputationError: the change-regime series passes its term cap, or the
+            no-change support is too large for the work cap.
+        QuadratureFailure: the no-change rule does not reach its tolerance.
     """
     if regime is Regime.CHANGE:
-        value, error = _band_mixture(dist, lambda p: _first_incident(model, p))
-        return IncidentLikelihood(
-            regime=regime, pmf=None, value=min(float(value), 1.0), quadrature_error=error
-        )
-    top = _support_end(model, dist.p_M)
-    pmf, error = _band_mixture(dist, lambda p: _count_kernel(model, p, top))
+        value, error = _change_likelihood(dist, model)
+        return IncidentLikelihood(regime=regime, pmf=None, value=value, quadrature_error=error)
+    from .mixture import incident_pmf
+
+    pmf, error = incident_pmf(dist, model)
     return IncidentLikelihood(
-        regime=regime,
-        pmf=dict(enumerate(np.minimum(pmf, 1.0).tolist())),
-        value=None,
-        quadrature_error=error,
+        regime=regime, pmf=dict(enumerate(pmf)), value=None, quadrature_error=error
     )

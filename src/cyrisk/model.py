@@ -1,6 +1,6 @@
-"""Value types the documents describe, free of numpy: the engines (``incidence``,
-``htma``, ``fair``, ``oracle``) compute with them, and ``documents`` and ``cli``
-read and write them without loading numpy.
+"""Value types the documents describe, free of numpy: the analytic layer and the
+engines (``incidence``, ``mixture``, ``htma``, ``fair``, ``oracle``) compute with
+them, and ``documents`` and ``cli`` read and write them without loading numpy.
 """
 
 from __future__ import annotations
@@ -66,9 +66,11 @@ class IncidentLikelihood:
     """Incident-likelihood result for one period.
 
     NO_CHANGE carries the full pmf over incident counts; CHANGE carries the
-    scalar probability of the single incident. quadrature_error is the
-    largest per-cell gap between the last two Gauss-Jacobi rules (0 for a
-    point-mass band).
+    scalar probability of the single incident. quadrature_error is, for
+    NO_CHANGE, the largest per-cell gap between the last two Gauss-Jacobi
+    rules and, for CHANGE, a bound on the error of the value from truncating
+    its series (or from skipping it, where a bound on Pr(no incident) is
+    below 2^-54 and the value is 1.0). It is 0 for a point-mass band.
     """
 
     regime: Regime

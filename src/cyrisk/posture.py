@@ -9,11 +9,12 @@ never drag an index toward zero.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
 from .errors import EmptyAssessment, InputError, NoApplicableControls, require_finite
+from .model import ControlWeightMatrix
 
 
 class QuestionnaireKind(Enum):
@@ -161,6 +162,33 @@ def score_index(questionnaire: Questionnaire) -> float:
             f"no applicable control with positive weight{where}"
         )
     return (numerator / total_weight) * (10.0 / questionnaire.s_max)
+
+
+def per_threat_maturity(
+    questionnaire: Questionnaire, matrix: ControlWeightMatrix, threat_id: int
+) -> float:
+    """Maturity index over the subset of controls relevant to one threat.
+
+    Controls with zero relevance are dropped; the rest keep their own weight
+    multiplied by the relevance coefficient.
+    """
+    column = matrix.column(threat_id)
+    subset = []
+    for response in questionnaire.responses:
+        relevance = column.get(response.control_id, 0.0)
+        if relevance > 0.0:
+            subset.append(replace(response, weight=response.weight * relevance))
+    if not subset:
+        raise NoApplicableControls(
+            f"threat {threat_id}: none of its weighted controls appear in the responses"
+        )
+    sub_questionnaire = Questionnaire(
+        responses=tuple(subset),
+        s_max=questionnaire.s_max,
+        kind=questionnaire.kind,
+        category_label=questionnaire.category_label,
+    )
+    return score_index(sub_questionnaire)
 
 
 def maturity_index(

@@ -31,10 +31,10 @@ from cyrisk.incidence import (
     AttackCountModel,
     CountKind,
     Regime,
-    attack_count_pmf,
     incident_likelihood,
     likelihood_change,
 )
+from cyrisk.mixture import attack_count_pmf
 from cyrisk.oracle import SimConfig, compare_to_analytic, simulate
 from cyrisk.success import (
     SuccessDistribution,

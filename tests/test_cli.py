@@ -445,6 +445,64 @@ def test_count_past_int64_exits_2(tmp_path, capsys, command, field):
     )
 
 
+@pytest.mark.parametrize(
+    "command, flag", [("htma", "--trials"), ("simulate", "--replications")]
+)
+def test_count_flag_past_int64_exits_2(tmp_path, capsys, command, flag):
+    ref.write_profile(tmp_path / "profile.json")
+    ref.write_threat_catalog(tmp_path / "threats.json", with_likelihood=True)
+    config = ref.write_run_config(
+        tmp_path / "run.json", {"profile": "profile.json", "threats": "threats.json"},
+        extra={"success": {"p_m": 0.28, "p_star": 0.50, "p_M": 0.72}},
+    )
+    argv = [command, "--config", config, flag, str(2**63), "--out", tmp_path / "out"]
+    assert run(argv) == 2
+    assert f"{flag}: a 64-bit integer is outside the signed 64-bit range" in (
+        capsys.readouterr().err
+    )
+
+
+def test_overlong_integer_literal_exits_2(tmp_path, capsys):
+    # Python refuses to convert integer strings past 4300 digits
+    ref.write_profile(tmp_path / "profile.json")
+    ref.write_threat_catalog(tmp_path / "threats.json")
+    config = ref.write_run_config(
+        tmp_path / "run.json", {"profile": "profile.json", "threats": "threats.json"}
+    )
+    config.write_text(
+        config.read_text().replace('"trials": 2000', '"trials": ' + "9" * 5000), encoding="utf-8"
+    )
+    assert run(["likelihood", "--config", config, "--out", tmp_path / "out"]) == 2
+    assert f"{config}: invalid JSON" in capsys.readouterr().err
+
+
+def test_non_utf8_document_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_bytes(b"\xff\xfe{}")
+    assert run(["likelihood", "--config", config, "--out", tmp_path / "out"]) == 2
+    assert f"{config}: cannot read" in capsys.readouterr().err
+
+
+def test_change_series_term_cap_exits_1(tmp_path, capsys):
+    # maturity 10 on a curve ending at 1e-9 puts the band's floor at 1e-9, and
+    # 1e9 Poisson attempts would need over 2^21 terms of the change series
+    ref.write_profile(tmp_path / "profile.json")
+    ref.write_json(
+        tmp_path / "threats.json",
+        [{"id": 1, "name": "a", "impact_low": 1.0, "impact_high": 2.0, "maturity_index": 10.0}],
+    )
+    config = ref.write_run_config(
+        tmp_path / "run.json", {"profile": "profile.json", "threats": "threats.json"},
+        extra={
+            "logistic": {"B": -1.0, "U": 0.97, "L": 1e-9, "q": 1.0},
+            "count": {"t": 1, "n_avg": 1e9, "kind": "poisson"},
+        },
+    )
+    with ref.deadline(10):
+        assert run(["likelihood", "--config", config, "--out", tmp_path / "out"]) == 1
+    assert "term cap" in capsys.readouterr().err
+
+
 def probe(code, *argv):
     """Run ``code`` in a fresh interpreter that imports this checkout's cyrisk."""
     src = Path(__file__).resolve().parents[1] / "src"
@@ -473,3 +531,38 @@ def test_assess_leaves_numpy_out(tmp_path, questionnaires):
         code, "assess", "--awareness", aw, "--maturity", core, "--complexity", *cats,
         "--attack-share", "3.0", "--out", tmp_path / "out",
     ).splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize("command", ["likelihood", "compare"])
+def test_change_regime_leaves_numpy_out(tmp_path, command):
+    # per-threat maturity from a weight matrix, then the change-regime series
+    ref.write_profile(tmp_path / "profile.json")
+    ids = [t[0] for t in ref.HEALTHCARE_THREATS]
+    ref.write_json(
+        tmp_path / "threats.json",
+        [{"id": i, "name": f"t{i}", "impact_low": 1.0, "impact_high": 2.0} for i in ids],
+    )
+    ref.write_json(
+        tmp_path / "wm.json",
+        {
+            "schema_version": "1",
+            "controls": ["ma-0", "ma-1"],
+            "threats": ids,
+            "weights": [[1.0] * len(ids), [0.5] * len(ids)],
+        },
+    )
+    ref.write_questionnaire(tmp_path / "scored.json", "maturity_core", [3, 1])
+    config = ref.write_run_config(
+        tmp_path / "run.json",
+        {
+            "profile": "profile.json",
+            "threats": "threats.json",
+            "weight_matrix": "wm.json",
+            "controls": "scored.json",
+        },
+    )
+    code = "import sys, cyrisk.cli; print(cyrisk.cli.main(sys.argv[1:]), 'numpy' in sys.modules)"
+    argv = [command, "--config", config, "--out", tmp_path / "out"]
+    if command == "likelihood":
+        argv += ["--regime", "change"]
+    assert probe(code, *argv).splitlines()[-1] == "0 False"

@@ -5,15 +5,14 @@ import pytest
 
 from cyrisk.errors import InputError, InvalidRange, NoApplicableControls
 from cyrisk.htma import (
-    ControlWeightMatrix,
     Threat,
     lognormal_params,
     loss_exceedance_curve,
-    per_threat_maturity,
     run_htma,
     sample_impact,
 )
-from cyrisk.posture import ControlResponse, Questionnaire, QuestionnaireKind
+from cyrisk.model import ControlWeightMatrix
+from cyrisk.posture import ControlResponse, Questionnaire, QuestionnaireKind, per_threat_maturity
 
 
 def make_threat(likelihood=0.5, low=1.0, high=2.0, threat_id=1):

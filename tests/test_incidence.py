@@ -2,18 +2,18 @@ import math
 
 import pytest
 
-from cyrisk import incidence
+from cyrisk import mixture
 from cyrisk.errors import ComputationError, InputError, QuadratureFailure
 from cyrisk.incidence import (
     AttackCountModel,
     CountKind,
     IncidentLikelihood,
     Regime,
-    attack_count_pmf,
     incident_likelihood,
     likelihood_change,
 )
-from cyrisk.success import SuccessDistribution
+from cyrisk.mixture import attack_count_pmf
+from cyrisk.success import SuccessDistribution, pert_from_maturity, solve_asymptotes
 from reference_data import deadline
 
 MALWARE_BAND = SuccessDistribution.from_triple(0.28, 0.50, 0.72)
@@ -138,6 +138,16 @@ class TestLikelihoodNoChange:
         pmf = incident_likelihood(MALWARE_BAND, YEAR, Regime.NO_CHANGE).pmf
         assert pmf[0] > attack_count_pmf(YEAR, 0)
 
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    def test_vanishing_cells_stay_nonnegative(self, q):
+        # a steep band under heavy binomial pressure: mixing the offsets from the
+        # first node rounded cells of about 1e-323 below zero
+        band = pert_from_maturity(solve_asymptotes(-1.0, 4.3, 0.97, 0.03), 0.5, 1.0, q)
+        model = AttackCountModel(t=8760, n_avg=1000.0)
+        pmf = incident_likelihood(band, model, Regime.NO_CHANGE).pmf
+        assert min(pmf.values()) >= 0.0
+        assert math.fsum(pmf.values()) == pytest.approx(1.0, abs=1e-9)
+
     def test_incident_count_beyond_slots_rejected(self):
         # the support stops at t even where the tail bound reaches past it
         model = AttackCountModel(t=12, n_avg=10.0)
@@ -181,6 +191,92 @@ class TestLikelihoodChange:
         assert likelihood_change(MALWARE_BAND, YEAR) == pytest.approx(
             1.0 - lik.pmf[0], abs=1e-7
         )
+
+
+# the band from 1e-9 to 0.9 with its mode at 1e-9: its incident-free
+# mass falls slowly as attempts grow, so the change series needs the most terms
+STEEP_BAND = SuccessDistribution.from_triple(1e-9, 1e-9, 0.9)
+COUNT_MODELS = [
+    AttackCountModel(t=365, n_avg=4.0),
+    AttackCountModel(t=365, n_avg=50.0),
+    AttackCountModel(t=365, n_avg=365.0),
+    AttackCountModel(t=8760, n_avg=1000.0),
+    AttackCountModel(t=10_000_000, n_avg=4.0),
+    AttackCountModel(t=365, n_avg=4.0, kind=CountKind.POISSON),
+    AttackCountModel(t=8760, n_avg=100.0, kind=CountKind.POISSON),
+    AttackCountModel(t=50, n_avg=0.01, kind=CountKind.POISSON),
+]
+
+
+class TestChangeSeries:
+    """The change regime's closed-form series against two independent references."""
+
+    @pytest.mark.parametrize("model", COUNT_MODELS, ids=lambda m: f"{m.kind.value}-{m.t}-{m.n_avg:g}")
+    def test_matches_no_change_pmf_at_zero(self, model):
+        # 1 - pmf(0) of the quadrature mixture, which the oracle checks
+        curve = solve_asymptotes(-1.0, 4.3, 0.97, 0.03)
+        for x in (0.0, 1.0, 3.0, 4.3, 6.5, 10.0):
+            for w in (0.6, 0.8, 1.0):
+                for q in (0.25, 1.0, 3.0):
+                    band = pert_from_maturity(curve, x, w, q)
+                    pmf = incident_likelihood(band, model, Regime.NO_CHANGE).pmf
+                    change = likelihood_change(band, model)
+                    assert abs(change - (1.0 - pmf[0])) <= 1e-13, (x, w, q)
+
+    @pytest.mark.parametrize(
+        "band, model",
+        [
+            *[(STEEP_BAND, AttackCountModel(t=1, n_avg=n, kind=CountKind.POISSON))
+              for n in (1e3, 1e4, 1e5, 1e6)],
+            (STEEP_BAND, AttackCountModel(t=10_000, n_avg=1000.0)),
+            (STEEP_BAND, AttackCountModel(t=365, n_avg=365.0)),
+            (MALWARE_BAND, YEAR),
+            (SKEWED_BAND, AttackCountModel(t=8760, n_avg=100.0, kind=CountKind.POISSON)),
+            (SuccessDistribution.from_triple(1e-6, 2e-6, 1e-5), YEAR),
+        ],
+        ids=lambda v: f"{v.kind.value}-{v.t}-{v.n_avg:g}" if isinstance(v, AttackCountModel) else None,
+    )
+    def test_matches_mpmath(self, band, model):
+        # the untransformed forms, evaluated in 60-digit arithmetic: Kummer's and
+        # Euler's transformations are not used by the reference
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            a, b = mp.mpf(band.alpha), mp.mpf(band.beta)
+            p_m, w = mp.mpf(band.p_m), mp.mpf(band.p_M) - mp.mpf(band.p_m)
+            if model.kind is CountKind.POISSON:
+                n = mp.mpf(model.n_avg)
+                expected = 1 - mp.exp(-n * p_m) * mp.hyp1f1(a, a + b, -n * w)
+            else:
+                r = mp.mpf(model.n_avg) / model.t
+                z = r * w / (1 - r * p_m)
+                expected = 1 - (1 - r * p_m) ** model.t * mp.hyp2f1(-model.t, a, a + b, z)
+            expected = float(expected)
+        lik = incident_likelihood(band, model, Regime.CHANGE)
+        assert abs(lik.value - expected) <= 1e-13
+        assert lik.quadrature_error <= 1e-16
+
+    def test_certain_incident_skips_the_sum(self):
+        # Pr(no incident) <= 2^-54 by the bound alone, so 1.0 comes at once
+        band = SuccessDistribution.from_triple(1e-9, 0.5, 0.9)
+        model = AttackCountModel(t=1, n_avg=1e7, kind=CountKind.POISSON)
+        with deadline(2):
+            lik = incident_likelihood(band, model, Regime.CHANGE)
+        assert lik.value == 1.0
+        assert 0.0 < lik.quadrature_error < 2.0**-54
+
+    @pytest.mark.parametrize(
+        "band, model",
+        [
+            # foreseen: the terms keep rising for about 7.5e6 terms
+            (STEEP_BAND, AttackCountModel(t=1, n_avg=1e7, kind=CountKind.POISSON)),
+            # found while summing: z is within 1e-6 of one, so the terms fall too slowly
+            (SuccessDistribution.from_triple(1e-9, 1e-9, 0.999999), AttackCountModel(t=365, n_avg=365.0)),
+        ],
+        ids=["foreseen", "summed"],
+    )
+    def test_term_cap(self, band, model):
+        with deadline(10), pytest.raises(ComputationError, match="term cap"):
+            incident_likelihood(band, model, Regime.CHANGE)
 
 
 class TestIncidentLikelihood:
@@ -230,7 +326,7 @@ class TestQuadratureFailure:
         model = AttackCountModel(t=365, n_avg=2000.0, kind=CountKind.POISSON)
         band = SuccessDistribution.from_triple(0.05, 0.50, 0.95)
         assert incident_likelihood(band, model, Regime.NO_CHANGE).quadrature_error <= 1e-8
-        monkeypatch.setattr(incidence, "MAX_NODES", 128)
+        monkeypatch.setattr(mixture, "MAX_NODES", 128)
         with pytest.raises(QuadratureFailure, match="128 nodes"):
             incident_likelihood(band, model, Regime.NO_CHANGE)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cyrisk.errors import DegenerateCurve, InputError
-from cyrisk.incidence import pert_rule
+from cyrisk.mixture import pert_rule
 from cyrisk.success import (
     LogisticParams,
     SuccessDistribution,

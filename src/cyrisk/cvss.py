@@ -9,8 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import parse_enum
-
 
 class _Metric(Enum):
     @property
@@ -82,18 +80,6 @@ class CvssVector:
     authentication: Authentication
     exploitability: Exploitability = Exploitability.NOT_DEFINED
     report_confidence: ReportConfidence = ReportConfidence.NOT_DEFINED
-
-    @classmethod
-    def from_labels(cls, av: str, ac: str, au: str, e: str = "not_defined",
-                    rc: str = "not_defined") -> "CvssVector":
-        """Build a vector from lower-case metric labels, e.g. ``("network", "low", "none")``."""
-        return cls(
-            access_vector=parse_enum(AccessVector, av, "cvss.av"),
-            access_complexity=parse_enum(AccessComplexity, ac, "cvss.ac"),
-            authentication=parse_enum(Authentication, au, "cvss.au"),
-            exploitability=parse_enum(Exploitability, e, "cvss.e"),
-            report_confidence=parse_enum(ReportConfidence, rc, "cvss.rc"),
-        )
 
 
 def cvss_likelihood(vector: CvssVector) -> float:

@@ -1,6 +1,7 @@
 """Reading and writing the JSON documents and CSV tables used by the CLI.
 
-Validation errors always name the offending field. Writers are deterministic:
+Every problem with an input document raises DocumentError, whose message reads
+``<file>: <field path>: <reason>``. Writers are deterministic:
 sorted keys, two-space indent, a trailing newline and no timestamps, so a
 rerun with identical inputs produces byte-identical files.
 """
@@ -11,11 +12,20 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from enum import Enum
+from functools import cache
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
-from .cvss import CvssVector
-from .errors import DocumentError, parse_enum, require_int64
+from .cvss import (
+    AccessComplexity,
+    AccessVector,
+    Authentication,
+    CvssVector,
+    Exploitability,
+    ReportConfidence,
+)
+from .errors import DocumentError, InputError, parse_enum, require_int64
 from .model import (
     AttackCountModel,
     ControlWeightMatrix,
@@ -37,99 +47,181 @@ from .success import DEFAULT_GROWTH_RATE, DEFAULT_LOWER, DEFAULT_SPREAD, DEFAULT
 
 SCHEMA_VERSION = "1"
 
+_T = TypeVar("_T")
+_E = TypeVar("_E", bound=Enum)
+
 _NA_TOKENS = {"na", "n/a"}
 
+_ABSENT: Any = object()  # an absent optional field: the value type's default applies
 
-def _load_json(path: Path) -> Any:
+
+# ---------------------------------------------------------------------------
+# the field reader
+#
+# A reader is a function ``read(value, name)`` that checks one JSON value and
+# returns what it stands for; ``name`` is the value's location, such as
+# ``t.json: threats[0].cvss.av``, and begins every error message. The reader
+# builders are cached, so a loader names its readers inline at no cost per entry.
+
+
+class _Object:
+    """A JSON object that knows where it sits: its fields are named
+    ``<file>: field`` at the top level and ``<file>: list[i].field`` below it."""
+
+    __slots__ = ("data", "where", "prefix")
+
+    def __init__(self, data: Mapping[str, Any], where: str, prefix: str) -> None:
+        self.data = data
+        self.where = where
+        self.prefix = prefix
+
+    def need(self, key: str, read: Callable[[Any, str], _T]) -> _T:
+        """``read`` of field ``key``, which must be present."""
+        if key not in self.data:
+            raise DocumentError(f"{self.where}: missing field {key!r}")
+        return read(self.data[key], self.prefix + key)
+
+    def get(self, key: str, read: Callable[[Any, str], _T]) -> _T:
+        """``read`` of field ``key``, or ``_ABSENT`` if the document leaves it out."""
+        if key not in self.data:
+            return _ABSENT
+        return read(self.data[key], self.prefix + key)
+
+    def build(self, value_type: Callable[..., _T], **fields: Any) -> _T:
+        """``value_type`` of the present ``fields``; its validation errors name this object."""
+        try:
+            return value_type(**{k: v for k, v in fields.items() if v is not _ABSENT})
+        except InputError as exc:
+            raise DocumentError(f"{self.where}: {exc}") from None
+
+
+def _object(value: Any, name: str) -> _Object:
+    if not isinstance(value, dict):
+        raise DocumentError(f"{name}: expected an object, got {value!r}")
+    return _Object(value, name, name + ".")
+
+
+def _document(path: str | Path, bare_list: str | None = None) -> _Object:
+    """The JSON object in ``path``; with ``bare_list`` set, a document that is
+    a list reads as ``{bare_list: list}``."""
+    path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"{path}: cannot read ({exc})") from None
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer literal past 4300 digits
         raise DocumentError(f"{path}: invalid JSON ({exc})") from None
+    if bare_list is not None and isinstance(doc, list):
+        doc = {bare_list: doc}
+    if not isinstance(doc, dict):
+        raise DocumentError(f"{path}: expected a JSON object")
+    version = doc.get("schema_version", SCHEMA_VERSION)
+    if str(version) != SCHEMA_VERSION:
+        raise DocumentError(
+            f"{path}: schema_version: unsupported version {version!r} "
+            f"(this build reads {SCHEMA_VERSION!r})"
+        )
+    return _Object(doc, str(path), f"{path}: ")
 
 
-def _require(mapping: Mapping[str, Any], key: str, context: str) -> Any:
-    if key not in mapping:
-        raise DocumentError(f"{context}: missing field {key!r}")
-    return mapping[key]
+@cache
+def _list_of(read: Callable[[Any, str], _T]) -> Callable[[Any, str], tuple[_T, ...]]:
+    def read_list(value: Any, name: str) -> tuple[_T, ...]:
+        if not isinstance(value, list):
+            raise DocumentError(f"{name}: expected a list, got {value!r}")
+        return tuple(read(item, f"{name}[{i}]") for i, item in enumerate(value))
+
+    return read_list
 
 
-def _as_number(value: Any, context: str) -> float:
+@cache
+def _map_of(read: Callable[[Any, str], _T]) -> Callable[[Any, str], dict[str, _T]]:
+    def read_map(value: Any, name: str) -> dict[str, _T]:
+        items = _object(value, name).data.items()
+        return {key: read(item, f"{name}.{key}") for key, item in items}
+
+    return read_map
+
+
+@cache
+def _optional(read: Callable[[Any, str], _T]) -> Callable[[Any, str], _T | None]:
+    """``read``, with JSON null standing for an unset value."""
+    return lambda value, name: None if value is None else read(value, name)
+
+
+@cache
+def _enum(enum_type: type[_E]) -> Callable[[Any, str], _E]:
+    return lambda value, name: parse_enum(enum_type, value, name)
+
+
+def _number(value: Any, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DocumentError(f"{context}: expected a number, got {value!r}")
+        raise DocumentError(f"{name}: expected a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:  # an integer literal past the float range
         number = math.inf
     if not math.isfinite(number):  # json.loads reads 1e400 as inf
-        raise DocumentError(f"{context}: expected a finite number, got {value!r}")
+        raise DocumentError(f"{name}: expected a finite number, got {value!r}")
     return number
 
 
-def _as_int(value: Any, context: str, int64: bool = True) -> int:
-    """An integer; in the signed 64-bit range of numpy's counts unless ``int64`` is off."""
+def _seed(value: Any, name: str) -> int:
+    """An integer of any size: SeedSequence takes them all."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise DocumentError(f"{context}: expected an integer, got {value!r}")
-    return require_int64(context, value) if int64 else value
-
-
-def _as_str(value: Any, context: str) -> str:
-    if not isinstance(value, str):
-        raise DocumentError(f"{context}: expected a string, got {value!r}")
+        raise DocumentError(f"{name}: expected an integer, got {value!r}")
     return value
 
 
-def _check_version(doc: Mapping[str, Any], context: str) -> None:
-    version = doc.get("schema_version", SCHEMA_VERSION)
-    if str(version) != SCHEMA_VERSION:
-        raise DocumentError(
-            f"{context}: schema_version: unsupported version {version!r} "
-            f"(this build reads {SCHEMA_VERSION!r})"
-        )
+def _int(value: Any, name: str) -> int:
+    """An integer in the signed 64-bit range of numpy's counts."""
+    return require_int64(name, _seed(value, name))
+
+
+def _str(value: Any, name: str) -> str:
+    if not isinstance(value, str):
+        raise DocumentError(f"{name}: expected a string, got {value!r}")
+    return value
+
+
+def _bool(value: Any, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise DocumentError(f"{name}: expected a boolean, got {value!r}")
+    return value
+
+
+def _score(value: Any, name: str) -> int | None:
+    """A control score; null or an "NA" token marks the control not applicable."""
+    if value is None or (isinstance(value, str) and value.strip().lower() in _NA_TOKENS):
+        return None
+    return _int(value, name)
 
 
 # ---------------------------------------------------------------------------
 # questionnaires and posture profiles
 
 
+def _response(value: Any, name: str) -> ControlResponse:
+    entry = _object(value, name)
+    return entry.build(
+        ControlResponse,
+        control_id=entry.need("control_id", _str),
+        score=entry.need("score", _score),
+        weight=entry.get("weight", _number),
+    )
+
+
 def load_questionnaire(path: str | Path) -> Questionnaire:
-    path = Path(path)
-    doc = _load_json(path)
-    if not isinstance(doc, Mapping):
-        raise DocumentError(f"{path}: expected a JSON object")
-    _check_version(doc, str(path))
-    kind = parse_enum(QuestionnaireKind, _require(doc, "kind", str(path)), f"{path}: kind")
-    s_max = _as_int(_require(doc, "s_max", str(path)), f"{path}: s_max")
-    label = doc.get("category_label")
-    if label is not None:
-        label = _as_str(label, f"{path}: category_label")
-    raw = _require(doc, "responses", str(path))
-    if not isinstance(raw, Sequence) or isinstance(raw, str):
-        raise DocumentError(f"{path}: responses: expected a list")
-    responses = []
-    for i, entry in enumerate(raw):
-        context = f"{path}: responses[{i}]"
-        if not isinstance(entry, Mapping):
-            raise DocumentError(f"{context}: expected an object")
-        control_id = _as_str(_require(entry, "control_id", context), f"{context}.control_id")
-        score_raw = _require(entry, "score", context)
-        if score_raw is None or (
-            isinstance(score_raw, str) and score_raw.strip().lower() in _NA_TOKENS
-        ):
-            score = None
-        else:
-            score = _as_int(score_raw, f"{context}.score")
-        weight = _as_number(entry.get("weight", 1.0), f"{context}.weight")
-        responses.append(ControlResponse(control_id=control_id, score=score, weight=weight))
-    try:
-        return Questionnaire(
-            responses=tuple(responses), s_max=s_max, kind=kind, category_label=label
-        )
-    except Exception as exc:
-        raise DocumentError(f"{path}: {exc}") from None
+    doc = _document(path)
+    return doc.build(
+        Questionnaire,
+        kind=doc.need("kind", _enum(QuestionnaireKind)),
+        s_max=doc.need("s_max", _int),
+        category_label=doc.get("category_label", _optional(_str)),
+        responses=doc.need("responses", _list_of(_response)),
+    )
 
 
 def profile_to_dict(profile: PostureProfile) -> dict[str, Any]:
@@ -149,203 +241,98 @@ def profile_to_dict(profile: PostureProfile) -> dict[str, Any]:
     }
 
 
+def _category(value: Any, name: str) -> CategoryComplexity:
+    entry = _object(value, name)
+    return entry.build(
+        CategoryComplexity,
+        label=entry.need("label", _str),
+        index=entry.need("index", _number),
+        control_count=entry.need("control_count", _int),
+    )
+
+
 def load_profile(path: str | Path) -> PostureProfile:
-    path = Path(path)
-    doc = _load_json(path)
-    if not isinstance(doc, Mapping):
-        raise DocumentError(f"{path}: expected a JSON object")
-    _check_version(doc, str(path))
-    categories = []
-    for i, entry in enumerate(doc.get("categories", [])):
-        context = f"{path}: categories[{i}]"
-        categories.append(
-            CategoryComplexity(
-                label=_as_str(_require(entry, "label", context), f"{context}.label"),
-                index=_as_number(_require(entry, "index", context), f"{context}.index"),
-                control_count=_as_int(
-                    _require(entry, "control_count", context), f"{context}.control_count"
-                ),
-            )
-        )
-    try:
-        return PostureProfile(
-            awareness_index=_as_number(
-                _require(doc, "awareness_index", str(path)), f"{path}: awareness_index"
-            ),
-            maturity_index=_as_number(
-                _require(doc, "maturity_index", str(path)), f"{path}: maturity_index"
-            ),
-            complexity_index=_as_number(
-                _require(doc, "complexity_index", str(path)), f"{path}: complexity_index"
-            ),
-            attractiveness=parse_enum(
-                Attractiveness,
-                _require(doc, "attractiveness", str(path)),
-                f"{path}: attractiveness",
-            ),
-            awareness_control_count=_as_int(
-                doc.get("awareness_control_count", 0), f"{path}: awareness_control_count"
-            ),
-            core_control_count=_as_int(
-                doc.get("core_control_count", 0), f"{path}: core_control_count"
-            ),
-            categories=tuple(categories),
-        )
-    except DocumentError:
-        raise
-    except Exception as exc:
-        raise DocumentError(f"{path}: {exc}") from None
+    doc = _document(path)
+    return doc.build(
+        PostureProfile,
+        categories=doc.get("categories", _list_of(_category)),
+        awareness_index=doc.need("awareness_index", _number),
+        maturity_index=doc.need("maturity_index", _number),
+        complexity_index=doc.need("complexity_index", _number),
+        attractiveness=doc.need("attractiveness", _enum(Attractiveness)),
+        awareness_control_count=doc.get("awareness_control_count", _int),
+        core_control_count=doc.get("core_control_count", _int),
+    )
 
 
 # ---------------------------------------------------------------------------
 # threat catalog and weight matrix
 
 
+def _cvss(value: Any, name: str) -> CvssVector:
+    cvss = _object(value, name)
+    return cvss.build(
+        CvssVector,
+        access_vector=cvss.need("av", _enum(AccessVector)),
+        access_complexity=cvss.need("ac", _enum(AccessComplexity)),
+        authentication=cvss.need("au", _enum(Authentication)),
+        exploitability=cvss.get("e", _enum(Exploitability)),
+        report_confidence=cvss.get("rc", _enum(ReportConfidence)),
+    )
+
+
+def _threat(value: Any, name: str) -> Threat:
+    entry = _object(value, name)
+    return entry.build(
+        Threat,
+        cvss=entry.get("cvss", _optional(_cvss)),
+        maturity_index=entry.get("maturity_index", _optional(_number)),
+        likelihood=entry.get("likelihood", _optional(_number)),
+        expert_likelihood=entry.get("expert_likelihood", _optional(_number)),
+        malicious=entry.get("malicious", _bool),
+        id=entry.need("id", _int),
+        name=entry.need("name", _str),
+        impact_low=entry.need("impact_low", _number),
+        impact_high=entry.need("impact_high", _number),
+        currency=entry.get("currency", _str),
+    )
+
+
 def load_threats(path: str | Path) -> list[Threat]:
-    path = Path(path)
-    doc = _load_json(path)
-    if isinstance(doc, Mapping):
-        _check_version(doc, str(path))
-        raw = _require(doc, "threats", str(path))
-    else:
-        raw = doc
-    if not isinstance(raw, Sequence) or isinstance(raw, str):
-        raise DocumentError(f"{path}: threats: expected a list")
-    threats = []
-    for i, entry in enumerate(raw):
-        context = f"{path}: threats[{i}]"
-        if not isinstance(entry, Mapping):
-            raise DocumentError(f"{context}: expected an object")
-        cvss = None
-        if entry.get("cvss") is not None:
-            cvss_raw = entry["cvss"]
-            if not isinstance(cvss_raw, Mapping):
-                raise DocumentError(f"{context}.cvss: expected an object")
-            try:
-                cvss = CvssVector.from_labels(
-                    av=_require(cvss_raw, "av", f"{context}.cvss"),
-                    ac=_require(cvss_raw, "ac", f"{context}.cvss"),
-                    au=_require(cvss_raw, "au", f"{context}.cvss"),
-                    e=cvss_raw.get("e", "not_defined"),
-                    rc=cvss_raw.get("rc", "not_defined"),
-                )
-            except DocumentError as exc:
-                raise DocumentError(f"{context}.{exc}") from None
-        maturity = entry.get("maturity_index")
-        if maturity is not None:
-            maturity = _as_number(maturity, f"{context}.maturity_index")
-        likelihood = entry.get("likelihood")
-        if likelihood is not None:
-            likelihood = _as_number(likelihood, f"{context}.likelihood")
-        expert = entry.get("expert_likelihood")
-        if expert is not None:
-            expert = _as_number(expert, f"{context}.expert_likelihood")
-        malicious = entry.get("malicious", True)
-        if not isinstance(malicious, bool):
-            raise DocumentError(f"{context}.malicious: expected a boolean")
-        try:
-            threats.append(
-                Threat(
-                    id=_as_int(_require(entry, "id", context), f"{context}.id"),
-                    name=_as_str(_require(entry, "name", context), f"{context}.name"),
-                    impact_low=_as_number(
-                        _require(entry, "impact_low", context), f"{context}.impact_low"
-                    ),
-                    impact_high=_as_number(
-                        _require(entry, "impact_high", context), f"{context}.impact_high"
-                    ),
-                    maturity_index=maturity,
-                    likelihood=likelihood,
-                    malicious=malicious,
-                    currency=_as_str(entry.get("currency", "EUR"), f"{context}.currency"),
-                    cvss=cvss,
-                    expert_likelihood=expert,
-                )
-            )
-        except DocumentError:
-            raise
-        except Exception as exc:
-            raise DocumentError(f"{context}: {exc}") from None
-    return threats
+    return list(_document(path, "threats").need("threats", _list_of(_threat)))
 
 
 def load_weight_matrix(path: str | Path) -> ControlWeightMatrix:
-    path = Path(path)
-    doc = _load_json(path)
-    if not isinstance(doc, Mapping):
-        raise DocumentError(f"{path}: expected a JSON object")
-    _check_version(doc, str(path))
-    controls = _require(doc, "controls", str(path))
-    threats = _require(doc, "threats", str(path))
-    weights = _require(doc, "weights", str(path))
-    if not isinstance(controls, Sequence) or isinstance(controls, str):
-        raise DocumentError(f"{path}: controls: expected a list")
-    if not isinstance(threats, Sequence) or isinstance(threats, str):
-        raise DocumentError(f"{path}: threats: expected a list")
-    if not isinstance(weights, Sequence) or isinstance(weights, str):
-        raise DocumentError(f"{path}: weights: expected a list of rows")
-    rows = []
-    for i, row in enumerate(weights):
-        if not isinstance(row, Sequence) or isinstance(row, str):
-            raise DocumentError(f"{path}: weights[{i}]: expected a list")
-        rows.append(
-            tuple(_as_number(v, f"{path}: weights[{i}][{j}]") for j, v in enumerate(row))
-        )
-    try:
-        return ControlWeightMatrix(
-            controls=tuple(_as_str(c, f"{path}: controls[{i}]") for i, c in enumerate(controls)),
-            threats=tuple(_as_int(t, f"{path}: threats[{i}]") for i, t in enumerate(threats)),
-            weights=tuple(rows),
-        )
-    except DocumentError:
-        raise
-    except Exception as exc:
-        raise DocumentError(f"{path}: {exc}") from None
+    doc = _document(path)
+    return doc.build(
+        ControlWeightMatrix,
+        controls=doc.need("controls", _list_of(_str)),
+        threats=doc.need("threats", _list_of(_int)),
+        weights=doc.need("weights", _list_of(_list_of(_number))),
+    )
 
 
 # ---------------------------------------------------------------------------
 # loss categories
 
 
+def _loss_category(value: Any, name: str) -> LossCategory:
+    entry = _object(value, name)
+    return entry.build(
+        LossCategory,
+        secondary=entry.get("secondary", _bool),
+        name=entry.need("name", _str),
+        low=entry.need("min", _number),
+        most_likely=entry.need("most_likely", _number),
+        high=entry.need("max", _number),
+        confidence=entry.get("confidence", _number),
+        currency=entry.get("currency", _str),
+    )
+
+
 def load_loss_categories(path: str | Path) -> list[LossCategory]:
-    path = Path(path)
-    doc = _load_json(path)
-    if isinstance(doc, Mapping):
-        _check_version(doc, str(path))
-        raw = _require(doc, "categories", str(path))
-    else:
-        raw = doc
-    if not isinstance(raw, Sequence) or isinstance(raw, str):
-        raise DocumentError(f"{path}: categories: expected a list")
-    categories = []
-    for i, entry in enumerate(raw):
-        context = f"{path}: categories[{i}]"
-        if not isinstance(entry, Mapping):
-            raise DocumentError(f"{context}: expected an object")
-        secondary = entry.get("secondary", False)
-        if not isinstance(secondary, bool):
-            raise DocumentError(f"{context}.secondary: expected a boolean")
-        try:
-            categories.append(
-                LossCategory(
-                    name=_as_str(_require(entry, "name", context), f"{context}.name"),
-                    low=_as_number(_require(entry, "min", context), f"{context}.min"),
-                    most_likely=_as_number(
-                        _require(entry, "most_likely", context), f"{context}.most_likely"
-                    ),
-                    high=_as_number(_require(entry, "max", context), f"{context}.max"),
-                    confidence=_as_number(
-                        entry.get("confidence", 20.0), f"{context}.confidence"
-                    ),
-                    secondary=secondary,
-                    currency=_as_str(entry.get("currency", "EUR"), f"{context}.currency"),
-                )
-            )
-        except DocumentError:
-            raise
-        except Exception as exc:
-            raise DocumentError(f"{context}: {exc}") from None
-    return categories
+    doc = _document(path, "categories")
+    return list(doc.need("categories", _list_of(_loss_category)))
 
 
 # ---------------------------------------------------------------------------
@@ -388,57 +375,26 @@ class RunConfig:
 
 
 def load_run_config(path: str | Path) -> RunConfig:
-    path = Path(path)
-    doc = _load_json(path)
-    if not isinstance(doc, Mapping):
-        raise DocumentError(f"{path}: expected a JSON object")
-    _check_version(doc, str(path))
-
-    logistic = doc.get("logistic", {})
-    if not isinstance(logistic, Mapping):
-        raise DocumentError(f"{path}: logistic: expected an object")
-    count = doc.get("count", {})
-    if not isinstance(count, Mapping):
-        raise DocumentError(f"{path}: count: expected an object")
-    inputs = doc.get("inputs", {})
-    if not isinstance(inputs, Mapping):
-        raise DocumentError(f"{path}: inputs: expected an object")
-    for key, value in inputs.items():
-        _as_str(value, f"{path}: inputs.{key}")
-
-    seed = doc.get("seed")
-    if seed is not None:
-        seed = _as_int(seed, f"{path}: seed", int64=False)  # SeedSequence takes any size
-    output_dir = doc.get("output_dir")
-    if output_dir is not None:
-        output_dir = _as_str(output_dir, f"{path}: output_dir")
-    success = doc.get("success")
-    if success is not None:
-        if not isinstance(success, Mapping):
-            raise DocumentError(f"{path}: success: expected an object")
-        success = {
-            key: _as_number(value, f"{path}: success.{key}")
-            for key, value in success.items()
-        }
-
-    return RunConfig(
-        growth_rate=_as_number(logistic.get("B", DEFAULT_GROWTH_RATE), f"{path}: logistic.B"),
-        upper=_as_number(logistic.get("U", DEFAULT_UPPER), f"{path}: logistic.U"),
-        lower=_as_number(logistic.get("L", DEFAULT_LOWER), f"{path}: logistic.L"),
-        spread=_as_number(logistic.get("q", DEFAULT_SPREAD), f"{path}: logistic.q"),
-        t=_as_int(count.get("t", 365), f"{path}: count.t"),
-        delta_t=_as_number(count.get("delta_t", 1.0), f"{path}: count.delta_t"),
-        n_avg=_as_number(count.get("n_avg", 0.0), f"{path}: count.n_avg"),
-        count_kind=parse_enum(
-            CountKind, count.get("kind", "binomial"), f"{path}: count.kind"
-        ),
-        trials=_as_int(doc.get("trials", 10_000), f"{path}: trials"),
-        replications=_as_int(doc.get("replications", 100_000), f"{path}: replications"),
-        seed=seed,
-        regime=parse_enum(Regime, doc.get("regime", "change"), f"{path}: regime"),
-        inputs=dict(inputs),
-        output_dir=output_dir,
-        success=success,
+    doc = _document(path)
+    logistic = _object(doc.data.get("logistic", {}), doc.prefix + "logistic")
+    count = _object(doc.data.get("count", {}), doc.prefix + "count")
+    return doc.build(
+        RunConfig,
+        inputs=doc.get("inputs", _map_of(_str)),
+        seed=doc.get("seed", _optional(_seed)),
+        output_dir=doc.get("output_dir", _optional(_str)),
+        success=doc.get("success", _optional(_map_of(_number))),
+        growth_rate=logistic.get("B", _number),
+        upper=logistic.get("U", _number),
+        lower=logistic.get("L", _number),
+        spread=logistic.get("q", _number),
+        t=count.get("t", _int),
+        delta_t=count.get("delta_t", _number),
+        n_avg=count.get("n_avg", _number),
+        count_kind=count.get("kind", _enum(CountKind)),
+        trials=doc.get("trials", _int),
+        replications=doc.get("replications", _int),
+        regime=doc.get("regime", _enum(Regime)),
     )
 
 

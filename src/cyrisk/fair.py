@@ -23,8 +23,8 @@ SUMMARY_PERCENTILES = (10, 50, 90)
 
 
 def sample_event_count(
-    lik: IncidentLikelihood, rng: np.random.Generator, size: int | None = None
-) -> int | np.ndarray:
+    lik: IncidentLikelihood, rng: np.random.Generator, size: int
+) -> np.ndarray:
     """Draw incident counts by inverting the discrete CDF of the no-change pmf."""
     if lik.pmf is None:
         raise InputError("event-count sampling needs the full no-change pmf")
@@ -33,8 +33,7 @@ def sample_event_count(
     cdf /= cdf[-1]  # absorb residual quadrature rounding
     uniforms = rng.uniform(size=size)
     index = np.minimum(np.searchsorted(cdf, uniforms, side="right"), len(support) - 1)
-    drawn = support[index]
-    return int(drawn) if size is None else drawn
+    return support[index]
 
 
 def _pert_draws(
@@ -56,18 +55,17 @@ def _pert_draws(
 def sample_loss_magnitude(
     categories: Sequence[LossCategory],
     rng: np.random.Generator,
-    size: int | None = None,
-) -> float | np.ndarray:
+    size: int,
+) -> np.ndarray:
     """Per-event loss: the sum of one modified-PERT draw per category."""
     if not categories:
         raise InputError("at least one loss category is required")
-    n = 1 if size is None else size
-    total = np.zeros(n)
+    total = np.zeros(size)
     for category in categories:
         total += _pert_draws(
-            rng, category.low, category.most_likely, category.high, category.shape, n
+            rng, category.low, category.most_likely, category.high, category.shape, size
         )
-    return float(total[0]) if size is None else total
+    return total
 
 
 @dataclass(frozen=True)
@@ -151,22 +149,16 @@ def run_fair(
         raise InputError("at least one primary loss category is required")
 
     count_stream, primary_stream, secondary_stream = np.random.SeedSequence(seed).spawn(3)
-    events = np.asarray(
-        sample_event_count(lik, np.random.default_rng(count_stream), size=trials)
-    )
+    events = sample_event_count(lik, np.random.default_rng(count_stream), size=trials)
     total_events = int(events.sum())
 
     if total_events > 0:
-        primary_draws = np.asarray(
-            sample_loss_magnitude(
-                primary, np.random.default_rng(primary_stream), size=total_events
-            )
+        primary_draws = sample_loss_magnitude(
+            primary, np.random.default_rng(primary_stream), size=total_events
         )
         if secondary:
-            secondary_draws = np.asarray(
-                sample_loss_magnitude(
-                    secondary, np.random.default_rng(secondary_stream), size=total_events
-                )
+            secondary_draws = sample_loss_magnitude(
+                secondary, np.random.default_rng(secondary_stream), size=total_events
             )
         else:
             secondary_draws = np.zeros(total_events)

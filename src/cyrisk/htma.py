@@ -36,13 +36,10 @@ def lognormal_params(low: float, high: float) -> tuple[float, float]:
     return mu, sigma
 
 
-def sample_impact(
-    threat: Threat, rng: np.random.Generator, size: int | None = None
-) -> float | np.ndarray:
-    """Draw one impact (or ``size`` impacts) from the threat's log-normal band."""
+def sample_impact(threat: Threat, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw ``size`` impacts from the threat's log-normal band."""
     mu, sigma = lognormal_params(threat.impact_low, threat.impact_high)
-    draw = rng.lognormal(mean=mu, sigma=sigma, size=size)
-    return float(draw) if size is None else draw
+    return rng.lognormal(mean=mu, sigma=sigma, size=size)
 
 
 @dataclass(frozen=True)

@@ -202,6 +202,17 @@ class TestLikelihood:
         assert run(["likelihood", "--config", config, "--out", tmp_path / "out"]) == 2
         assert "inputs.profile" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("categories", [5, [5], {}])
+    def test_malformed_profile_categories_exit_2(self, tmp_path, capsys, categories):
+        profile = ref.write_profile(tmp_path / "profile.json")
+        ref.write_json(profile, {**json.loads(profile.read_text()), "categories": categories})
+        ref.write_threat_catalog(tmp_path / "threats.json")
+        config = ref.write_run_config(
+            tmp_path / "run.json", {"profile": "profile.json", "threats": "threats.json"}
+        )
+        assert run(["likelihood", "--config", config, "--out", tmp_path / "out"]) == 2
+        assert f"{profile}: categories" in capsys.readouterr().err
+
     def test_infinite_attempt_mean_exits_2(self, tmp_path, capsys):
         ref.write_profile(tmp_path / "profile.json")
         ref.write_threat_catalog(tmp_path / "threats.json")
@@ -411,13 +422,18 @@ class TestSimulate:
         doc = json.loads(config.read_text())
         del doc["seed"]
         ref.write_json(config, doc)
+        # the oracle test rejects about 1e-3 of seeds by design (README "Exit codes"),
+        # so a fresh seed may exit 1; replay must then reproduce that too
         first = tmp_path / "a"
-        assert run(["simulate", "--config", config, "--out", first]) == 0
+        code = run(["simulate", "--config", config, "--out", first])
+        assert code in (0, 1)
         out_text = capsys.readouterr().out
         assert "generated" in out_text
-        seed = read_json(first / "oracle_report.json")["seed"]
+        report = read_json(first / "oracle_report.json")
+        assert report["passed"] is (code == 0)
         second = tmp_path / "b"
-        assert run(["simulate", "--config", config, "--seed", str(seed), "--out", second]) == 0
+        seed = str(report["seed"])
+        assert run(["simulate", "--config", config, "--seed", seed, "--out", second]) == code
         assert (first / "oracle_report.json").read_bytes() == (
             second / "oracle_report.json"
         ).read_bytes()

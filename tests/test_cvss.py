@@ -11,7 +11,6 @@ from cyrisk.cvss import (
     ReportConfidence,
     cvss_likelihood,
 )
-from cyrisk.errors import DocumentError
 
 
 def test_all_maximal_factors_give_one():
@@ -103,13 +102,3 @@ def test_not_defined_matches_highest_temporal_factor():
     undefined = CvssVector(**kwargs)
     assert cvss_likelihood(defined) == cvss_likelihood(undefined)
 
-
-def test_from_labels_round_trip():
-    vector = CvssVector.from_labels(av="local", ac="medium", au="multiple", e="high",
-                                    rc="confirmed")
-    assert cvss_likelihood(vector) == pytest.approx(0.15)
-
-
-def test_from_labels_unknown_level():
-    with pytest.raises(DocumentError, match="cvss.av"):
-        CvssVector.from_labels(av="remote", ac="low", au="none")

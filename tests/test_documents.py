@@ -1,7 +1,18 @@
 import json
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from cyrisk.cvss import (
+    AccessComplexity,
+    AccessVector,
+    Authentication,
+    CvssVector,
+    Exploitability,
+    ReportConfidence,
+    cvss_likelihood,
+)
 from cyrisk.documents import (
     likelihood_to_dict,
     load_loss_categories,
@@ -68,6 +79,15 @@ class TestQuestionnaireDocument:
         )
         with pytest.raises(DocumentError, match=r"responses\[0\]\.score"):
             load_questionnaire(path)
+
+    def test_range_error_names_file_and_entry(self, tmp_path):
+        path = dump(
+            tmp_path / "q.json",
+            {"kind": "awareness", "s_max": 4, "responses": [{"control_id": "c1", "score": -1}]},
+        )
+        with pytest.raises(DocumentError) as caught:
+            load_questionnaire(path)
+        assert str(caught.value) == f"{path}: responses[0]: control 'c1': score must be >= 0, got -1"
 
     def test_unknown_kind_lists_choices(self, tmp_path):
         path = dump(tmp_path / "q.json", {"kind": "other", "s_max": 4, "responses": []})
@@ -143,7 +163,13 @@ class TestThreatCatalog:
                         "impact_high": 2.3941,
                         "currency": "MEUR",
                         "malicious": True,
-                        "cvss": {"av": "network", "ac": "medium", "au": "none"},
+                        "cvss": {
+                            "av": "local",
+                            "ac": "medium",
+                            "au": "multiple",
+                            "e": "high",
+                            "rc": "confirmed",
+                        },
                         "expert_likelihood": 0.8,
                     },
                     {
@@ -157,7 +183,14 @@ class TestThreatCatalog:
             },
         )
         threats = load_threats(path)
-        assert threats[0].cvss is not None
+        assert threats[0].cvss == CvssVector(
+            access_vector=AccessVector.LOCAL,
+            access_complexity=AccessComplexity.MEDIUM,
+            authentication=Authentication.MULTIPLE,
+            exploitability=Exploitability.HIGH,
+            report_confidence=ReportConfidence.CONFIRMED,
+        )
+        assert cvss_likelihood(threats[0].cvss) == pytest.approx(0.15)
         assert threats[0].expert_likelihood == 0.8
         assert threats[1].maturity_index is None
         assert threats[1].likelihood == 0.97
@@ -178,12 +211,32 @@ class TestThreatCatalog:
                     "name": "x",
                     "impact_low": 1.0,
                     "impact_high": 2.0,
-                    "cvss": {"av": "remote", "ac": "low", "au": "none"},
+                    "cvss": {"av": "remote", "ac": "low", "au": "none", "e": "high",
+                             "rc": "confirmed"},
                 }
             ],
         )
-        with pytest.raises(DocumentError, match=r"threats\[0\].*av"):
+        with pytest.raises(DocumentError, match=r"threats\[0\].*av") as caught:
             load_threats(path)
+        assert str(caught.value).startswith(f"{path}: threats[0].cvss.av: unknown value")
+        assert str(caught.value).count(str(path)) == 1
+
+    def test_missing_cvss_level_names_file_once(self, tmp_path):
+        path = dump(
+            tmp_path / "t.json",
+            [
+                {
+                    "id": 1,
+                    "name": "x",
+                    "impact_low": 1.0,
+                    "impact_high": 2.0,
+                    "cvss": {"ac": "low", "au": "none"},
+                }
+            ],
+        )
+        with pytest.raises(DocumentError) as caught:
+            load_threats(path)
+        assert str(caught.value) == f"{path}: threats[0].cvss: missing field 'av'"
 
     def test_impact_ordering_surfaces_as_document_error(self, tmp_path):
         path = dump(
@@ -317,3 +370,147 @@ class TestWriters:
         assert likelihood_to_dict(scalar)["value"] == 0.25
         assert likelihood_to_dict(pmf)["pmf"] == {"0": 0.75, "1": 0.25}
         assert likelihood_to_dict(pmf)["regime"] == "no_change"
+
+
+# ---------------------------------------------------------------------------
+# every loader, on a valid document with one field replaced or deleted at any
+# depth, returns a value or raises DocumentError naming the file
+
+VALID_DOCUMENTS = {
+    load_questionnaire: {
+        "schema_version": "1",
+        "kind": "complexity_category",
+        "s_max": 4,
+        "category_label": "network",
+        "responses": [
+            {"control_id": "c1", "score": 3, "weight": 2.0},
+            {"control_id": "c2", "score": "NA"},
+        ],
+    },
+    load_profile: {
+        "schema_version": "1",
+        "awareness_index": 5.0,
+        "maturity_index": 6.0,
+        "complexity_index": 4.0,
+        "attractiveness": "high",
+        "awareness_control_count": 3,
+        "core_control_count": 7,
+        "categories": [{"label": "network", "index": 4.0, "control_count": 5}],
+    },
+    load_threats: {
+        "schema_version": "1",
+        "threats": [
+            {
+                "id": 1,
+                "name": "Malware",
+                "maturity_index": 4.3,
+                "likelihood": 0.5,
+                "expert_likelihood": 0.8,
+                "impact_low": 1.0,
+                "impact_high": 2.0,
+                "currency": "MEUR",
+                "malicious": True,
+                "cvss": {"av": "network", "ac": "low", "au": "none", "e": "high",
+                         "rc": "confirmed"},
+            }
+        ],
+    },
+    load_weight_matrix: {
+        "schema_version": "1",
+        "controls": ["c1", "c2"],
+        "threats": [1, 2],
+        "weights": [[1.0, 0.0], [0.5, 2.0]],
+    },
+    load_loss_categories: {
+        "schema_version": "1",
+        "categories": [
+            {"name": "response", "min": 10, "most_likely": 20, "max": 40, "confidence": 20,
+             "secondary": False, "currency": "EUR"},
+        ],
+    },
+    load_run_config: {
+        "schema_version": "1",
+        "logistic": {"B": -1.0, "U": 0.97, "L": 0.03, "q": 1.0},
+        "count": {"t": 365, "delta_t": 1.0, "n_avg": 4.0, "kind": "poisson"},
+        "trials": 100,
+        "replications": 1000,
+        "seed": 7,
+        "regime": "change",
+        "inputs": {"profile": "profile.json"},
+        "output_dir": "out",
+        "success": {"p_m": 0.2, "p_star": 0.5, "p_M": 0.7},
+    },
+}
+
+DELETE = object()
+HUGE_LITERAL = "__1e400__"  # written out as the bare literal 1e400, which json reads as inf
+
+
+def _paths(node, prefix=()):
+    """Every location in a JSON tree, as a tuple of keys and indices."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+def _mutated(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+_scalars = [
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**63 - 2, max_value=2**70),
+    st.integers(min_value=-(2**70), max_value=-(2**63) + 1),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([HUGE_LITERAL, "", "na", "NA", "none", "poisson", "change", "low"]),
+    st.text(max_size=5),
+]
+_values = st.one_of(
+    st.just(DELETE),
+    *_scalars,
+    st.lists(st.one_of(*_scalars), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.one_of(*_scalars), max_size=3),
+)
+_cases = st.sampled_from(list(VALID_DOCUMENTS)).flatmap(
+    lambda loader: st.tuples(
+        st.just(loader),
+        st.sampled_from(list(_paths(VALID_DOCUMENTS[loader]))),
+        _values,
+    )
+)
+
+
+@settings(
+    max_examples=400,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(case=_cases)
+@example(case=(load_profile, ("categories",), 5))
+@example(case=(load_questionnaire, ("responses", 0, "score"), -1))
+@example(case=(load_threats, ("threats", 0, "cvss", "av"), DELETE))
+def test_one_bad_field_ends_in_a_value_or_a_named_document_error(tmp_path, case):
+    loader, path, value = case
+    text = json.dumps(_mutated(VALID_DOCUMENTS[loader], path, value))
+    document = tmp_path / "doc.json"
+    document.write_text(text.replace(f'"{HUGE_LITERAL}"', "1e400"), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a loss band out of order is reordered loudly
+        try:
+            loader(document)
+        except DocumentError as exc:
+            assert str(exc).startswith(f"{document}: ")

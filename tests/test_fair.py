@@ -70,7 +70,7 @@ class TestSampleEventCount:
             regime=Regime.NO_CHANGE, pmf={0: 1.0}, value=None, quadrature_error=0.0
         )
         rng = np.random.default_rng(0)
-        assert sample_event_count(lik, rng) == 0
+        assert sample_event_count(lik, rng, size=1) == 0
         assert np.all(sample_event_count(lik, rng, size=1000) == 0)
 
     def test_two_point_mean(self):
@@ -87,22 +87,18 @@ class TestSampleEventCount:
         se = math.sqrt(variance / draws.size)
         assert abs(draws.mean() - mean) <= 3 * se
 
-    def test_scalar_draw_is_int(self):
-        value = sample_event_count(two_point_pmf(), np.random.default_rng(1))
-        assert isinstance(value, int)
-
     def test_change_regime_rejected(self):
         lik = IncidentLikelihood(
             regime=Regime.CHANGE, pmf=None, value=0.5, quadrature_error=0.0
         )
         with pytest.raises(InputError):
-            sample_event_count(lik, np.random.default_rng(0))
+            sample_event_count(lik, np.random.default_rng(0), size=1)
 
 
 class TestSampleLossMagnitude:
     def test_degenerate_category_is_constant(self):
         category = LossCategory("fines", 500.0, 500.0, 500.0)
-        assert sample_loss_magnitude([category], np.random.default_rng(0)) == 500.0
+        assert sample_loss_magnitude([category], np.random.default_rng(0), size=1) == 500.0
 
     def test_degenerate_categories_add(self):
         categories = [
@@ -125,7 +121,7 @@ class TestSampleLossMagnitude:
 
     def test_empty_categories_rejected(self):
         with pytest.raises(InputError):
-            sample_loss_magnitude([], np.random.default_rng(0))
+            sample_loss_magnitude([], np.random.default_rng(0), size=1)
 
 
 class TestRunFair:

@@ -7,9 +7,11 @@ engines, ``compare`` puts the computed likelihoods next to the product-metric
 baseline and expert estimates, and ``simulate`` validates the analytic
 likelihoods against the brute-force oracle.
 
-Every command is deterministic given its inputs and seed; a missing seed is
-generated once, printed, and embedded in the outputs for replay. Exit codes:
-0 success, 1 runtime failure, 2 validation failure.
+Each command returns its reports and tables keyed by file name, and ``main``
+writes them all in one place. Every command is deterministic given its inputs
+and seed; a missing seed is generated once, printed, and embedded in the
+outputs for replay. Exit codes: 0 success, 1 runtime failure, 2 validation
+failure.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from __future__ import annotations
 import argparse
 import secrets
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .cvss import cvss_likelihood
 from .documents import (
@@ -38,11 +40,10 @@ from .documents import (
 )
 from .errors import DocumentError, InputError, RiskModelError, parse_enum, require_int64
 from .incidence import incident_likelihood
-from .model import Regime
+from .model import IncidentLikelihood, Regime, Threat
 from .posture import (
     Attractiveness,
     PostureProfile,
-    Questionnaire,
     assess_posture,
     attacker_weight,
     classify_attractiveness,
@@ -53,45 +54,52 @@ from .success import SuccessDistribution, pert_from_maturity, solve_asymptotes
 # no-change incident pmf loads it too, and only when a command asks for it.
 
 
+class Output(NamedTuple):
+    """What a command produced: its files keyed by name, each a JSON report's
+    payload or a CSV table's ``(header, rows)``; the run configuration's
+    ``output_dir``, used when ``--out`` is absent; and the exit code."""
+
+    files: dict[str, Any]
+    output_dir: str | None = None
+    code: int = 0
+
+
+def _write(out: Path, files: Mapping[str, Any]) -> None:
+    """Write every file into ``out``, each JSON report stamped with the schema
+    version and a ``kind`` equal to its file stem."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        path = out / name
+        if path.suffix == ".json":
+            write_json(path, {"schema_version": SCHEMA_VERSION, "kind": path.stem, **content})
+        else:
+            write_csv(path, *content)
+        print(f"wrote {path}")
+
+
 def _resolve_seed(flag_seed: int | None, config_seed: int | None) -> int:
-    if flag_seed is not None:
-        return flag_seed
-    if config_seed is not None:
-        return config_seed
-    seed = secrets.randbits(63)
-    print(f"seed: {seed} (generated; pass --seed to replay)")
+    seed = config_seed if flag_seed is None else flag_seed
+    if seed is None:
+        seed = secrets.randbits(63)
+        print(f"seed: {seed} (generated; pass --seed to replay)")
     return seed
 
 
-def _out_dir(args: argparse.Namespace, config: RunConfig | None = None) -> Path:
-    if args.out is not None:
-        out = Path(args.out)
-    elif config is not None and config.output_dir is not None:
-        out = Path(config.output_dir)
-    else:
-        out = Path(".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _count(flag: str, value: int | None, configured: int) -> int:
+    return configured if value is None else require_int64(flag, value)
 
 
 def _load_config(args: argparse.Namespace) -> tuple[RunConfig, Path]:
-    config_path = Path(args.config)
-    config = load_run_config(config_path)
-    if args.trials is not None:
-        config = replace(config, trials=require_int64("--trials", args.trials))
-    if getattr(args, "replications", None) is not None:
-        config = replace(config, replications=require_int64("--replications", args.replications))
-    if getattr(args, "regime", None) is not None:
-        regime = Regime.NO_CHANGE if args.regime == "no-change" else Regime.CHANGE
-        config = replace(config, regime=regime)
-    return config, config_path.parent
+    path = Path(args.config)
+    return load_run_config(path), path
 
 
-def _required_input(config: RunConfig, name: str, base: Path) -> Path:
-    path = config.input_path(name, base)
-    if path is None:
-        raise DocumentError(f"run configuration: inputs.{name}: missing")
-    return path
+def _required_input(config: RunConfig, name: str, path: Path) -> Path:
+    """The input ``name`` of the run configuration at ``path``."""
+    found = config.input_path(name, path.parent)
+    if found is None:
+        raise DocumentError(f"{path}: inputs.{name}: missing")
+    return found
 
 
 def _band(
@@ -105,21 +113,29 @@ def _band(
     return pert_from_maturity(params, maturity, weight, config.spread)
 
 
-def _threat_assessments(
-    config: RunConfig,
-    base: Path,
-    regime: Regime,
-) -> list[dict[str, Any]]:
-    """Resolve per-threat maturity, success band and incident likelihood."""
-    profile = load_profile(_required_input(config, "profile", base))
-    threats = load_threats(_required_input(config, "threats", base))
+class Assessment(NamedTuple):
+    index: int  # the threat's position in the catalog
+    threat: Threat
+    maturity_index: float
+    band: SuccessDistribution
+    likelihood: IncidentLikelihood
+    probability: float  # of at least one incident in the period
 
-    matrix = None
-    controls: Questionnaire | None = None
-    matrix_path = config.input_path("weight_matrix", base)
+
+def _assess_threats(
+    config: RunConfig,
+    path: Path,
+    profile: PostureProfile,
+    threats: Iterable[tuple[int, Threat]],
+    regime: Regime,
+) -> list[Assessment]:
+    """Maturity, success band and incident likelihood of each ``(catalog index,
+    threat)``; a threat without a maturity index takes it from the weight matrix."""
+    matrix = controls = None
+    matrix_path = config.input_path("weight_matrix", path.parent)
     if matrix_path is not None:
         matrix = load_weight_matrix(matrix_path)
-        controls = load_questionnaire(_required_input(config, "controls", base))
+        controls = load_questionnaire(_required_input(config, "controls", path))
         known = {r.control_id for r in controls.responses}
         unknown = [c for c in matrix.controls if c not in known]
         if unknown:
@@ -129,40 +145,35 @@ def _threat_assessments(
             )
 
     model = config.count_model()
-
     rows = []
-    for threat in threats:
+    for index, threat in threats:
         maturity = threat.maturity_index
-        if maturity is None and matrix is not None and controls is not None:
-            maturity = per_threat_maturity(controls, matrix, threat.id)
         if maturity is None:
-            raise DocumentError(
-                f"threat {threat.id} ({threat.name}): maturity_index is missing and "
-                "no weight matrix was supplied to derive it"
-            )
-        dist = _band(config, profile, maturity, threat.malicious)
-        lik = incident_likelihood(dist, model, regime)
-        if lik.value is not None:
-            incident_probability = lik.value
-        else:
-            incident_probability = min(1.0, 1.0 - lik.pmf.get(0, 0.0))
-        rows.append(
-            {
-                "threat": threat,
-                "maturity_index": maturity,
-                "dist": dist,
-                "likelihood": lik,
-                "incident_probability": incident_probability,
-            }
-        )
+            if matrix is None:
+                raise DocumentError(
+                    f"{_required_input(config, 'threats', path)}: threats[{index}]."
+                    "maturity_index: missing, and no weight matrix was supplied to derive it"
+                )
+            maturity = per_threat_maturity(controls, matrix, threat.id)
+        band = _band(config, profile, maturity, threat.malicious)
+        lik = incident_likelihood(band, model, regime)
+        probability = lik.value if lik.value is not None else min(1.0, 1.0 - lik.pmf.get(0, 0.0))
+        rows.append(Assessment(index, threat, maturity, band, lik, probability))
     return rows
+
+
+def _catalog_assessments(config: RunConfig, path: Path, regime: Regime) -> list[Assessment]:
+    """Every threat in the catalog, assessed against the profile."""
+    profile = load_profile(_required_input(config, "profile", path))
+    threats = load_threats(_required_input(config, "threats", path))
+    return _assess_threats(config, path, profile, enumerate(threats), regime)
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_assess(args: argparse.Namespace) -> int:
+def cmd_assess(args: argparse.Namespace) -> Output:
     awareness = load_questionnaire(args.awareness)
     core = load_questionnaire(args.maturity)
     categories = [load_questionnaire(path) for path in args.complexity]
@@ -175,27 +186,22 @@ def cmd_assess(args: argparse.Namespace) -> int:
     else:
         attractiveness = parse_enum(Attractiveness, args.attractiveness, "--attractiveness")
     profile = assess_posture(awareness, core, categories, attractiveness)
-    out = _out_dir(args)
-    write_json(out / "posture_profile.json", profile_to_dict(profile))
     print(
         f"posture: awareness={profile.awareness_index:.4f} "
         f"maturity={profile.maturity_index:.4f} "
         f"complexity={profile.complexity_index:.4f} "
         f"attractiveness={profile.attractiveness.value}"
     )
-    print(f"wrote {out / 'posture_profile.json'}")
-    return 0
+    return Output({"posture_profile.json": profile_to_dict(profile)})
 
 
-def cmd_likelihood(args: argparse.Namespace) -> int:
-    config, base = _load_config(args)
-    rows = _threat_assessments(config, base, config.regime)
-    out = _out_dir(args, config)
-
+def cmd_likelihood(args: argparse.Namespace) -> Output:
+    config, path = _load_config(args)
+    regime = config.regime if args.regime is None else Regime(args.regime.replace("-", "_"))
+    rows = _catalog_assessments(config, path, regime)
+    print(f"assessed {len(rows)} threats ({regime.value})")
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "likelihood_report",
-        "regime": config.regime.value,
+        "regime": regime.value,
         "count": {
             "t": config.t,
             "delta_t": config.delta_t,
@@ -204,270 +210,205 @@ def cmd_likelihood(args: argparse.Namespace) -> int:
         },
         "threats": [
             {
-                "id": row["threat"].id,
-                "name": row["threat"].name,
-                "maturity_index": row["maturity_index"],
-                "attacker_weight": row["dist"].w,
-                "p_m": row["dist"].p_m,
-                "p_star": row["dist"].p_star,
-                "p_M": row["dist"].p_M,
-                "alpha": row["dist"].alpha,
-                "beta": row["dist"].beta,
-                "incident_probability": row["incident_probability"],
-                "likelihood": likelihood_to_dict(row["likelihood"]),
+                "id": row.threat.id,
+                "name": row.threat.name,
+                "maturity_index": row.maturity_index,
+                "attacker_weight": row.band.w,
+                "p_m": row.band.p_m,
+                "p_star": row.band.p_star,
+                "p_M": row.band.p_M,
+                "alpha": row.band.alpha,
+                "beta": row.band.beta,
+                "incident_probability": row.probability,
+                "likelihood": likelihood_to_dict(row.likelihood),
             }
             for row in rows
         ],
     }
-    write_json(out / "likelihood_report.json", report)
-    write_csv(
-        out / "likelihood_table.csv",
-        ["id", "name", "maturity_index", "p_m", "p_star", "p_M", "likelihood"],
-        [
-            [
-                row["threat"].id,
-                row["threat"].name,
-                row["maturity_index"],
-                row["dist"].p_m,
-                row["dist"].p_star,
-                row["dist"].p_M,
-                row["incident_probability"],
-            ]
-            for row in rows
-        ],
+    table = [
+        [row.threat.id, row.threat.name, row.maturity_index,
+         row.band.p_m, row.band.p_star, row.band.p_M, row.probability]
+        for row in rows
+    ]
+    return Output(
+        {
+            "likelihood_report.json": report,
+            "likelihood_table.csv": (
+                ["id", "name", "maturity_index", "p_m", "p_star", "p_M", "likelihood"], table
+            ),
+        },
+        config.output_dir,
     )
-    print(f"assessed {len(rows)} threats ({config.regime.value})")
-    print(f"wrote {out / 'likelihood_report.json'}")
-    print(f"wrote {out / 'likelihood_table.csv'}")
-    return 0
 
 
-def cmd_htma(args: argparse.Namespace) -> int:
+def cmd_htma(args: argparse.Namespace) -> Output:
     from .htma import run_htma
 
-    config, base = _load_config(args)
+    config, path = _load_config(args)
+    trials = _count("--trials", args.trials, config.trials)
     seed = _resolve_seed(args.seed, config.seed)
-    threats = load_threats(_required_input(config, "threats", base))
+    threats = load_threats(_required_input(config, "threats", path))
+    missing = [(i, t) for i, t in enumerate(threats) if t.likelihood is None]
+    if missing:  # threats without a given likelihood get the change-regime value
+        profile = load_profile(_required_input(config, "profile", path))
+        for row in _assess_threats(config, path, profile, missing, Regime.CHANGE):
+            threats[row.index] = replace(row.threat, likelihood=row.probability)
 
-    if any(t.likelihood is None for t in threats):
-        # Threats without an explicit likelihood get the change-regime value.
-        rows = _threat_assessments(config, base, Regime.CHANGE)
-        by_id = {row["threat"].id: row["incident_probability"] for row in rows}
-        threats = [
-            t if t.likelihood is not None else replace(t, likelihood=by_id[t.id])
-            for t in threats
-        ]
-
-    result = run_htma(threats, trials=config.trials, seed=seed)
-    out = _out_dir(args, config)
-    write_json(
-        out / "htma_report.json",
-        {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "htma_report",
-            "seed": seed,
-            "trials": result.trials,
-            "threats": [
-                {"id": t.id, "name": t.name, "likelihood": t.likelihood}
-                for t in threats
-            ],
-            "loss_statistics": {
-                "mean": float(result.losses.mean()),
-                "min": float(result.losses.min()),
-                "max": float(result.losses.max()),
-            },
-        },
-    )
-    write_csv(
-        out / "htma_losses.csv",
-        ["trial", "loss"],
-        [[i, float(x)] for i, x in enumerate(result.losses)],
-    )
-    write_csv(
-        out / "htma_lec.csv",
-        ["loss", "exceedance_probability"],
-        [[p.loss, p.exceedance_probability] for p in result.lec],
-    )
+    result = run_htma(threats, trials=trials, seed=seed)
+    losses = result.losses
     print(f"simulated {result.trials} trials over {len(threats)} threats (seed {seed})")
-    print(f"wrote {out / 'htma_report.json'}")
-    print(f"wrote {out / 'htma_losses.csv'}")
-    print(f"wrote {out / 'htma_lec.csv'}")
-    return 0
+    report = {
+        "seed": seed,
+        "trials": result.trials,
+        "threats": [{"id": t.id, "name": t.name, "likelihood": t.likelihood} for t in threats],
+        "loss_statistics": {
+            "mean": float(losses.mean()),
+            "min": float(losses.min()),
+            "max": float(losses.max()),
+        },
+    }
+    return Output(
+        {
+            "htma_report.json": report,
+            "htma_losses.csv": (["trial", "loss"], enumerate(losses.tolist())),
+            "htma_lec.csv": (
+                ["loss", "exceedance_probability"],
+                [[p.loss, p.exceedance_probability] for p in result.lec],
+            ),
+        },
+        config.output_dir,
+    )
 
 
-def cmd_fair(args: argparse.Namespace) -> int:
+def cmd_fair(args: argparse.Namespace) -> Output:
     from .fair import run_fair
 
-    config, base = _load_config(args)
+    config, path = _load_config(args)
+    trials = _count("--trials", args.trials, config.trials)
     seed = _resolve_seed(args.seed, config.seed)
-    profile = load_profile(_required_input(config, "profile", base))
-    categories = load_loss_categories(_required_input(config, "loss_categories", base))
+    profile = load_profile(_required_input(config, "profile", path))
+    categories = load_loss_categories(_required_input(config, "loss_categories", path))
 
     dist = _band(config, profile, profile.maturity_index)
     lik = incident_likelihood(dist, config.count_model(), Regime.NO_CHANGE)
-    result = run_fair(
-        lik, categories, trials=config.trials, seed=seed, slots_per_period=config.t
-    )
-
-    out = _out_dir(args, config)
-    write_json(
-        out / "fair_report.json",
-        {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "fair_report",
-            "seed": seed,
-            "trials": result.trials,
-            "slots_per_period": result.slots_per_period,
-            "success_band": {
-                "p_m": dist.p_m,
-                "p_star": dist.p_star,
-                "p_M": dist.p_M,
-            },
-            "analytic_mean_events": lik.mean_events,
-            "quadrature_error": lik.quadrature_error,
-            "summary": {
-                name: {
-                    "minimum": row.minimum,
-                    "mean": row.mean,
-                    "mode": row.mode,
-                    "maximum": row.maximum,
-                }
-                for name, row in result.summary.items()
-            },
-            "percentiles": {
-                name: {str(p): v for p, v in values.items()}
-                for name, values in result.percentiles.items()
-            },
-        },
-    )
-    write_csv(
-        out / "fair_trials.csv",
-        ["trial", "events", "lef", "per_event_loss", "total_loss"],
-        [
-            [
-                i,
-                int(result.events[i]),
-                float(result.events[i]) / result.slots_per_period,
-                float(result.per_event_loss[i]),
-                float(result.total_loss[i]),
-            ]
-            for i in range(result.trials)
-        ],
-    )
+    result = run_fair(lik, categories, trials=trials, seed=seed, slots_per_period=config.t)
     print(
         f"simulated {result.trials} trials; mean total loss "
         f"{result.summary['total_loss'].mean:.2f} (seed {seed})"
     )
-    print(f"wrote {out / 'fair_report.json'}")
-    print(f"wrote {out / 'fair_trials.csv'}")
-    return 0
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    config, base = _load_config(args)
-    rows = _threat_assessments(config, base, Regime.CHANGE)
-    out = _out_dir(args, config)
-
-    table = []
-    for row in rows:
-        threat = row["threat"]
-        baseline = cvss_likelihood(threat.cvss) if threat.cvss is not None else None
-        table.append(
-            {
-                "id": threat.id,
-                "name": threat.name,
-                "likelihood_change": row["incident_probability"],
-                "likelihood_cvss": baseline,
-                "likelihood_expert": threat.expert_likelihood,
-            }
-        )
-    write_json(
-        out / "comparison_report.json",
-        {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "comparison_report",
-            "threats": table,
+    report = {
+        "seed": seed,
+        "trials": result.trials,
+        "slots_per_period": result.slots_per_period,
+        "success_band": {"p_m": dist.p_m, "p_star": dist.p_star, "p_M": dist.p_M},
+        "analytic_mean_events": lik.mean_events,
+        "quadrature_error": lik.quadrature_error,
+        "summary": {name: asdict(row) for name, row in result.summary.items()},
+        "percentiles": {
+            name: {str(p): v for p, v in values.items()}
+            for name, values in result.percentiles.items()
         },
+    }
+    columns = (result.events, result.lef, result.per_event_loss, result.total_loss)
+    return Output(
+        {
+            "fair_report.json": report,
+            "fair_trials.csv": (
+                ["trial", "events", "lef", "per_event_loss", "total_loss"],
+                zip(range(result.trials), *(column.tolist() for column in columns)),
+            ),
+        },
+        config.output_dir,
     )
-    write_csv(
-        out / "comparison_table.csv",
-        ["id", "name", "L_change", "L_cvss", "L_expert"],
-        [
-            [
-                entry["id"],
-                entry["name"],
-                entry["likelihood_change"],
-                "" if entry["likelihood_cvss"] is None else entry["likelihood_cvss"],
-                "" if entry["likelihood_expert"] is None else entry["likelihood_expert"],
-            ]
-            for entry in table
-        ],
-    )
+
+
+def cmd_compare(args: argparse.Namespace) -> Output:
+    config, path = _load_config(args)
+    table = [
+        {
+            "id": row.threat.id,
+            "name": row.threat.name,
+            "likelihood_change": row.probability,
+            "likelihood_cvss": None if row.threat.cvss is None else cvss_likelihood(row.threat.cvss),
+            "likelihood_expert": row.threat.expert_likelihood,
+        }
+        for row in _catalog_assessments(config, path, Regime.CHANGE)
+    ]
     print(f"compared {len(table)} threats")
-    print(f"wrote {out / 'comparison_report.json'}")
-    print(f"wrote {out / 'comparison_table.csv'}")
-    return 0
+    return Output(
+        {
+            "comparison_report.json": {"threats": table},
+            # csv writes None as an empty cell
+            "comparison_table.csv": (
+                ["id", "name", "L_change", "L_cvss", "L_expert"],
+                [entry.values() for entry in table],
+            ),
+        },
+        config.output_dir,
+    )
 
 
-def _success_band(config: RunConfig, base: Path) -> SuccessDistribution:
+def _success_band(config: RunConfig, path: Path) -> SuccessDistribution:
     block = config.success or {}
     if {"p_m", "p_star", "p_M"} <= set(block):
         return SuccessDistribution.from_triple(
-            block["p_m"], block["p_star"], block["p_M"], w=block.get("w", 1.0)
+            **{k: v for k, v in block.items() if k in ("p_m", "p_star", "p_M", "w")}
         )
     if "maturity_index" in block:
-        profile = load_profile(_required_input(config, "profile", base))
+        profile = load_profile(_required_input(config, "profile", path))
         return _band(config, profile, block["maturity_index"])
-    raise DocumentError(
-        "run configuration: success: needs either p_m/p_star/p_M or maturity_index"
-    )
+    raise DocumentError(f"{path}: success: needs either p_m/p_star/p_M or maturity_index")
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    from .oracle import SimConfig, compare_to_analytic, simulate
+def cmd_simulate(args: argparse.Namespace) -> Output:
+    from .oracle import compare_to_analytic, simulate
 
-    config, base = _load_config(args)
+    config, path = _load_config(args)
+    replications = _count("--replications", args.replications, config.replications)
     seed = _resolve_seed(args.seed, config.seed)
-    dist = _success_band(config, base)
+    dist = _success_band(config, path)
     model = config.count_model()
 
     analytic = incident_likelihood(dist, model, Regime.NO_CHANGE)
-    empirical = simulate(
-        SimConfig(replications=config.replications, seed=seed, model=model, success=dist)
-    )
-    report = compare_to_analytic(empirical, analytic)
-
-    out = _out_dir(args, config)
-    write_json(
-        out / "oracle_report.json",
-        {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "oracle_report",
-            "seed": seed,
-            "replications": config.replications,
-            "success_band": {"p_m": dist.p_m, "p_star": dist.p_star, "p_M": dist.p_M},
-            "passed": report.passed,
-            "level": report.level,
-            "chi_square": report.chi_square,
-            "degrees_of_freedom": report.degrees_of_freedom,
-            "p_value": report.p_value,
-            "pooled_cells": list(report.pooled_cells),
-            "max_abs_deviation": report.max_abs_deviation,
-            "z_scores": {str(s): z for s, z in report.z_scores.items()},
-        },
-    )
+    report = compare_to_analytic(simulate(dist, model, replications, seed), analytic)
     status = "pass" if report.passed else "FAIL"
     print(
         f"oracle {status}: chi-square {report.chi_square:.2f} on "
         f"{report.degrees_of_freedom} df, p = {report.p_value:.3g} "
-        f"(level {report.level:g}) over {config.replications} replications (seed {seed})"
+        f"(level {report.level:g}) over {replications} replications (seed {seed})"
     )
-    print(f"wrote {out / 'oracle_report.json'}")
-    return 0 if report.passed else 1
+    payload = {
+        **asdict(report),
+        "seed": seed,
+        "replications": replications,
+        "success_band": {"p_m": dist.p_m, "p_star": dist.p_star, "p_M": dist.p_M},
+        "z_scores": {str(s): z for s, z in report.z_scores.items()},
+    }
+    return Output({"oracle_report.json": payload}, config.output_dir, 0 if report.passed else 1)
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+#: The options a run command may read besides --config and --out.
+RUN_FLAGS = {
+    "--trials": {"type": int, "help": "override the trial count"},
+    "--replications": {"type": int, "help": "override the replication count"},
+    "--seed": {"type": int, "help": "random seed for replay"},
+    "--regime": {"choices": ["change", "no-change"], "help": "likelihood regime"},
+}
+
+RUN_COMMANDS = (
+    ("likelihood", "per-threat success bands and incident likelihoods", cmd_likelihood,
+     ["--regime"]),
+    ("htma", "annual-loss Monte Carlo and loss exceedance curve", cmd_htma,
+     ["--trials", "--seed"]),
+    ("fair", "loss-event-frequency and magnitude Monte Carlo", cmd_fair,
+     ["--trials", "--seed"]),
+    ("compare", "computed likelihoods next to baseline and expert values", cmd_compare, []),
+    ("simulate", "validate the analytic likelihoods against the brute-force oracle",
+     cmd_simulate, ["--replications", "--seed"]),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -499,46 +440,13 @@ def build_parser() -> argparse.ArgumentParser:
     assess.add_argument("--out", help="output directory")
     assess.set_defaults(func=cmd_assess)
 
-    def add_run_command(name: str, help_text: str, func, *, seed: bool = True,
-                        regime: bool = False, replications: bool = False):
+    for name, help_text, func, flags in RUN_COMMANDS:
         command = sub.add_parser(name, help=help_text)
         command.add_argument("--config", required=True, help="run configuration JSON")
-        command.add_argument("--trials", type=int, help="override the trial count")
-        if replications:
-            command.add_argument(
-                "--replications", type=int, help="override the replication count"
-            )
-        if seed:
-            command.add_argument("--seed", type=int, help="random seed for replay")
-        if regime:
-            command.add_argument(
-                "--regime", choices=["change", "no-change"], help="likelihood regime"
-            )
+        for flag in flags:
+            command.add_argument(flag, **RUN_FLAGS[flag])
         command.add_argument("--out", help="output directory")
         command.set_defaults(func=func)
-        return command
-
-    add_run_command(
-        "likelihood",
-        "per-threat success bands and incident likelihoods",
-        cmd_likelihood,
-        seed=False,
-        regime=True,
-    )
-    add_run_command("htma", "annual-loss Monte Carlo and loss exceedance curve", cmd_htma)
-    add_run_command("fair", "loss-event-frequency and magnitude Monte Carlo", cmd_fair)
-    add_run_command(
-        "compare",
-        "computed likelihoods next to baseline and expert values",
-        cmd_compare,
-        seed=False,
-    )
-    add_run_command(
-        "simulate",
-        "validate the analytic likelihoods against the brute-force oracle",
-        cmd_simulate,
-        replications=True,
-    )
     return parser
 
 
@@ -546,7 +454,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        output = args.func(args)
+        _write(Path(args.out if args.out is not None else output.output_dir or "."), output.files)
+        return output.code
     except InputError as exc:
         print(f"validation error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2

@@ -226,8 +226,6 @@ def load_questionnaire(path: str | Path) -> Questionnaire:
 
 def profile_to_dict(profile: PostureProfile) -> dict[str, Any]:
     return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "posture_profile",
         "awareness_index": profile.awareness_index,
         "maturity_index": profile.maturity_index,
         "complexity_index": profile.complexity_index,

@@ -16,8 +16,6 @@ import numpy as np
 from .errors import InputError
 from .model import IncidentLikelihood, LossCategory
 
-DEFAULT_TRIALS = 10_000
-
 MODE_HISTOGRAM_BINS = 50
 SUMMARY_PERCENTILES = (10, 50, 90)
 
@@ -88,7 +86,6 @@ class FairResult:
     events: np.ndarray
     per_event_loss: np.ndarray
     total_loss: np.ndarray
-    secondary_loss: np.ndarray
     summary: Mapping[str, SummaryRow]
     percentiles: Mapping[str, Mapping[int, float]]
     slots_per_period: int
@@ -131,9 +128,9 @@ def _summary(values: np.ndarray, mode: float) -> SummaryRow:
 def run_fair(
     lik: IncidentLikelihood,
     categories: Sequence[LossCategory],
-    trials: int = DEFAULT_TRIALS,
-    seed: int = 0,
-    slots_per_period: int = 365,
+    trials: int,
+    seed: int,
+    slots_per_period: int,
 ) -> FairResult:
     """Simulate total loss exposure over independent trials.
 
@@ -152,23 +149,15 @@ def run_fair(
     events = sample_event_count(lik, np.random.default_rng(count_stream), size=trials)
     total_events = int(events.sum())
 
-    if total_events > 0:
-        primary_draws = sample_loss_magnitude(
-            primary, np.random.default_rng(primary_stream), size=total_events
+    losses = sample_loss_magnitude(
+        primary, np.random.default_rng(primary_stream), size=total_events
+    )
+    if secondary:
+        losses += sample_loss_magnitude(
+            secondary, np.random.default_rng(secondary_stream), size=total_events
         )
-        if secondary:
-            secondary_draws = sample_loss_magnitude(
-                secondary, np.random.default_rng(secondary_stream), size=total_events
-            )
-        else:
-            secondary_draws = np.zeros(total_events)
-    else:
-        primary_draws = np.zeros(0)
-        secondary_draws = np.zeros(0)
-
     owner = np.repeat(np.arange(trials), events)
-    total_loss = np.bincount(owner, weights=primary_draws + secondary_draws, minlength=trials)
-    secondary_loss = np.bincount(owner, weights=secondary_draws, minlength=trials)
+    total_loss = np.bincount(owner, weights=losses, minlength=trials)
     with_events = events > 0
     per_event_loss = np.where(with_events, total_loss / np.maximum(events, 1), 0.0)
 
@@ -191,7 +180,6 @@ def run_fair(
         events=events,
         per_event_loss=per_event_loss,
         total_loss=total_loss,
-        secondary_loss=secondary_loss,
         summary=summary,
         percentiles=percentiles,
         slots_per_period=slots_per_period,

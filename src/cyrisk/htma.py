@@ -20,7 +20,6 @@ from .model import Threat
 #: A 90% confidence interval spans 2 x 1.645 log-normal standard deviations.
 LOGNORMAL_CI_FACTOR = 3.29
 
-DEFAULT_TRIALS = 10_000
 LEC_POINTS = 200
 LEC_UPPER_QUANTILE = 0.999
 
@@ -68,9 +67,7 @@ def loss_exceedance_curve(
     return [LECPoint(float(x), float(e)) for x, e in zip(grid, exceedance)]
 
 
-def run_htma(
-    threats: Sequence[Threat], trials: int = DEFAULT_TRIALS, seed: int = 0
-) -> HtmaResult:
+def run_htma(threats: Sequence[Threat], trials: int, seed: int) -> HtmaResult:
     """Simulate annual losses with each threat firing at most once per trial.
 
     Every threat gets its own random stream derived from the seed, and impact

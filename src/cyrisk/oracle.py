@@ -26,18 +26,6 @@ MIN_EXPECTED_COUNT = 5.0
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    replications: int
-    seed: int
-    model: AttackCountModel
-    success: SuccessDistribution
-
-    def __post_init__(self) -> None:
-        if self.replications < 1:
-            raise InputError(f"replications must be >= 1, got {self.replications}")
-
-
-@dataclass(frozen=True)
 class EmpiricalCounts:
     """Normalized incident-count histogram."""
 
@@ -54,22 +42,24 @@ class EmpiricalCounts:
         return float(np.arange(self.probabilities.size) @ self.probabilities)
 
 
-def simulate(config: SimConfig) -> EmpiricalCounts:
+def simulate(
+    dist: SuccessDistribution, model: AttackCountModel, replications: int, seed: int
+) -> EmpiricalCounts:
     """Replay the period ``replications`` times and histogram the incident counts."""
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    dist = config.success
-    reps = config.replications
+    if replications < 1:
+        raise InputError(f"replications must be >= 1, got {replications}")
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     if dist.is_point_mass:
-        p = np.full(reps, dist.p_star)
+        p = np.full(replications, dist.p_star)
     else:
-        p = dist.p_m + (dist.p_M - dist.p_m) * rng.beta(dist.alpha, dist.beta, size=reps)
-    model = config.model
+        draws = rng.beta(dist.alpha, dist.beta, size=replications)
+        p = dist.p_m + (dist.p_M - dist.p_m) * draws
     if model.kind is CountKind.BINOMIAL:
-        attempts = rng.binomial(model.t, model.attempt_probability, size=reps)
+        attempts = rng.binomial(model.t, model.attempt_probability, size=replications)
     else:
-        attempts = rng.poisson(model.n_avg, size=reps)
+        attempts = rng.poisson(model.n_avg, size=replications)
     incidents = rng.binomial(attempts, p)
-    return EmpiricalCounts(probabilities=np.bincount(incidents) / reps, replications=reps)
+    return EmpiricalCounts(np.bincount(incidents) / replications, replications)
 
 
 def _chi_square_tail(k: int, x: float) -> float:

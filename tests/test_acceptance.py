@@ -35,7 +35,7 @@ from cyrisk.incidence import (
     likelihood_change,
 )
 from cyrisk.mixture import attack_count_pmf
-from cyrisk.oracle import SimConfig, compare_to_analytic, simulate
+from cyrisk.oracle import compare_to_analytic, simulate
 from cyrisk.success import (
     SuccessDistribution,
     pert_from_maturity,
@@ -205,14 +205,7 @@ def test_criterion_05_simulation_oracle_grid():
             band = pert_from_maturity(DERIVED_PARAMS, maturity, w=1.0, q=ref.SPREAD)
             model = AttackCountModel(t=365, n_avg=n_avg)
             analytic = incident_likelihood(band, model, Regime.NO_CHANGE)
-            empirical = simulate(
-                SimConfig(
-                    replications=10**6,
-                    seed=900 + index,
-                    model=model,
-                    success=band,
-                )
-            )
+            empirical = simulate(band, model, replications=10**6, seed=900 + index)
             outcome = compare_to_analytic(empirical, analytic)
             worst_z = max(worst_z, max(abs(z) for z in outcome.z_scores.values()))
             all_pass = all_pass and outcome.passed
@@ -332,7 +325,8 @@ def test_criterion_08_loss_exposure_trends():
         for seed in seeds:
             # common random numbers: the same seed drives every grid point
             means = [
-                run_fair(pmf, categories, trials=3_000, seed=seed).total_loss.mean()
+                run_fair(pmf, categories, trials=3_000, seed=seed, slots_per_period=365)
+                .total_loss.mean()
                 for pmf in pmfs
             ]
             diffs = np.diff(means)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -295,6 +296,27 @@ class TestHtma:
             reported = ref.HEALTHCARE_THREATS[tid - 1][6]
             assert abs(by_id[tid] - reported) <= 0.015
 
+    def test_given_likelihoods_kept_and_missing_ones_computed(self, tmp_path):
+        ref.write_profile(tmp_path / "profile.json")
+        given = {"id": 1, "name": "given", "impact_low": 1.0, "impact_high": 2.0, "likelihood": 0.4}
+        derived = {"id": 2, "name": "derived", "impact_low": 1.0, "impact_high": 2.0,
+                   "maturity_index": 4.3}
+        ref.write_json(tmp_path / "mixed.json", [given, derived])
+        ref.write_json(tmp_path / "derived.json", [derived])
+        mixed, alone = (
+            ref.write_run_config(
+                tmp_path / f"{name}_run.json",
+                {"profile": "profile.json", "threats": f"{name}.json"},
+                trials=500,
+            )
+            for name in ("mixed", "derived")
+        )
+        assert run(["htma", "--config", mixed, "--out", tmp_path / "htma"]) == 0
+        assert run(["likelihood", "--config", alone, "--out", tmp_path / "lik"]) == 0
+        reported = read_json(tmp_path / "htma" / "htma_report.json")["threats"]
+        computed = read_json(tmp_path / "lik" / "likelihood_report.json")["threats"][0]
+        assert [t["likelihood"] for t in reported] == [0.4, computed["incident_probability"]]
+
 
 class TestFair:
     @pytest.fixture
@@ -517,6 +539,68 @@ def test_change_series_term_cap_exits_1(tmp_path, capsys):
     with ref.deadline(10):
         assert run(["likelihood", "--config", config, "--out", tmp_path / "out"]) == 1
     assert "term cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["profile", "success", "maturity"])
+def test_document_errors_name_their_file(tmp_path, capsys, case):
+    ref.write_profile(tmp_path / "profile.json")
+    threats = ref.write_json(
+        tmp_path / "threats.json", [{"id": 1, "name": "a", "impact_low": 1.0, "impact_high": 2.0}]
+    )
+    inputs = {} if case == "profile" else {"profile": "profile.json", "threats": "threats.json"}
+    config = ref.write_run_config(tmp_path / "run.json", inputs)
+    command, message = {
+        "profile": ("likelihood", f"{config}: inputs.profile: missing"),
+        "success": ("simulate", f"{config}: success: needs either p_m/p_star/p_M or maturity_index"),
+        "maturity": ("likelihood", f"{threats}: threats[0].maturity_index: missing, and no "
+                                   "weight matrix was supplied to derive it"),
+    }[case]
+    assert run([command, "--config", config, "--out", tmp_path / "out"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_output_contract(tmp_path, questionnaires, capsys):
+    # every command into one directory: the files there are exactly the ones
+    # announced on stdout and listed in the README, each report stamped alike
+    aw, core, cats = questionnaires
+    ref.write_profile(tmp_path / "profile.json")
+    ref.write_threat_catalog(tmp_path / "threats.json", with_cvss=True)
+    ref.write_loss_categories(tmp_path / "categories.json")
+    config = ref.write_run_config(
+        tmp_path / "run.json",
+        {"profile": "profile.json", "threats": "threats.json",
+         "loss_categories": "categories.json"},
+        trials=500,
+        extra={"success": {"p_m": 0.28, "p_star": 0.50, "p_M": 0.72}},
+    )
+    out = tmp_path / "out"
+    commands = [["assess", "--awareness", aw, "--maturity", core, "--complexity", *cats,
+                 "--attack-share", "12.5"]]
+    commands += [[name, "--config", config]
+                 for name in ("likelihood", "htma", "fair", "compare", "simulate")]
+    with pytest.warns(UserWarning, match="not ordered"):
+        for argv in commands:
+            assert run([*argv, "--out", out]) == 0
+    stdout = capsys.readouterr().out.splitlines()
+    wrote = [Path(line[len("wrote "):]) for line in stdout if line.startswith("wrote ")]
+    files = sorted(path.name for path in out.iterdir())
+    assert {path.parent for path in wrote} == {out}
+    assert sorted(path.name for path in wrote) == files
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Outputs\n\n", 1)[1].split("\n\n", 1)[0]
+    assert sorted(re.findall(r"`([\w.]+)`", table)) == files
+
+    for path in out.glob("*.json"):
+        report = read_json(path)
+        assert (report["schema_version"], report["kind"]) == ("1", path.stem)
+
+
+@pytest.mark.parametrize("command", ["likelihood", "compare", "simulate"])
+def test_trials_flag_only_where_read(tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--config", tmp_path / "run.json", "--trials", "5"])
+    assert exc.value.code == 2
 
 
 def probe(code, *argv):

@@ -129,7 +129,7 @@ class TestRunFair:
         lik = IncidentLikelihood(
             regime=Regime.NO_CHANGE, pmf={0: 1.0}, value=None, quadrature_error=0.0
         )
-        result = run_fair(lik, [RESPONSE], trials=500, seed=4)
+        result = run_fair(lik, [RESPONSE], trials=500, seed=4, slots_per_period=365)
         assert np.all(result.total_loss == 0.0)
         assert result.summary["total_loss"].maximum == 0.0
 
@@ -141,7 +141,7 @@ class TestRunFair:
             LossCategory("a", 100.0, 100.0, 100.0),
             LossCategory("b", 50.0, 50.0, 50.0),
         ]
-        result = run_fair(lik, categories, trials=200, seed=5)
+        result = run_fair(lik, categories, trials=200, seed=5, slots_per_period=365)
         assert np.allclose(result.total_loss, 150.0)
         assert np.allclose(result.per_event_loss, 150.0)
 
@@ -158,7 +158,9 @@ class TestRunFair:
         assert abs(result.total_loss.mean() - expected) <= 3 * se
 
     def test_summary_and_percentile_invariants(self, healthcare_pmf):
-        result = run_fair(healthcare_pmf, [RESPONSE, REPLACEMENT], trials=20_000, seed=7)
+        result = run_fair(
+            healthcare_pmf, [RESPONSE, REPLACEMENT], trials=20_000, seed=7, slots_per_period=365
+        )
         for row in result.summary.values():
             assert row.minimum <= row.mean <= row.maximum
             assert row.minimum <= row.mode <= row.maximum
@@ -172,8 +174,12 @@ class TestRunFair:
         assert np.allclose(result.lef, result.events / 365)
 
     def test_deterministic_for_fixed_seed(self, healthcare_pmf):
-        first = run_fair(healthcare_pmf, [RESPONSE, REPLACEMENT], trials=2_000, seed=9)
-        second = run_fair(healthcare_pmf, [RESPONSE, REPLACEMENT], trials=2_000, seed=9)
+        first = run_fair(
+            healthcare_pmf, [RESPONSE, REPLACEMENT], trials=2_000, seed=9, slots_per_period=365
+        )
+        second = run_fair(
+            healthcare_pmf, [RESPONSE, REPLACEMENT], trials=2_000, seed=9, slots_per_period=365
+        )
         assert np.array_equal(first.events, second.events)
         assert np.array_equal(first.total_loss, second.total_loss)
 
@@ -183,20 +189,21 @@ class TestRunFair:
         )
         primary = LossCategory("a", 100.0, 100.0, 100.0)
         secondary = LossCategory("s", 40.0, 40.0, 40.0, secondary=True)
-        with_secondary = run_fair(lik, [primary, secondary], trials=50, seed=10)
-        without = run_fair(lik, [primary], trials=50, seed=10)
+        with_secondary = run_fair(
+            lik, [primary, secondary], trials=50, seed=10, slots_per_period=365
+        )
+        without = run_fair(lik, [primary], trials=50, seed=10, slots_per_period=365)
         assert np.allclose(with_secondary.total_loss, 140.0)
-        assert np.allclose(with_secondary.secondary_loss, 40.0)
-        assert np.allclose(without.secondary_loss, 0.0)
+        assert np.allclose(without.total_loss, 100.0)
 
     def test_primary_category_required(self):
         lik = two_point_pmf()
         secondary = LossCategory("s", 1.0, 2.0, 3.0, secondary=True)
         with pytest.raises(InputError):
-            run_fair(lik, [secondary], trials=10, seed=0)
+            run_fair(lik, [secondary], trials=10, seed=0, slots_per_period=365)
 
     def test_per_event_summary_skips_empty_trials(self):
-        result = run_fair(two_point_pmf(), [RESPONSE], trials=5_000, seed=12)
+        result = run_fair(two_point_pmf(), [RESPONSE], trials=5_000, seed=12, slots_per_period=365)
         zero_trials = result.events == 0
         assert np.all(result.per_event_loss[zero_trials] == 0.0)
         # the magnitude summary reflects only trials that saw events

@@ -13,7 +13,6 @@ from cyrisk.incidence import (
 )
 from cyrisk.oracle import (
     EmpiricalCounts,
-    SimConfig,
     _chi_square_tail,
     compare_to_analytic,
     simulate,
@@ -27,37 +26,29 @@ YEAR = AttackCountModel(t=365, n_avg=4.0)
 class TestSimulate:
     def test_certain_success_with_fixed_attempts(self):
         # n_avg = t makes every slot an attempt; p = 1 turns each into an incident
-        config = SimConfig(
+        counts = simulate(
+            SuccessDistribution.point_mass(1.0 - 1e-12),
+            AttackCountModel(t=12, n_avg=12.0),
             replications=5_000,
             seed=1,
-            model=AttackCountModel(t=12, n_avg=12.0),
-            success=SuccessDistribution.point_mass(1.0 - 1e-12),
         )
-        counts = simulate(config)
         assert counts.probability(12) == pytest.approx(1.0)
 
     def test_no_attempts_no_incidents(self):
-        config = SimConfig(
-            replications=5_000,
-            seed=2,
-            model=AttackCountModel(t=365, n_avg=0.0),
-            success=MALWARE_BAND,
+        counts = simulate(
+            MALWARE_BAND, AttackCountModel(t=365, n_avg=0.0), replications=5_000, seed=2
         )
-        counts = simulate(config)
         assert counts.probability(0) == 1.0
 
     def test_same_seed_same_histogram(self):
-        config = SimConfig(replications=50_000, seed=3, model=YEAR, success=MALWARE_BAND)
-        first = simulate(config)
-        second = simulate(config)
+        first = simulate(MALWARE_BAND, YEAR, replications=50_000, seed=3)
+        second = simulate(MALWARE_BAND, YEAR, replications=50_000, seed=3)
         assert np.array_equal(first.probabilities, second.probabilities)
 
     def test_breach_probability_identity(self):
         # Pr(at least one incident) in the replay equals the change-regime value
         replications = 10**6
-        config = SimConfig(replications=replications, seed=42, model=YEAR,
-                           success=MALWARE_BAND)
-        counts = simulate(config)
+        counts = simulate(MALWARE_BAND, YEAR, replications, seed=42)
         empirical_any = 1.0 - counts.probability(0)
         analytic = likelihood_change(MALWARE_BAND, YEAR)
         se = math.sqrt(analytic * (1.0 - analytic) / replications)
@@ -67,20 +58,17 @@ class TestSimulate:
 
     def test_mean_approaches_attempts_times_band_mean(self):
         replications = 10**6
-        config = SimConfig(replications=replications, seed=8, model=YEAR,
-                           success=MALWARE_BAND)
-        counts = simulate(config)
+        counts = simulate(MALWARE_BAND, YEAR, replications, seed=8)
         assert counts.mean == pytest.approx(4.0 * MALWARE_BAND.mean, rel=0.01)
 
     def test_poisson_counts_supported(self):
         model = AttackCountModel(t=365, n_avg=4.0, kind=CountKind.POISSON)
-        config = SimConfig(replications=200_000, seed=5, model=model, success=MALWARE_BAND)
-        counts = simulate(config)
+        counts = simulate(MALWARE_BAND, model, replications=200_000, seed=5)
         assert counts.probabilities.sum() == pytest.approx(1.0)
 
     def test_replications_validated(self):
         with pytest.raises(InputError):
-            SimConfig(replications=0, seed=0, model=YEAR, success=MALWARE_BAND)
+            simulate(MALWARE_BAND, YEAR, replications=0, seed=0)
 
 
 class TestCompareToAnalytic:
@@ -115,22 +103,23 @@ class TestCompareToAnalytic:
 
     def test_simulation_agrees_with_analytic(self):
         analytic = incident_likelihood(MALWARE_BAND, YEAR, Regime.NO_CHANGE)
-        config = SimConfig(replications=10**6, seed=42, model=YEAR, success=MALWARE_BAND)
-        report = compare_to_analytic(simulate(config), analytic)
+        report = compare_to_analytic(
+            simulate(MALWARE_BAND, YEAR, replications=10**6, seed=42), analytic
+        )
         assert report.passed, f"max |z|={max(abs(z) for z in report.z_scores.values()):.2f}"
 
     def test_point_mass_band_agrees_too(self):
         dist = SuccessDistribution.point_mass(0.5)
         analytic = incident_likelihood(dist, YEAR, Regime.NO_CHANGE)
-        config = SimConfig(replications=5 * 10**5, seed=11, model=YEAR, success=dist)
-        report = compare_to_analytic(simulate(config), analytic)
+        report = compare_to_analytic(
+            simulate(dist, YEAR, replications=5 * 10**5, seed=11), analytic
+        )
         assert report.passed
 
     def test_scalar_analytic_rejected(self):
         analytic = incident_likelihood(MALWARE_BAND, YEAR, Regime.CHANGE)
-        config = SimConfig(replications=1_000, seed=0, model=YEAR, success=MALWARE_BAND)
         with pytest.raises(SupportMismatch):
-            compare_to_analytic(simulate(config), analytic)
+            compare_to_analytic(simulate(MALWARE_BAND, YEAR, replications=1_000, seed=0), analytic)
 
 
 class TestChiSquareTail:

@@ -149,15 +149,19 @@ def _assess_threats(
     for index, threat in threats:
         maturity = threat.maturity_index
         if maturity is None:
+            field = (
+                f"{_required_input(config, 'threats', path)}: threats[{index}]."
+                "maturity_index: missing, and"
+            )
             if matrix is None:
-                raise DocumentError(
-                    f"{_required_input(config, 'threats', path)}: threats[{index}]."
-                    "maturity_index: missing, and no weight matrix was supplied to derive it"
-                )
-            maturity = per_threat_maturity(controls, matrix, threat.id)
+                raise DocumentError(f"{field} no weight matrix was supplied to derive it")
+            try:
+                maturity = per_threat_maturity(controls, matrix, threat.id)
+            except InputError as exc:
+                raise DocumentError(f"{field} the weight matrix cannot derive it: {exc}") from None
         band = _band(config, profile, maturity, threat.malicious)
         lik = incident_likelihood(band, model, regime)
-        probability = lik.value if lik.value is not None else min(1.0, 1.0 - lik.pmf.get(0, 0.0))
+        probability = lik.value if lik.value is not None else 1.0 - lik.pmf[0]
         rows.append(Assessment(index, threat, maturity, band, lik, probability))
     return rows
 
@@ -273,7 +277,7 @@ def cmd_htma(args: argparse.Namespace) -> Output:
             "htma_losses.csv": (["trial", "loss"], enumerate(losses.tolist())),
             "htma_lec.csv": (
                 ["loss", "exceedance_probability"],
-                [[p.loss, p.exceedance_probability] for p in result.lec],
+                zip(*(column.tolist() for column in result.lec)),
             ),
         },
         config.output_dir,
@@ -291,7 +295,7 @@ def cmd_fair(args: argparse.Namespace) -> Output:
 
     dist = _band(config, profile, profile.maturity_index)
     lik = incident_likelihood(dist, config.count_model(), Regime.NO_CHANGE)
-    result = run_fair(lik, categories, trials=trials, seed=seed, slots_per_period=config.t)
+    result = run_fair(lik, categories, trials=trials, seed=seed)
     print(
         f"simulated {result.trials} trials; mean total loss "
         f"{result.summary['total_loss'].mean:.2f} (seed {seed})"
@@ -299,7 +303,7 @@ def cmd_fair(args: argparse.Namespace) -> Output:
     report = {
         "seed": seed,
         "trials": result.trials,
-        "slots_per_period": result.slots_per_period,
+        "slots_per_period": config.t,
         "success_band": {"p_m": dist.p_m, "p_star": dist.p_star, "p_M": dist.p_M},
         "analytic_mean_events": lik.mean_events,
         "quadrature_error": lik.quadrature_error,
@@ -309,7 +313,8 @@ def cmd_fair(args: argparse.Namespace) -> Output:
             for name, values in result.percentiles.items()
         },
     }
-    columns = (result.events, result.lef, result.per_event_loss, result.total_loss)
+    lef = result.events / config.t  # the per-slot event rate s/t of each trial
+    columns = (result.events, lef, result.per_event_loss, result.total_loss)
     return Output(
         {
             "fair_report.json": report,
@@ -350,14 +355,18 @@ def cmd_compare(args: argparse.Namespace) -> Output:
 
 def _success_band(config: RunConfig, path: Path) -> SuccessDistribution:
     block = config.success or {}
-    if {"p_m", "p_star", "p_M"} <= set(block):
-        return SuccessDistribution.from_triple(
-            **{k: v for k, v in block.items() if k in ("p_m", "p_star", "p_M", "w")}
-        )
-    if "maturity_index" in block:
-        profile = load_profile(_required_input(config, "profile", path))
+    triple = {"p_m", "p_star", "p_M"} <= set(block)
+    if not triple and "maturity_index" not in block:
+        raise DocumentError(f"{path}: success: needs either p_m/p_star/p_M or maturity_index")
+    profile = None if triple else load_profile(_required_input(config, "profile", path))
+    try:
+        if triple:
+            return SuccessDistribution.from_triple(
+                **{k: v for k, v in block.items() if k in ("p_m", "p_star", "p_M", "w")}
+            )
         return _band(config, profile, block["maturity_index"])
-    raise DocumentError(f"{path}: success: needs either p_m/p_star/p_M or maturity_index")
+    except InputError as exc:
+        raise DocumentError(f"{path}: success: {exc}") from None
 
 
 def cmd_simulate(args: argparse.Namespace) -> Output:
@@ -382,7 +391,7 @@ def cmd_simulate(args: argparse.Namespace) -> Output:
         "seed": seed,
         "replications": replications,
         "success_band": {"p_m": dist.p_m, "p_star": dist.p_star, "p_M": dist.p_M},
-        "z_scores": {str(s): z for s, z in report.z_scores.items()},
+        "z_scores": {str(s): z for s, z in enumerate(report.z_scores)},
     }
     return Output({"oracle_report.json": payload}, config.output_dir, 0 if report.passed else 1)
 

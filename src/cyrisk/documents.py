@@ -419,7 +419,7 @@ def likelihood_to_dict(lik: IncidentLikelihood) -> dict[str, Any]:
         "quadrature_error": lik.quadrature_error,
     }
     if lik.pmf is not None:
-        payload["pmf"] = {str(s): p for s, p in lik.pmf.items()}
+        payload["pmf"] = {str(s): p for s, p in enumerate(lik.pmf)}
     if lik.value is not None:
         payload["value"] = lik.value
     return payload

@@ -23,15 +23,14 @@ SUMMARY_PERCENTILES = (10, 50, 90)
 def sample_event_count(
     lik: IncidentLikelihood, rng: np.random.Generator, size: int
 ) -> np.ndarray:
-    """Draw incident counts by inverting the discrete CDF of the no-change pmf."""
+    """Draw incident counts by inverting the discrete CDF of the no-change pmf;
+    the CDF's index is the count."""
     if lik.pmf is None:
         raise InputError("event-count sampling needs the full no-change pmf")
-    support = np.fromiter(lik.pmf.keys(), dtype=np.int64)
-    cdf = np.cumsum(np.fromiter(lik.pmf.values(), dtype=float))
+    cdf = np.cumsum(lik.pmf)
     cdf /= cdf[-1]  # absorb residual quadrature rounding
     uniforms = rng.uniform(size=size)
-    index = np.minimum(np.searchsorted(cdf, uniforms, side="right"), len(support) - 1)
-    return support[index]
+    return np.minimum(np.searchsorted(cdf, uniforms, side="right"), cdf.size - 1)
 
 
 def _pert_draws(
@@ -80,7 +79,7 @@ class FairResult:
 
     per_event_loss holds each trial's mean loss per event (zero for trials
     without events); summaries of it cover only trials that saw at least one
-    event. lef is the per-slot event rate s/t for each trial.
+    event.
     """
 
     events: np.ndarray
@@ -88,22 +87,17 @@ class FairResult:
     total_loss: np.ndarray
     summary: Mapping[str, SummaryRow]
     percentiles: Mapping[str, Mapping[int, float]]
-    slots_per_period: int
     trials: int
 
-    @property
-    def lef(self) -> np.ndarray:
-        return self.events / self.slots_per_period
 
-
-def _histogram_mode(values: np.ndarray, bins: int = MODE_HISTOGRAM_BINS) -> float:
+def _histogram_mode(values: np.ndarray) -> float:
     """Midpoint of the densest equal-width bin; ties go to the lower bin."""
     if values.size == 0:
         return 0.0
     low, high = float(values.min()), float(values.max())
     if low == high:
         return low
-    counts, edges = np.histogram(values, bins=bins, range=(low, high))
+    counts, edges = np.histogram(values, bins=MODE_HISTOGRAM_BINS, range=(low, high))
     densest = int(np.argmax(counts))
     return float(0.5 * (edges[densest] + edges[densest + 1]))
 
@@ -126,11 +120,7 @@ def _summary(values: np.ndarray, mode: float) -> SummaryRow:
 
 
 def run_fair(
-    lik: IncidentLikelihood,
-    categories: Sequence[LossCategory],
-    trials: int,
-    seed: int,
-    slots_per_period: int,
+    lik: IncidentLikelihood, categories: Sequence[LossCategory], trials: int, seed: int
 ) -> FairResult:
     """Simulate total loss exposure over independent trials.
 
@@ -182,6 +172,5 @@ def run_fair(
         total_loss=total_loss,
         summary=summary,
         percentiles=percentiles,
-        slots_per_period=slots_per_period,
         trials=trials,
     )

@@ -42,29 +42,23 @@ def sample_impact(threat: Threat, rng: np.random.Generator, size: int) -> np.nda
 
 
 @dataclass(frozen=True)
-class LECPoint:
-    loss: float
-    exceedance_probability: float
-
-
-@dataclass(frozen=True)
 class HtmaResult:
-    """Per-trial annual losses plus the loss exceedance curve built from them."""
+    """Per-trial annual losses plus the loss exceedance curve built from them.
+
+    lec is a pair of columns: the loss grid x and P(loss > x) at each point.
+    """
 
     losses: np.ndarray
-    lec: tuple[LECPoint, ...]
+    lec: tuple[np.ndarray, np.ndarray]
     trials: int
 
 
-def loss_exceedance_curve(
-    losses: np.ndarray, points: int = LEC_POINTS
-) -> list[LECPoint]:
+def loss_exceedance_curve(losses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Empirical P(loss > x) on an even grid from 0 to the 99.9th loss percentile."""
     losses = np.sort(np.asarray(losses, dtype=float))
     high = float(np.quantile(losses, LEC_UPPER_QUANTILE))
-    grid = np.unique(np.linspace(0.0, high, points))
-    exceedance = 1.0 - np.searchsorted(losses, grid, side="right") / losses.size
-    return [LECPoint(float(x), float(e)) for x, e in zip(grid, exceedance)]
+    grid = np.unique(np.linspace(0.0, high, LEC_POINTS))
+    return grid, 1.0 - np.searchsorted(losses, grid, side="right") / losses.size
 
 
 def run_htma(threats: Sequence[Threat], trials: int, seed: int) -> HtmaResult:
@@ -89,8 +83,4 @@ def run_htma(threats: Sequence[Threat], trials: int, seed: int) -> HtmaResult:
         fired = rng.uniform(size=trials) < threat.likelihood
         impacts = sample_impact(threat, rng, size=trials)
         losses += np.where(fired, impacts, 0.0)
-    return HtmaResult(
-        losses=losses,
-        lec=tuple(loss_exceedance_curve(losses)),
-        trials=trials,
-    )
+    return HtmaResult(losses=losses, lec=loss_exceedance_curve(losses), trials=trials)

@@ -143,6 +143,4 @@ def incident_likelihood(
     from .mixture import incident_pmf
 
     pmf, error = incident_pmf(dist, model)
-    return IncidentLikelihood(
-        regime=regime, pmf=dict(enumerate(pmf)), value=None, quadrature_error=error
-    )
+    return IncidentLikelihood(regime=regime, pmf=tuple(pmf), value=None, quadrature_error=error)

@@ -8,7 +8,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
 
 from .cvss import CvssVector
 from .errors import InputError, InvalidRange, require_finite
@@ -65,16 +64,18 @@ class AttackCountModel:
 class IncidentLikelihood:
     """Incident-likelihood result for one period.
 
-    NO_CHANGE carries the full pmf over incident counts; CHANGE carries the
-    scalar probability of the single incident. quadrature_error is, for
-    NO_CHANGE, the largest per-cell gap between the last two Gauss-Jacobi
-    rules and, for CHANGE, a bound on the error of the value from truncating
-    its series (or from skipping it, where a bound on Pr(no incident) is
-    below 2^-54 and the value is 1.0). It is 0 for a point-mass band.
+    NO_CHANGE carries the full pmf over incident counts as a dense tuple,
+    pmf[s] = Pr(S = s) for s = 0 up to the top of the truncated support;
+    CHANGE carries the scalar probability of the single incident.
+    quadrature_error is, for NO_CHANGE, the largest per-cell gap between the
+    last two Gauss-Jacobi rules and, for CHANGE, a bound on the error of the
+    value from truncating its series (or from skipping it, where a bound on
+    Pr(no incident) is below 2^-54 and the value is 1.0). It is 0 for a
+    point-mass band.
     """
 
     regime: Regime
-    pmf: Mapping[int, float] | None
+    pmf: tuple[float, ...] | None
     value: float | None
     quadrature_error: float
 
@@ -88,7 +89,7 @@ class IncidentLikelihood:
         if self.value is not None and not 0.0 <= self.value <= 1.0:
             raise InputError(f"likelihood must be in [0, 1], got {self.value}")
         if self.pmf is not None:
-            for s, p in self.pmf.items():
+            for s, p in enumerate(self.pmf):
                 if not 0.0 <= p <= 1.0:
                     raise InputError(f"pmf[{s}] must be in [0, 1], got {p}")
 
@@ -97,7 +98,7 @@ class IncidentLikelihood:
         """Expected incident count (NO_CHANGE only)."""
         if self.pmf is None:
             raise InputError("mean_events needs the full pmf")
-        return sum(s * p for s, p in self.pmf.items())
+        return sum(s * p for s, p in enumerate(self.pmf))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from .model import AttackCountModel, CountKind, IncidentLikelihood
 from .success import SuccessDistribution
 
 #: Chi-square level: the oracle's false-alarm rate at a correct pmf.
-DEFAULT_LEVEL = 1e-3
+LEVEL = 1e-3
 #: Cells expecting fewer counts than this are pooled (Cochran's rule).
 MIN_EXPECTED_COUNT = 5.0
 
@@ -31,15 +31,6 @@ class EmpiricalCounts:
 
     probabilities: np.ndarray  # index s -> empirical Pr(S = s)
     replications: int
-
-    def probability(self, s: int) -> float:
-        if 0 <= s < self.probabilities.size:
-            return float(self.probabilities[s])
-        return 0.0
-
-    @property
-    def mean(self) -> float:
-        return float(np.arange(self.probabilities.size) @ self.probabilities)
 
 
 def simulate(
@@ -88,7 +79,8 @@ class OracleReport:
     """Outcome of an empirical-vs-analytic comparison.
 
     ``passed`` comes from one chi-square goodness-of-fit test at ``level``;
-    the per-cell z-scores and the worst absolute deviation are diagnostics.
+    the per-cell z-scores, indexed by incident count, and the worst absolute
+    deviation are diagnostics.
     """
 
     passed: bool
@@ -98,22 +90,18 @@ class OracleReport:
     p_value: float
     pooled_cells: tuple[int, ...]
     max_abs_deviation: float
-    z_scores: dict[int, float]
+    z_scores: tuple[float, ...]
 
 
-def compare_to_analytic(
-    empirical: EmpiricalCounts,
-    analytic: IncidentLikelihood,
-    level: float = DEFAULT_LEVEL,
-) -> OracleReport:
+def compare_to_analytic(empirical: EmpiricalCounts, analytic: IncidentLikelihood) -> OracleReport:
     """Chi-square test of the replayed incident counts against the analytic pmf.
 
     Cells expecting fewer than ``MIN_EXPECTED_COUNT`` counts are pooled into
     one tail bin, which also holds any count outside the analytic support; if
     that bin still expects fewer than ``MIN_EXPECTED_COUNT``, it absorbs the
     smallest remaining cell. The comparison passes when the chi-square tail
-    probability is at least ``level``, so at a correct pmf it fails for about
-    a ``level`` share of seeds.
+    probability is at least ``LEVEL``, so at a correct pmf it fails for about
+    a ``LEVEL`` share of seeds.
 
     Per-cell z-scores use standard errors from the analytic probabilities
     (the null hypothesis), so an exact match scores zero everywhere.
@@ -122,44 +110,34 @@ def compare_to_analytic(
         raise SupportMismatch(
             "comparison needs the full no-change pmf, not a scalar likelihood"
         )
-    if not 0.0 < level < 1.0:
-        raise InputError(f"level must be in (0, 1), got {level}")
     reps = empirical.replications
-    top = max(int(empirical.probabilities.size - 1), max(analytic.pmf))
-    z_scores: dict[int, float] = {}
-    max_deviation = 0.0
-    for s in range(top + 1):
-        expected = analytic.pmf.get(s, 0.0)
-        deviation = empirical.probability(s) - expected
-        std_error = math.sqrt(expected * (1.0 - expected) / reps)
-        if std_error == 0.0:
-            z = 0.0 if deviation == 0.0 else math.inf * math.copysign(1.0, deviation)
-        else:
-            z = deviation / std_error
-        z_scores[s] = z
-        max_deviation = max(max_deviation, abs(deviation))
+    # both columns padded with zeros to one length, indexed by incident count
+    size = max(empirical.probabilities.size, len(analytic.pmf))
+    pmf = np.pad(analytic.pmf, (0, size - len(analytic.pmf)))
+    freq = np.pad(empirical.probabilities, (0, size - empirical.probabilities.size))
+    deviation = freq - pmf
+    std_error = np.sqrt(pmf * (1.0 - pmf) / reps)
+    z_scores = np.zeros(size)
+    with np.errstate(divide="ignore"):  # a deviation where the error is 0 scores +-inf
+        np.divide(deviation, std_error, out=z_scores, where=deviation != 0.0)
 
-    kept = [
-        s for s in range(top + 1) if reps * analytic.pmf.get(s, 0.0) >= MIN_EXPECTED_COUNT
-    ]
-    if kept and reps * (1.0 - sum(analytic.pmf[s] for s in kept)) < MIN_EXPECTED_COUNT:
-        kept.remove(min(kept, key=analytic.pmf.__getitem__))
-    kept_expected = np.array([analytic.pmf[s] for s in kept])
-    kept_observed = np.array([empirical.probability(s) for s in kept])
+    kept = reps * pmf >= MIN_EXPECTED_COUNT
+    if kept.any() and reps * (1.0 - pmf[kept].sum()) < MIN_EXPECTED_COUNT:
+        kept[np.where(kept, pmf, np.inf).argmin()] = False
     # the pooled bin takes whatever the kept cells leave, so the bins partition
     # every outcome and both sides sum to the replication count
-    expected = reps * np.append(kept_expected, 1.0 - kept_expected.sum())
-    observed = reps * np.append(kept_observed, 1.0 - kept_observed.sum())
+    expected = reps * np.append(pmf[kept], 1.0 - pmf[kept].sum())
+    observed = reps * np.append(freq[kept], 1.0 - freq[kept].sum())
     chi_square = float(np.sum((observed - expected) ** 2 / expected))
-    dof = len(kept)
+    dof = int(kept.sum())
     p_value = _chi_square_tail(dof, chi_square) if dof else 1.0
     return OracleReport(
-        passed=p_value >= level,
-        level=level,
+        passed=p_value >= LEVEL,
+        level=LEVEL,
         chi_square=chi_square,
         degrees_of_freedom=dof,
         p_value=p_value,
-        pooled_cells=tuple(sorted(set(range(top + 1)) - set(kept))),
-        max_abs_deviation=max_deviation,
-        z_scores=z_scores,
+        pooled_cells=tuple(np.flatnonzero(~kept).tolist()),
+        max_abs_deviation=float(np.abs(deviation).max()),
+        z_scores=tuple(z_scores.tolist()),
     )

@@ -70,10 +70,6 @@ class ControlResponse:
                 f"control {self.control_id!r}: weight must be >= 0, got {self.weight}"
             )
 
-    @property
-    def applicable(self) -> bool:
-        return self.score is not None
-
 
 @dataclass(frozen=True)
 class Questionnaire:

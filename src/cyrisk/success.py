@@ -142,6 +142,8 @@ class SuccessDistribution:
         cls, p_m: float, p_star: float, p_M: float, w: float = 1.0
     ) -> "SuccessDistribution":
         """Build the band from its triple, deriving the canonical shapes."""
+        if not p_m <= p_star <= p_M:
+            raise InputError(f"need p_m <= p_star <= p_M, got ({p_m}, {p_star}, {p_M})")
         if p_M - p_m < POINT_MASS_EPS:
             return cls.point_mass(p_star, w=w)
         span = p_M - p_m
@@ -183,7 +185,7 @@ def pert_from_maturity(
     require_finite("PERT band", q=q)
     if not q > 0:
         raise InputError(f"spread q must be positive, got {q}")
+    p_star = success_probability(params, x, w)  # checks x and w before the shifts
     p_m = success_probability(params, min(x + q, 10.0), w)
     p_M = success_probability(params, max(x - q, 0.0), w)
-    p_star = success_probability(params, x, w)
     return SuccessDistribution.from_triple(p_m, p_star, p_M, w=w)

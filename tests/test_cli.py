@@ -198,6 +198,40 @@ class TestLikelihood:
         assert run(["likelihood", "--config", config, "--out", tmp_path / "out"]) == 2
         assert "ghost" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "matrix_threat, scores, cause",
+        [(1, [4, 2], "unknown threat id 3 in weight matrix"),
+         (3, [None, 2], "no applicable control with positive weight")],
+        ids=["threat_not_in_matrix", "weighted_controls_all_na"],
+    )
+    def test_underivable_maturity_names_the_threat(
+        self, tmp_path, capsys, matrix_threat, scores, cause
+    ):
+        ref.write_profile(tmp_path / "profile.json")
+        threats = ref.write_json(
+            tmp_path / "threats.json",
+            [{"id": 3, "name": "a", "impact_low": 1.0, "impact_high": 2.0}],
+        )
+        ref.write_json(
+            tmp_path / "wm.json",
+            {"controls": ["ma-0", "ma-1"], "threats": [matrix_threat], "weights": [[1.0], [0.0]]},
+        )
+        ref.write_questionnaire(tmp_path / "scored.json", "maturity_core", scores)
+        config = ref.write_run_config(
+            tmp_path / "run.json",
+            {
+                "profile": "profile.json",
+                "threats": "threats.json",
+                "weight_matrix": "wm.json",
+                "controls": "scored.json",
+            },
+        )
+        assert run(["likelihood", "--config", config, "--out", tmp_path / "out"]) == 2
+        assert (
+            f"{threats}: threats[0].maturity_index: missing, and the weight matrix "
+            f"cannot derive it: {cause}"
+        ) in capsys.readouterr().err
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         config = ref.write_run_config(tmp_path / "run.json", {})
         assert run(["likelihood", "--config", config, "--out", tmp_path / "out"]) == 2
@@ -357,6 +391,8 @@ class TestFair:
         assert len(trials) == 1_000
         sample = trials[0]
         assert set(sample) == {"trial", "events", "lef", "per_event_loss", "total_loss"}
+        assert report["slots_per_period"] == 365
+        assert all(float(row["lef"]) == int(row["events"]) / 365 for row in trials)
 
     def test_byte_identical_reruns(self, tmp_path, fair_config):
         first, second = tmp_path / "a", tmp_path / "b"
@@ -541,19 +577,38 @@ def test_change_series_term_cap_exits_1(tmp_path, capsys):
     assert "term cap" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["profile", "success", "maturity"])
+@pytest.mark.parametrize(
+    "case",
+    ["profile", "success", "maturity", "success_triple", "success_maturity", "success_weight"],
+)
 def test_document_errors_name_their_file(tmp_path, capsys, case):
     ref.write_profile(tmp_path / "profile.json")
     threats = ref.write_json(
         tmp_path / "threats.json", [{"id": 1, "name": "a", "impact_low": 1.0, "impact_high": 2.0}]
     )
     inputs = {} if case == "profile" else {"profile": "profile.json", "threats": "threats.json"}
-    config = ref.write_run_config(tmp_path / "run.json", inputs)
+    success = {
+        "success_triple": {"p_m": 0.5, "p_star": 0.3, "p_M": 0.4},
+        "success_maturity": {"maturity_index": 12},
+        "success_weight": {"p_m": 0.28, "p_star": 0.50, "p_M": 0.72, "w": 2},
+    }.get(case)
+    config = ref.write_run_config(
+        tmp_path / "run.json", inputs, extra=success and {"success": success}
+    )
     command, message = {
         "profile": ("likelihood", f"{config}: inputs.profile: missing"),
         "success": ("simulate", f"{config}: success: needs either p_m/p_star/p_M or maturity_index"),
         "maturity": ("likelihood", f"{threats}: threats[0].maturity_index: missing, and no "
                                    "weight matrix was supplied to derive it"),
+        "success_triple": (
+            "simulate", f"{config}: success: need p_m <= p_star <= p_M, got (0.5, 0.3, 0.4)"
+        ),
+        "success_maturity": (
+            "simulate", f"{config}: success: maturity index must be in [0, 10], got 12.0"
+        ),
+        "success_weight": (
+            "simulate", f"{config}: success: attacker weight must be in (0, 1], got 2.0"
+        ),
     }[case]
     assert run([command, "--config", config, "--out", tmp_path / "out"]) == 2
     assert message in capsys.readouterr().err

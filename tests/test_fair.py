@@ -1,8 +1,12 @@
+import csv
+import json
 import math
 
 import numpy as np
 import pytest
 
+import reference_data as ref
+from cyrisk.cli import main
 from cyrisk.errors import InputError
 from cyrisk.fair import (
     LossCategory,
@@ -24,7 +28,7 @@ REPLACEMENT = LossCategory("replacement", 20_000.0, 30_000.0, 50_000.0, confiden
 
 def two_point_pmf():
     return IncidentLikelihood(
-        regime=Regime.NO_CHANGE, pmf={0: 0.5, 1: 0.5}, value=None, quadrature_error=0.0
+        regime=Regime.NO_CHANGE, pmf=(0.5, 0.5), value=None, quadrature_error=0.0
     )
 
 
@@ -67,7 +71,7 @@ class TestLossCategory:
 class TestSampleEventCount:
     def test_point_mass_at_zero(self):
         lik = IncidentLikelihood(
-            regime=Regime.NO_CHANGE, pmf={0: 1.0}, value=None, quadrature_error=0.0
+            regime=Regime.NO_CHANGE, pmf=(1.0,), value=None, quadrature_error=0.0
         )
         rng = np.random.default_rng(0)
         assert sample_event_count(lik, rng, size=1) == 0
@@ -79,8 +83,8 @@ class TestSampleEventCount:
         assert draws.mean() == pytest.approx(0.5, abs=0.002)
 
     def test_empirical_mean_matches_analytic(self, healthcare_pmf):
-        support = np.array(list(healthcare_pmf.pmf))
-        probs = np.array(list(healthcare_pmf.pmf.values()))
+        probs = np.array(healthcare_pmf.pmf)
+        support = np.arange(probs.size)
         mean = float(support @ probs)
         variance = float((support - mean) ** 2 @ probs)
         draws = sample_event_count(healthcare_pmf, np.random.default_rng(3), size=10**6)
@@ -127,72 +131,78 @@ class TestSampleLossMagnitude:
 class TestRunFair:
     def test_no_events_no_losses(self):
         lik = IncidentLikelihood(
-            regime=Regime.NO_CHANGE, pmf={0: 1.0}, value=None, quadrature_error=0.0
+            regime=Regime.NO_CHANGE, pmf=(1.0,), value=None, quadrature_error=0.0
         )
-        result = run_fair(lik, [RESPONSE], trials=500, seed=4, slots_per_period=365)
+        result = run_fair(lik, [RESPONSE], trials=500, seed=4)
         assert np.all(result.total_loss == 0.0)
         assert result.summary["total_loss"].maximum == 0.0
 
     def test_single_event_degenerate_categories_exact(self):
         lik = IncidentLikelihood(
-            regime=Regime.NO_CHANGE, pmf={1: 1.0}, value=None, quadrature_error=0.0
+            regime=Regime.NO_CHANGE, pmf=(0.0, 1.0), value=None, quadrature_error=0.0
         )
         categories = [
             LossCategory("a", 100.0, 100.0, 100.0),
             LossCategory("b", 50.0, 50.0, 50.0),
         ]
-        result = run_fair(lik, categories, trials=200, seed=5, slots_per_period=365)
+        result = run_fair(lik, categories, trials=200, seed=5)
         assert np.allclose(result.total_loss, 150.0)
         assert np.allclose(result.per_event_loss, 150.0)
 
     def test_mean_total_factorizes(self, healthcare_pmf):
         trials = 10**5
-        result = run_fair(
-            healthcare_pmf, [RESPONSE, REPLACEMENT], trials=trials, seed=6,
-            slots_per_period=365,
-        )
-        support = np.array(list(healthcare_pmf.pmf))
-        probs = np.array(list(healthcare_pmf.pmf.values()))
-        expected = float(support @ probs) * (RESPONSE.mean + REPLACEMENT.mean)
+        result = run_fair(healthcare_pmf, [RESPONSE, REPLACEMENT], trials=trials, seed=6)
+        probs = np.array(healthcare_pmf.pmf)
+        expected = float(np.arange(probs.size) @ probs) * (RESPONSE.mean + REPLACEMENT.mean)
         se = result.total_loss.std() / math.sqrt(trials)
         assert abs(result.total_loss.mean() - expected) <= 3 * se
 
     def test_summary_and_percentile_invariants(self, healthcare_pmf):
-        result = run_fair(
-            healthcare_pmf, [RESPONSE, REPLACEMENT], trials=20_000, seed=7, slots_per_period=365
-        )
+        result = run_fair(healthcare_pmf, [RESPONSE, REPLACEMENT], trials=20_000, seed=7)
         for row in result.summary.values():
             assert row.minimum <= row.mean <= row.maximum
             assert row.minimum <= row.mode <= row.maximum
         for values in result.percentiles.values():
             assert values[10] <= values[90]
 
-    def test_lef_is_event_rate(self, healthcare_pmf):
-        result = run_fair(
-            healthcare_pmf, [RESPONSE], trials=100, seed=8, slots_per_period=365
+    def test_lef_is_event_rate(self, tmp_path):
+        # the lef column of fair_trials.csv is each trial's event count over the
+        # config's slots per period t; a t other than 365 shows it is not a constant
+        ref.write_profile(
+            tmp_path / "profile.json", complexity=ref.FAIR_COMPLEXITY, maturity=ref.FAIR_MATURITY
         )
-        assert np.allclose(result.lef, result.events / 365)
+        ref.write_loss_categories(tmp_path / "categories.json")
+        config = ref.write_run_config(
+            tmp_path / "run.json",
+            {"profile": "profile.json", "loss_categories": "categories.json"},
+            t=30, growth_rate=-2.0, n_avg=12.0, trials=100, regime="no_change",
+        )
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="not ordered"):
+            assert main(["fair", "--config", str(config), "--out", str(out)]) == 0
+        report = json.loads((out / "fair_report.json").read_text(encoding="utf-8"))
+        assert report["slots_per_period"] == 30
+        with open(out / "fair_trials.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 100
+        events = np.array([int(row["events"]) for row in rows])
+        assert events.any()
+        assert np.allclose([float(row["lef"]) for row in rows], events / 30)
 
     def test_deterministic_for_fixed_seed(self, healthcare_pmf):
-        first = run_fair(
-            healthcare_pmf, [RESPONSE, REPLACEMENT], trials=2_000, seed=9, slots_per_period=365
-        )
-        second = run_fair(
-            healthcare_pmf, [RESPONSE, REPLACEMENT], trials=2_000, seed=9, slots_per_period=365
-        )
+        first = run_fair(healthcare_pmf, [RESPONSE, REPLACEMENT], trials=2_000, seed=9)
+        second = run_fair(healthcare_pmf, [RESPONSE, REPLACEMENT], trials=2_000, seed=9)
         assert np.array_equal(first.events, second.events)
         assert np.array_equal(first.total_loss, second.total_loss)
 
     def test_secondary_categories_add_on_top(self):
         lik = IncidentLikelihood(
-            regime=Regime.NO_CHANGE, pmf={1: 1.0}, value=None, quadrature_error=0.0
+            regime=Regime.NO_CHANGE, pmf=(0.0, 1.0), value=None, quadrature_error=0.0
         )
         primary = LossCategory("a", 100.0, 100.0, 100.0)
         secondary = LossCategory("s", 40.0, 40.0, 40.0, secondary=True)
-        with_secondary = run_fair(
-            lik, [primary, secondary], trials=50, seed=10, slots_per_period=365
-        )
-        without = run_fair(lik, [primary], trials=50, seed=10, slots_per_period=365)
+        with_secondary = run_fair(lik, [primary, secondary], trials=50, seed=10)
+        without = run_fair(lik, [primary], trials=50, seed=10)
         assert np.allclose(with_secondary.total_loss, 140.0)
         assert np.allclose(without.total_loss, 100.0)
 
@@ -200,10 +210,10 @@ class TestRunFair:
         lik = two_point_pmf()
         secondary = LossCategory("s", 1.0, 2.0, 3.0, secondary=True)
         with pytest.raises(InputError):
-            run_fair(lik, [secondary], trials=10, seed=0, slots_per_period=365)
+            run_fair(lik, [secondary], trials=10, seed=0)
 
     def test_per_event_summary_skips_empty_trials(self):
-        result = run_fair(two_point_pmf(), [RESPONSE], trials=5_000, seed=12, slots_per_period=365)
+        result = run_fair(two_point_pmf(), [RESPONSE], trials=5_000, seed=12)
         zero_trials = result.events == 0
         assert np.all(result.per_event_loss[zero_trials] == 0.0)
         # the magnitude summary reflects only trials that saw events

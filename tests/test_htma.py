@@ -128,9 +128,8 @@ class TestRunHtma:
         threats = [make_threat(likelihood=0.0, threat_id=i) for i in range(3)]
         result = run_htma(threats, trials=2000, seed=1)
         assert np.all(result.losses == 0.0)
-        for point in result.lec:
-            if point.loss > 0:
-                assert point.exceedance_probability == 0.0
+        grid, exceedance = result.lec
+        assert np.all(exceedance[grid > 0] == 0.0)
 
     def test_certain_threats_sum_their_midpoints(self):
         threats = [
@@ -153,7 +152,7 @@ class TestRunHtma:
         first = run_htma(threats, trials=3000, seed=123)
         second = run_htma(threats, trials=3000, seed=123)
         assert np.array_equal(first.losses, second.losses)
-        assert first.lec == second.lec
+        assert all(map(np.array_equal, first.lec, second.lec))
 
     def test_seed_changes_the_draws(self):
         threats = [make_threat(likelihood=0.4)]
@@ -169,10 +168,10 @@ class TestRunHtma:
         low = run_htma(base, trials=20_000, seed=42)
         high = run_htma(raised, trials=20_000, seed=42)
         assert np.all(high.losses >= low.losses)
-        low_curve = {p.loss: p.exceedance_probability for p in low.lec}
-        for point in high.lec:
-            if point.loss in low_curve:
-                assert point.exceedance_probability >= low_curve[point.loss]
+        low_curve = dict(zip(*(column.tolist() for column in low.lec)))
+        for loss, exceedance in zip(*high.lec):
+            if loss in low_curve:
+                assert exceedance >= low_curve[loss]
 
     def test_missing_likelihood_rejected(self):
         threat = Threat(id=1, name="x", impact_low=1.0, impact_high=2.0)
@@ -188,22 +187,21 @@ class TestLossExceedanceCurve:
     def test_non_increasing_and_bounded(self):
         rng = np.random.default_rng(2)
         losses = rng.lognormal(1.0, 0.8, size=50_000)
-        curve = loss_exceedance_curve(losses)
-        probs = [p.exceedance_probability for p in curve]
+        grid, probs = loss_exceedance_curve(losses)
         assert all(a >= b for a, b in zip(probs, probs[1:]))
         assert all(0.0 <= p <= 1.0 for p in probs)
-        assert len(curve) <= 200
+        assert len(grid) == len(probs) <= 200
 
     def test_zero_point_counts_positive_losses(self):
         losses = np.array([0.0, 0.0, 1.0, 2.0])
-        curve = loss_exceedance_curve(losses)
-        assert curve[0].loss == 0.0
-        assert curve[0].exceedance_probability == pytest.approx(0.5)
+        grid, probs = loss_exceedance_curve(losses)
+        assert grid[0] == 0.0
+        assert probs[0] == pytest.approx(0.5)
 
     def test_all_zero_losses_collapse(self):
-        curve = loss_exceedance_curve(np.zeros(100))
-        assert len(curve) == 1
-        assert curve[0].exceedance_probability == 0.0
+        grid, probs = loss_exceedance_curve(np.zeros(100))
+        assert len(grid) == len(probs) == 1
+        assert probs[0] == 0.0
 
 
 class TestThreatValidation:

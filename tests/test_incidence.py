@@ -87,7 +87,7 @@ class TestBinomialPoissonAgreement:
 
 class TestConditionalSuccess:
     def test_cannot_exceed_attempts(self):
-        assert max(conditional_pmf(MALWARE_BAND, 2)) == 2
+        assert len(conditional_pmf(MALWARE_BAND, 2)) == 3  # s = 0, 1, 2
 
     def test_point_mass_reduces_to_binomial(self):
         dist = SuccessDistribution.point_mass(0.5)
@@ -99,11 +99,11 @@ class TestConditionalSuccess:
     def test_zero_attempts_yield_zero_incidents(self):
         model = AttackCountModel(t=1, n_avg=0.0)
         for band in (MALWARE_BAND, SKEWED_BAND):
-            assert incident_likelihood(band, model, Regime.NO_CHANGE).pmf == {0: 1.0}
+            assert incident_likelihood(band, model, Regime.NO_CHANGE).pmf == (1.0,)
 
     @pytest.mark.parametrize("n", [1, 3, 10, 25, 50])
     def test_rows_sum_to_one(self, n):
-        assert sum(conditional_pmf(MALWARE_BAND, n).values()) == pytest.approx(1.0, abs=1e-12)
+        assert sum(conditional_pmf(MALWARE_BAND, n)) == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(InputError):
@@ -114,22 +114,24 @@ class TestLikelihoodNoChange:
     def test_no_attempts_concentrates_at_zero(self):
         model = AttackCountModel(t=365, n_avg=0.0)
         for band in (MALWARE_BAND, SKEWED_BAND):
-            assert incident_likelihood(band, model, Regime.NO_CHANGE).pmf == {0: 1.0}
+            assert incident_likelihood(band, model, Regime.NO_CHANGE).pmf == (1.0,)
 
     def test_pmf_sums_to_one(self):
         lik = incident_likelihood(MALWARE_BAND, YEAR, Regime.NO_CHANGE)
-        assert sum(lik.pmf.values()) == pytest.approx(1.0, abs=1e-9)
+        assert sum(lik.pmf) == pytest.approx(1.0, abs=1e-9)
 
     def test_scalar_matches_pmf_entry(self):
         # reference: the explicit mixture over attempt counts n,
         # sum_n Pr(N = n) Pr(S = s | N = n), against the thinned kernel
-        given_n = [conditional_pmf(MALWARE_BAND, n) if n else {0: 1.0} for n in range(41)]
+        given_n = [conditional_pmf(MALWARE_BAND, n) if n else (1.0,) for n in range(41)]
         for kind in CountKind:
             model = AttackCountModel(t=365, n_avg=4.0, kind=kind)
             lik = incident_likelihood(MALWARE_BAND, model, Regime.NO_CHANGE)
             for s in (0, 1, 2, 5, 12):
                 mixture = math.fsum(
-                    attack_count_pmf(model, n) * given_n[n].get(s, 0.0) for n in range(41)
+                    attack_count_pmf(model, n) * given_n[n][s]
+                    for n in range(41)
+                    if s < len(given_n[n])
                 )
                 assert lik.pmf[s] == pytest.approx(mixture, abs=1e-12), (kind, s)
 
@@ -145,13 +147,13 @@ class TestLikelihoodNoChange:
         band = pert_from_maturity(solve_asymptotes(-1.0, 4.3, 0.97, 0.03), 0.5, 1.0, q)
         model = AttackCountModel(t=8760, n_avg=1000.0)
         pmf = incident_likelihood(band, model, Regime.NO_CHANGE).pmf
-        assert min(pmf.values()) >= 0.0
-        assert math.fsum(pmf.values()) == pytest.approx(1.0, abs=1e-9)
+        assert min(pmf) >= 0.0
+        assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-9)
 
     def test_incident_count_beyond_slots_rejected(self):
         # the support stops at t even where the tail bound reaches past it
         model = AttackCountModel(t=12, n_avg=10.0)
-        assert max(incident_likelihood(MALWARE_BAND, model, Regime.NO_CHANGE).pmf) == 12
+        assert len(incident_likelihood(MALWARE_BAND, model, Regime.NO_CHANGE).pmf) == 13
 
 
 class TestLikelihoodChange:
@@ -290,7 +292,7 @@ class TestIncidentLikelihood:
         lik = incident_likelihood(MALWARE_BAND, YEAR, Regime.NO_CHANGE)
         assert lik.value is None
         assert lik.pmf[0] > 0
-        assert list(lik.pmf) == sorted(lik.pmf)
+        assert isinstance(lik.pmf, tuple)  # indexed by incident count
         assert lik.quadrature_error < 1e-5
 
     def test_mean_events_against_band_mean(self):
@@ -306,7 +308,7 @@ class TestIncidentLikelihood:
         dist = SuccessDistribution.point_mass(0.3)
         lik = incident_likelihood(dist, YEAR, Regime.NO_CHANGE)
         assert lik.quadrature_error == 0.0
-        assert sum(lik.pmf.values()) == pytest.approx(1.0, abs=1e-9)
+        assert sum(lik.pmf) == pytest.approx(1.0, abs=1e-9)
 
     def test_validation(self):
         with pytest.raises(InputError):
@@ -315,7 +317,7 @@ class TestIncidentLikelihood:
             IncidentLikelihood(regime=Regime.CHANGE, pmf=None, value=1.5, quadrature_error=0.0)
         with pytest.raises(InputError):
             IncidentLikelihood(
-                regime=Regime.NO_CHANGE, pmf={0: -0.1}, value=None, quadrature_error=0.0
+                regime=Regime.NO_CHANGE, pmf=(-0.1,), value=None, quadrature_error=0.0
             )
 
 
@@ -346,8 +348,8 @@ class TestBoundedWork:
             poisson_change = likelihood_change(MALWARE_BAND, poisson)
             poisson_pmf = incident_likelihood(MALWARE_BAND, poisson, Regime.NO_CHANGE).pmf
         assert abs(change - poisson_change) <= 4.0**2 / t
-        assert math.fsum(pmf.values()) == pytest.approx(1.0, abs=1e-9)
-        assert math.fsum(poisson_pmf.values()) == pytest.approx(1.0, abs=1e-9)
+        assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-9)
+        assert math.fsum(poisson_pmf) == pytest.approx(1.0, abs=1e-9)
 
     def test_huge_attempt_mean_hits_the_work_cap(self):
         model = AttackCountModel(t=365, n_avg=1e6, kind=CountKind.POISSON)

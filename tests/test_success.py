@@ -234,3 +234,7 @@ class TestPertPdf:
             SuccessDistribution.from_triple(0.5, 0.4, 0.7)
         with pytest.raises(InputError):
             SuccessDistribution.from_triple(0.0, 0.4, 0.7)
+        with pytest.raises(InputError):
+            SuccessDistribution.from_triple(0.9, 0.1, 0.2)
+        with pytest.raises(InputError):
+            SuccessDistribution.from_triple(0.5, 0.9, 0.5 + 1e-13)

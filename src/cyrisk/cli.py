@@ -17,7 +17,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import secrets
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -25,6 +24,7 @@ from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .cvss import cvss_likelihood
 from .documents import (
+    Columns,
     RunConfig,
     SCHEMA_VERSION,
     likelihood_to_dict,
@@ -80,6 +80,8 @@ def _write(out: Path, files: Mapping[str, Any]) -> None:
 def _resolve_seed(flag_seed: int | None, config_seed: int | None) -> int:
     seed = config_seed if flag_seed is None else flag_seed
     if seed is None:
+        import secrets  # only a generated seed needs it
+
         seed = secrets.randbits(63)
         print(f"seed: {seed} (generated; pass --seed to replay)")
     return seed
@@ -274,7 +276,7 @@ def cmd_htma(args: argparse.Namespace) -> Output:
     return Output(
         {
             "htma_report.json": report,
-            "htma_losses.csv": (["trial", "loss"], enumerate(losses.tolist())),
+            "htma_losses.csv": (["trial", "loss"], Columns(result.trials, [(repr, losses)])),
             "htma_lec.csv": (
                 ["loss", "exceedance_probability"],
                 zip(*(column.tolist() for column in result.lec)),
@@ -285,6 +287,8 @@ def cmd_htma(args: argparse.Namespace) -> Output:
 
 
 def cmd_fair(args: argparse.Namespace) -> Output:
+    import numpy as np
+
     from .fair import run_fair
 
     config, path = _load_config(args)
@@ -313,14 +317,17 @@ def cmd_fair(args: argparse.Namespace) -> Output:
             for name, values in result.percentiles.items()
         },
     }
-    lef = result.events / config.t  # the per-slot event rate s/t of each trial
-    columns = (result.events, lef, result.per_event_loss, result.total_loss)
+    # "events,lef" formatted once per count; lef is the per-slot event rate s/t
+    counts = np.arange(int(result.events.max()) + 1)
+    pair = [f"{s},{r!r}" for s, r in zip(counts.tolist(), (counts / config.t).tolist())]
+    columns = [(pair.__getitem__, result.events), (repr, result.per_event_loss),
+               (repr, result.total_loss)]
     return Output(
         {
             "fair_report.json": report,
             "fair_trials.csv": (
                 ["trial", "events", "lef", "per_event_loss", "total_loss"],
-                zip(range(result.trials), *(column.tolist() for column in columns)),
+                Columns(result.trials, columns),
             ),
         },
         config.output_dir,

@@ -3,7 +3,9 @@
 Every problem with an input document raises DocumentError, whose message reads
 ``<file>: <field path>: <reason>``. Writers are deterministic:
 sorted keys, two-space indent, a trailing newline and no timestamps, so a
-rerun with identical inputs produces byte-identical files.
+rerun with identical inputs produces byte-identical files. The per-trial
+tables are ``Columns``, written in blocks of ``BLOCK_ROWS`` rows, with bytes
+identical to ``csv.writer`` formatting each float in its shortest ``repr``.
 """
 
 from __future__ import annotations
@@ -406,11 +408,43 @@ def write_json(path: str | Path, payload: Mapping[str, Any]) -> None:
     )
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+#: Rows a column table formats and writes at a time; larger blocks add memory,
+#: not speed.
+BLOCK_ROWS = 1024
+
+
+class Columns:
+    """A per-trial table of ``rows`` rows, held as columns: row ``i`` is ``i``
+    followed by ``cell(array[i])`` of each ``(cell, array)`` pair in ``cells``.
+
+    ``cell`` receives the Python value of ``array.tolist()``, so ``repr`` for
+    floats and ``str`` for ints give the bytes ``csv.writer`` writes. Not a
+    tuple and without ``len()``: a table is not a sequence of rows.
+    """
+
+    __slots__ = ("rows", "cells")
+
+    def __init__(self, rows: int, cells: Sequence[tuple[Callable[[Any], str], Any]]) -> None:
+        self.rows = rows
+        self.cells = cells
+
+
+def write_csv(
+    path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]] | Columns
+) -> None:
+    """Write ``header`` and ``rows``: rows through ``csv.writer``, which quotes
+    names where needed, or a ``Columns`` table in blocks of ``BLOCK_ROWS``."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        if not isinstance(rows, Columns):
+            writer.writerows(rows)
+            return
+        for start in range(0, rows.rows, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, rows.rows)
+            cells = [map(str, range(start, stop))]
+            cells += [map(cell, array[start:stop].tolist()) for cell, array in rows.cells]
+            handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def likelihood_to_dict(lik: IncidentLikelihood) -> dict[str, Any]:

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import re
@@ -8,7 +9,17 @@ from pathlib import Path
 
 import pytest
 
-from cyrisk.cli import main
+from cyrisk.cli import _band, main
+from cyrisk.documents import (
+    load_loss_categories,
+    load_profile,
+    load_run_config,
+    load_threats,
+)
+from cyrisk.fair import run_fair
+from cyrisk.htma import run_htma
+from cyrisk.incidence import incident_likelihood
+from cyrisk.model import Regime
 
 import reference_data as ref
 
@@ -24,6 +35,19 @@ def read_json(path):
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.DictReader(handle))
+
+
+def csv_bytes(header, rows):
+    """The table as csv.writer writes it: the reference for the per-trial tables."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+#: More trials than two 1,024-row write blocks hold.
+BLOCKS_TRIALS = 2_500
 
 
 @pytest.fixture
@@ -307,6 +331,15 @@ class TestHtma:
         for name in ("htma_report.json", "htma_losses.csv", "htma_lec.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    @pytest.mark.parametrize("seed", [20240, 7])
+    def test_losses_match_csv_writer_rows(self, tmp_path, htma_config, seed):
+        out = tmp_path / "out"
+        argv = ["htma", "--config", htma_config, "--trials", BLOCKS_TRIALS, "--seed", seed]
+        assert run([*argv, "--out", out]) == 0
+        result = run_htma(load_threats(tmp_path / "threats.json"), trials=BLOCKS_TRIALS, seed=seed)
+        expected = csv_bytes(["trial", "loss"], enumerate(result.losses.tolist()))
+        assert (out / "htma_losses.csv").read_bytes() == expected
+
     def test_seed_flag_overrides_config(self, tmp_path, htma_config):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run(["htma", "--config", htma_config, "--out", a]) == 0
@@ -401,6 +434,28 @@ class TestFair:
                 assert run(["fair", "--config", fair_config, "--out", out]) == 0
         for name in ("fair_report.json", "fair_trials.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    @pytest.mark.parametrize("seed", [20240, 7])
+    def test_trials_match_csv_writer_rows(self, tmp_path, fair_config, seed):
+        out = tmp_path / "out"
+        argv = ["fair", "--config", fair_config, "--trials", BLOCKS_TRIALS, "--seed", seed]
+        with pytest.warns(UserWarning, match="not ordered"):
+            assert run([*argv, "--out", out]) == 0
+        with pytest.warns(UserWarning, match="not ordered"):
+            categories = load_loss_categories(tmp_path / "categories.json")
+        config = load_run_config(fair_config)
+        profile = load_profile(tmp_path / "profile.json")
+        band = _band(config, profile, profile.maturity_index)
+        lik = incident_likelihood(band, config.count_model(), Regime.NO_CHANGE)
+        result = run_fair(lik, categories, trials=BLOCKS_TRIALS, seed=seed)
+        assert result.events.max() > 1  # more than one events,lef pair
+        lef = result.events / config.t
+        columns = (result.events, lef, result.per_event_loss, result.total_loss)
+        expected = csv_bytes(
+            ["trial", "events", "lef", "per_event_loss", "total_loss"],
+            zip(range(BLOCKS_TRIALS), *(column.tolist() for column in columns)),
+        )
+        assert (out / "fair_trials.csv").read_bytes() == expected
 
 
 class TestCompare:
@@ -672,7 +727,7 @@ def probe(code, *argv):
     return result.stdout.strip()
 
 
-@pytest.mark.parametrize("package", ["scipy", "numpy"])
+@pytest.mark.parametrize("package", ["scipy", "numpy", "secrets"])
 def test_cli_import_leaves_out(package):
     # every command starts by importing cyrisk.cli, so this is the start-up each one pays
     code = f"import sys, cyrisk.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"

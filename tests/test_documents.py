@@ -1,6 +1,8 @@
+import csv
 import json
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -14,6 +16,8 @@ from cyrisk.cvss import (
     cvss_likelihood,
 )
 from cyrisk.documents import (
+    BLOCK_ROWS,
+    Columns,
     likelihood_to_dict,
     load_loss_categories,
     load_profile,
@@ -346,6 +350,11 @@ class TestRunConfigDocument:
             load_run_config(path)
 
 
+#: Signed zero, the smallest subnormal, the switches between plain and
+#: exponent notation, and the largest double, each with both signs.
+EDGE_FLOATS = [v for x in (0.0, 5e-324, 1e-5, 1e16, 1.7976931348623157e308) for v in (x, -x)]
+
+
 class TestWriters:
     def test_json_writer_is_deterministic(self, tmp_path):
         payload = {"b": 2, "a": [1.5, 2.25], "nested": {"z": 1, "y": 2}}
@@ -359,6 +368,39 @@ class TestWriters:
         path = tmp_path / "t.csv"
         write_csv(path, ["a", "b"], [[1, 2.5], [3, "x"]])
         assert path.read_text() == "a,b\n1,2.5\n3,x\n"
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        length=st.sampled_from([1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]),
+        floats=st.lists(st.floats(), max_size=6).flatmap(
+            lambda drawn: st.permutations(drawn + EDGE_FLOATS)
+        ),
+        ints=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=6),
+        codes=st.lists(st.integers(0, 40), min_size=1, max_size=6),
+        t=st.one_of(st.integers(1, 2**63 - 1), st.floats(1e-3, 1e300)),
+    )
+    def test_column_table_matches_csv_writer(self, tmp_path, length, floats, ints, codes, t):
+        # a column table is written in blocks; csv.writer on the zipped rows is the reference
+        floats, ints, codes = (np.resize(np.array(v), length) for v in (floats, ints, codes))
+        counts = np.arange(int(codes.max()) + 1)
+        pair = [f"{s},{r!r}" for s, r in zip(counts.tolist(), (counts / t).tolist())]
+        header = ["trial", "events", "lef", "float", "int"]
+        path, reference = tmp_path / "columns.csv", tmp_path / "rows.csv"
+        write_csv(path, header, Columns(length, [(pair.__getitem__, codes), (repr, floats),
+                                                 (str, ints)]))
+        rows = zip(range(length), codes.tolist(), (codes / t).tolist(), floats.tolist(),
+                   ints.tolist())
+        with open(reference, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        assert path.read_bytes() == reference.read_bytes()
 
     def test_likelihood_payload_shapes(self):
         scalar = IncidentLikelihood(

@@ -7,8 +7,8 @@ that band with an attack-attempt model into incident likelihoods
 frequency-and-magnitude (``fair``) Monte Carlo engines. ``oracle`` replays
 the whole attacker process by brute force to validate the analytic results,
 and ``cvss`` provides the product-of-metrics comparison baseline. Only
-``mixture`` (the no-change incident pmf), ``htma``, ``fair`` and ``oracle``
-load numpy; ``model`` holds the value types the documents describe.
+``htma``, ``fair`` and ``oracle`` load numpy; ``model`` holds the value types
+the documents describe.
 """
 
 __version__ = "0.1.0"

@@ -50,8 +50,7 @@ from .posture import (
     per_threat_maturity,
 )
 from .success import SuccessDistribution, pert_from_maturity, solve_asymptotes
-# The engines load numpy, so each command imports only the ones it runs; the
-# no-change incident pmf loads it too, and only when a command asks for it.
+# The engines load numpy, so each command imports only the ones it runs.
 
 
 class Output(NamedTuple):

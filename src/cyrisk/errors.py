@@ -47,10 +47,6 @@ class DocumentError(InputError):
     """An input document failed to parse or validate; the message names the field."""
 
 
-class QuadratureFailure(ComputationError):
-    """The quadrature rule could not meet its tolerance within its node cap."""
-
-
 class SupportMismatch(ComputationError):
     """Two distributions under comparison are not defined on comparable supports."""
 

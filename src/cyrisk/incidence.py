@@ -12,9 +12,8 @@ the incident count S is Binomial(t, p r), or Poisson(n_avg p) under Poisson
 attempts, with kernel K(s; p). Each likelihood mixes that kernel over the band:
 
 * NO_CHANGE: the posture stays fixed all period, giving the full probability
-  mass function of the incident count. :mod:`cyrisk.mixture` evaluates it with a
-  Gauss-Jacobi rule, and is imported for this regime alone, so the change
-  regime never loads numpy.
+  mass function of the incident count. :mod:`cyrisk.mixture` evaluates it as
+  sums of positive terms, with a bound on their truncation error.
 * CHANGE: the organization reassesses after the first incident, giving the
   single probability L = 1 - E that at least that first incident happens,
   E = E[K(0; p)]. E has an exact series of positive terms:
@@ -134,13 +133,12 @@ def incident_likelihood(
 
     Raises:
         ComputationError: the change-regime series passes its term cap, or the
-            no-change support is too large for the work cap.
-        QuadratureFailure: the no-change rule does not reach its tolerance.
+            no-change pmf needs more cells and terms than its work cap.
     """
     if regime is Regime.CHANGE:
         value, error = _change_likelihood(dist, model)
         return IncidentLikelihood(regime=regime, pmf=None, value=value, quadrature_error=error)
-    from .mixture import incident_pmf
+    from .mixture import incident_pmf  # loaded only where this regime runs
 
     pmf, error = incident_pmf(dist, model)
     return IncidentLikelihood(regime=regime, pmf=tuple(pmf), value=None, quadrature_error=error)

@@ -1,73 +1,128 @@
-"""The no-change incident-count pmf: the thinned count kernel mixed over the
-PERT band by one Gauss-Jacobi rule.
+"""The no-change incident-count pmf as sums of positive terms, with the ``math`` module alone.
 
 With the posture fixed all period, the incident count S given a success
-probability p is Binomial(t, p n_avg/t), or Poisson(n_avg p) under Poisson
-attempts, with kernel K(s; p). Its probability mass function is
-pmf(s) = sum_i w_i K(s; p_i) over the nodes p_i of a rule whose weight is the
-band's Beta density, every incident count at once. The rule starts at
-MIN_NODES nodes and doubles until two successive rules agree within NODE_TOL
-in every cell; that gap is the reported quadrature error.
+probability p is Binomial(t, r p), r = n_avg/t, or Poisson(n_avg p) under
+Poisson attempts. Over the band p = p_m + w X, X ~ Beta(alpha, beta), split S
+into I + K: I counts the incidents of the floor p_m and K those of the
+excess w X.
 
-This is the only part of the analytic layer that loads numpy; ``incidence``
-imports it for the no-change regime alone.
+* Binomial: I ~ Binomial(t, r p_m), and the other t - I slots each give an
+  excess incident with probability z X, z = r w / (1 - r p_m). So
+  pmf(s) = sum_i Bin(i; t, r p_m) Q(s - i, t - i), where
+  Q(k, n) = E[Bin(k; n, z X)] = C(n, k) z^k F(k, n - k) and
+  F(j, m) = E[X^j (1 - z X)^m]
+          = sum_i Bin(i; m, z) B(alpha + j, beta + i) / B(alpha, beta),
+  from 1 - z X = (1 - z) + z (1 - X). Regrouped by j = k, these are the
+  terms of C(t, s) (r p_M)^s (1 - r p_m)^(t - s) sum_j Bin(j; s, theta)
+  F(j, t - s), theta = w / p_M.
+* Poisson: I ~ Poisson(n_avg p_m), and K is independent of it with
+  Q(k) = E[Pois(k; c X)] = c^k / k! P(k), c = n_avg w, where
+  P(j) = sum_i Pois(i; c) B(alpha + j, beta + i) / B(alpha, beta).
+
+Each Q is a probability, so no value overflows, and those that underflow
+are below any cell's rounding. One row of Q is summed directly, one series
+per k, outward from its largest term: the summand's ratio never rises, since
+alpha, beta >= 1, so a geometric bound holds each tail. The binomial rows
+below it come from F(j, m) = F(j, m + 1) + z F(j + 1, m), which in Q is the
+weighted average Q(k, n) = ((n + 1 - k) Q(k, n + 1) + (k + 1) Q(k + 1, n + 1))
+/ (n + 1): only positive numbers are added. The floor counts at both ends
+that hold a share of the probability, and of the mean, below SERIES_TOL are
+left out, and their mass plus the largest series tail bound is the reported
+quadrature error, a bound on each cell's truncation error.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from operator import add
 
-import numpy as np
-
-from .errors import ComputationError, InputError, QuadratureFailure
+from .errors import ComputationError, InputError
 from .model import AttackCountModel, CountKind
 from .success import SuccessDistribution
 
 #: The no-change support ends where the incident tail at p_M is below this.
 TAIL_CUTOFF = 1e-12
-#: Node counts of the first and of the largest Gauss-Jacobi rule tried.
-MIN_NODES = 64
-MAX_NODES = 1024
-#: Largest per-cell gap accepted between the m-node and the 2m-node rule.
-NODE_TOL = 1e-8
-#: Most (node, incident count) kernel cells one rule may evaluate.
-MAX_KERNEL_CELLS = 2**21
+#: Each series stops once its tail bound is below this share of its sum; the
+#: floor counts left out below and above hold half this share of the
+#: probability and of the floor's mean.
+SERIES_TOL = 2.0**-60
+#: Most pmf cells, mixture cells and summed terms one pmf may take.
+MAX_WORK = 2**22
 
 
-def _times_log(count: np.ndarray, log_rate: np.ndarray) -> np.ndarray:
-    """count * log_rate with 0 * log 0 = 0, so that a certain count keeps probability 1."""
-    return np.where(count == 0, 0.0, count * log_rate)
+def _stirlerr(n: int) -> float:
+    """log n! - log(sqrt(2 pi n) (n / e)^n) for n >= 1: exact ratios up to 15, then
+    Stirling's series, which is within 1e-16 from there on."""
+    if n <= 15:
+        stirling = float(n) ** n * math.exp(-n) * math.sqrt(2.0 * math.pi * n)
+        return math.log(math.factorial(n) / stirling)
+    nn = float(n) * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
 
 
-def _count_kernel(model: AttackCountModel, p: np.ndarray, top: int) -> np.ndarray:
-    """Pr(S = s | p) for s = 0..top, one row per success probability in p.
+def _bd0(x: float, mean: float) -> float:
+    """x log(x / mean) + mean - x, by its series where x is near the mean."""
+    if abs(x - mean) >= 0.1 * (x + mean):
+        return x * math.log(x / mean) + mean - x
+    v = (x - mean) / (x + mean)
+    total, term, j = (x - mean) * v, 2.0 * x * v, 1
+    while True:
+        term *= v * v
+        bigger = total + term / (2 * j + 1)
+        if bigger == total:
+            return total
+        total = bigger
+        j += 1
 
-    The log-coefficients log C(t, s) and log s! are running sums of logs:
-    at t = 1e7 they stay within 1.4e-12 of exact over the first 200 counts,
-    where log-gamma differences are off by 4e-8.
 
-    Raises:
-        ComputationError: the table would exceed MAX_KERNEL_CELLS.
+def _log_point(x: int, n: int | None, p: float, q: float = 0.0) -> float:
+    """log Bin(x; n, p), q = 1 - p given apart, or log Pois(x; p) where n is None.
+
+    Loader's saddle-point form (2000): near the mode every part is small, so
+    the log keeps its precision where a running sum of logs loses 2-4e-12 at
+    t = 8760, n_avg = 1000, and log-gamma differences 4e-8 at t = 1e7.
     """
-    if p.size * (top + 1) > MAX_KERNEL_CELLS:
-        raise ComputationError(
-            f"the incident pmf needs {p.size} x {top + 1} kernel cells, "
-            f"over the work cap of {MAX_KERNEL_CELLS}"
-        )
-    s = np.arange(top + 1)
-    k = np.arange(top)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if model.kind is CountKind.BINOMIAL:
-            log_coef = np.cumsum(np.log((model.t - k) / (k + 1.0)))
-            rate = p[:, None] * model.attempt_probability
-            log_pmf = _times_log(s, np.log(rate)) + _times_log(model.t - s, np.log1p(-rate))
-        else:
-            log_coef = -np.cumsum(np.log(k + 1.0))
-            rate = p[:, None] * model.n_avg
-            log_pmf = _times_log(s, np.log(rate)) - rate
-    log_pmf[:, 1:] += log_coef
-    return np.exp(log_pmf)
+    if n is None:
+        if x == 0:
+            return -p
+        return -_stirlerr(x) - _bd0(x, p) - 0.5 * math.log(2.0 * math.pi * x)
+    if x == 0:
+        return n * (math.log1p(-p) if p < 0.5 else math.log(q))
+    if x == n:
+        return n * (math.log(p) if p < 0.5 else math.log1p(-q))
+    return (
+        _stirlerr(n) - _stirlerr(x) - _stirlerr(n - x) - _bd0(x, n * p) - _bd0(n - x, n * q)
+        + 0.5 * math.log(n / (2.0 * math.pi * x * (n - x)))
+    )
+
+
+def _kernel(model: AttackCountModel, p: float, top: int) -> list[float]:
+    """Pr(S = s | p) for s = 0..top, outward from the mode by term ratios."""
+    binomial = model.kind is CountKind.BINOMIAL
+    rate = p * (model.attempt_probability if binomial else model.n_avg)
+    if rate == 0.0:
+        return [1.0] + [0.0] * top
+    if binomial and rate >= 1.0:
+        return [float(s == model.t) for s in range(top + 1)]
+    odds = rate / (1.0 - rate) if binomial else rate
+
+    def ratio(s: int) -> float:
+        """Pr(S = s + 1 | p) / Pr(S = s | p)."""
+        return (model.t - s if binomial else 1) * odds / (s + 1)
+
+    mode = min(top, math.floor((model.t + 1) * rate if binomial else rate))
+    kernel = [0.0] * (top + 1)
+    kernel[mode] = value = math.exp(
+        _log_point(mode, model.t, rate, 1.0 - rate) if binomial else _log_point(mode, None, rate)
+    )
+    for s in range(mode, top):
+        value *= ratio(s)
+        kernel[s + 1] = value
+    value = kernel[mode]
+    for s in range(mode, 0, -1):
+        value /= ratio(s - 1)
+        kernel[s - 1] = value
+    return kernel
 
 
 def _support_end(model: AttackCountModel, p: float) -> int:
@@ -86,55 +141,111 @@ def _support_end(model: AttackCountModel, p: float) -> int:
     return min(top, model.t) if model.kind is CountKind.BINOMIAL else top
 
 
-def pert_rule(dist: SuccessDistribution, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """m-node Gauss-Jacobi rule for the PERT band: nodes in (p_m, p_M), weights summing to one.
-
-    The Jacobi weight (1 - x)^a (1 + x)^b on [-1, 1], a = beta - 1 and
-    b = alpha - 1, is the band's density up to scale, so sum_i w_i g(p_i)
-    integrates g against the band, exactly for polynomials of degree below 2m.
-    Golub & Welsch (1969): the nodes are the eigenvalues of the symmetric
-    tridiagonal matrix of the Jacobi three-term recurrence, and the weights
-    the squared first components of its unit eigenvectors.
-    """
-    a, b = dist.beta - 1.0, dist.alpha - 1.0
-    k = np.arange(1.0, m)
-    n = 2.0 * k + a + b
-    diagonal = np.empty(m)
-    diagonal[0] = (b - a) / (a + b + 2.0)
-    diagonal[1:] = (b * b - a * a) / (n * (n + 2.0))
-    off = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + a + b) / (n * n * (n + 1.0) * (n - 1.0)))
-    x, vectors = np.linalg.eigh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
-    w = vectors[0] ** 2
-    return dist.p_m + (dist.p_M - dist.p_m) * (x + 1.0) / 2.0, w / w.sum()
-
-
-def _band_mixture(
-    dist: SuccessDistribution, integrand: Callable[[np.ndarray], np.ndarray]
-) -> tuple[np.ndarray, float]:
-    """Mix integrand(p) over the band: (mixture, gap between the last two rules)."""
-    if dist.is_point_mass:
-        return integrand(np.array([dist.p_star]))[0], 0.0
-
-    def mix(m: int) -> np.ndarray:
-        # mixing the offsets from the first node's value keeps a constant exact:
-        # the weights sum to one only up to rounding
-        nodes, weights = pert_rule(dist, m)
-        values = integrand(nodes)
-        return values[0] + weights @ (values - values[0])
-
-    coarse = mix(MIN_NODES)
-    m = MIN_NODES
-    while m < MAX_NODES:
-        m *= 2
-        fine = mix(m)
-        gap = float(np.max(np.abs(fine - coarse)))
-        if gap <= NODE_TOL:
-            return fine, gap
-        coarse = fine
-    raise QuadratureFailure(
-        f"Gauss-Jacobi rules of {m // 2} and {m} nodes still differ by {gap:.3g}, "
-        f"over the tolerance {NODE_TOL:g}"
+def _over_cap(work: int) -> ComputationError:
+    return ComputationError(
+        f"the incident pmf needs at least {work} cells and summed terms, "
+        f"over the work cap of {MAX_WORK}"
     )
+
+
+def _excess_pmf(
+    dist: SuccessDistribution, model: AttackCountModel, n: int, top: int, work: int
+) -> tuple[list[float], float]:
+    """(Q(k) for k = 0..top, the largest tail bound), over n slots if binomial.
+
+    Term (k, i) of the series for Q(k) is u(k, i) = n! / (k! i! (n - k - i)!)
+    z^(k+i) (1 - z)^(n-k-i) B(alpha + k, beta + i) / B(alpha, beta), or
+    e^-c c^(k+i) / (k! i!) B(alpha + k, beta + i) / B(alpha, beta) under
+    Poisson attempts. With j = k + i and g = (n - j) z / (1 - z), or c, its
+    ratios are
+    u(k, i + 1) / u(k, i) = g (beta + i) / ((i + 1)(alpha + beta + j)) and
+    u(k, i - 1) / u(k - 1, i) = i (alpha + k - 1) / (k (beta + i - 1)).
+    The largest term of each series is reached from the last one's by these
+    ratios; only the first needs logs.
+
+    Raises:
+        ComputationError: ``work`` cells already counted and the terms pass the work cap.
+    """
+    a, b = dist.alpha, dist.beta
+    ab = a + b
+    w = dist.p_M - dist.p_m
+    if model.kind is CountKind.BINOMIAL:
+        r = model.attempt_probability
+        # 1 - z = (1 - r p_M) / (1 - r p_m) keeps its precision as z nears one
+        miss_m, miss_M = 1.0 - r * dist.p_m, 1.0 - r * dist.p_M
+        z = r * w / miss_m
+        # g = (n - j) odds, with n - j kept as an exact float count
+        first, odds, step = float(n), r * w / miss_M, 1.0
+    else:
+        first, odds, step = 1.0, model.n_avg * w, 0.0
+
+    # the largest term of the k = 0 series: Bin(i; n, z), or Pois(i; c), times
+    # B(alpha, beta + i) / B(alpha, beta), the latter an exact sum of small logs
+    i = 0
+    while (first - step * i) * odds * (b + i) >= (i + 1) * (ab + i):
+        i += 1
+    logs = [math.log((b + l) / (ab + l)) for l in range(i)]
+    if step:
+        logs.append(_log_point(i, n, z, miss_M / miss_m))
+    else:
+        logs.append(_log_point(i, None, odds))
+    peak = math.exp(math.fsum(logs))
+    work += i
+
+    q = []
+    worst = 0.0
+    for k in range(top + 1):
+        c = ab + k
+        if k:
+            # to row k along j = k + i, or straight down at i = 0, then to its largest term
+            if i:
+                peak *= i * (a + k - 1) / (k * (b + i - 1))
+                i -= 1
+            else:
+                peak *= (first - step * (k - 1)) * odds * (a + k - 1) / (k * (c - 1))
+            while (ratio := (first - step * (k + i)) * odds * (b + i) / ((i + 1) * (c + i))) >= 1.0:
+                peak *= ratio
+                i += 1
+                work += 1
+            while i and (first - step * (k + i - 1)) * odds * (b + i - 1) < i * (c + i - 1):
+                peak *= i * (c + i - 1) / ((first - step * (k + i - 1)) * odds * (b + i - 1))
+                i -= 1
+                work += 1
+        # outward from the largest term: past it the ratio is below one and keeps
+        # falling, and so does its inverse before it; counters are exact floats
+        total = term = peak
+        m, left, bm, cm = float(i), first - step * (k + i), b + i, c + i
+        while True:
+            ratio = left * odds * bm / ((m + 1.0) * cm)
+            if term * ratio <= SERIES_TOL * total * (1.0 - ratio):
+                tail = term * ratio / (1.0 - ratio)
+                break
+            term *= ratio
+            total += term
+            m += 1.0
+            left -= step
+            bm += 1.0
+            cm += 1.0
+        work += int(m) - i + 1
+        term = peak
+        m, left, bm, cm = float(i), first - step * (k + i - 1), b + i - 1.0, c + i - 1.0
+        while m:
+            ratio = m * cm / (left * odds * bm)
+            if term * ratio <= SERIES_TOL * total * (1.0 - ratio):
+                tail += term * ratio / (1.0 - ratio)
+                break
+            term *= ratio
+            total += term
+            m -= 1.0
+            left += step
+            bm -= 1.0
+            cm -= 1.0
+        work += i - int(m)
+        if work > MAX_WORK:
+            raise _over_cap(work)
+        q.append(total)
+        worst = max(worst, tail)
+    return q, worst
 
 
 def attack_count_pmf(model: AttackCountModel, n: int) -> float:
@@ -143,17 +254,50 @@ def attack_count_pmf(model: AttackCountModel, n: int) -> float:
         raise InputError(f"attempt count must be in [0, {model.t}], got {n}")
     if n < 0:
         raise InputError(f"attempt count must be >= 0, got {n}")
-    return min(float(_count_kernel(model, np.array([1.0]), n)[0, n]), 1.0)
+    return min(_kernel(model, 1.0, n)[n], 1.0)
 
 
 def incident_pmf(dist: SuccessDistribution, model: AttackCountModel) -> tuple[list[float], float]:
-    """(pmf over incident counts 0..top, quadrature error) with the posture fixed all period.
+    """(pmf over incident counts 0..top, a bound on each cell's truncation error)
+    with the posture fixed all period.
 
     Raises:
-        ComputationError: the support is too large for the work cap.
-        QuadratureFailure: MAX_NODES nodes do not reach NODE_TOL.
+        ComputationError: the cells and terms would exceed the work cap.
     """
     top = _support_end(model, dist.p_M)
-    pmf, error = _band_mixture(dist, lambda p: _count_kernel(model, p, top))
-    # the offset mixing can round a vanishing cell a few ulps below zero
-    return np.clip(pmf, 0.0, 1.0).tolist(), error
+    if top + 1 > MAX_WORK:
+        raise _over_cap(top + 1)
+    floor = _kernel(model, dist.p_m, top)
+    if dist.is_point_mass or top == 0:
+        return [min(x, 1.0) for x in floor], 0.0
+
+    # the floor counts i that matter: below them at most SERIES_TOL / 2 of the
+    # probability, above them at most SERIES_TOL / 2 of the floor's mean, so that
+    # a small mean keeps its relative precision
+    lo, hi, dropped, moment = 0, top, 0.0, 0.0
+    while dropped + floor[lo] <= SERIES_TOL / 2:
+        dropped += floor[lo]
+        lo += 1
+    while hi > lo and moment + hi * floor[hi] <= SERIES_TOL / 2 * model.n_avg * dist.p_m:
+        dropped += floor[hi]
+        moment += hi * floor[hi]
+        hi -= 1
+    cells = sum(top - i + 1 for i in range(lo, hi + 1))
+    if cells + top - lo + 1 > MAX_WORK:
+        raise _over_cap(cells + top - lo + 1)
+
+    binomial = model.kind is CountKind.BINOMIAL
+    n = model.t - lo
+    row, tail = _excess_pmf(dist, model, n, top - lo, cells)
+    pmf = [0.0] * (top + 1)
+    counts = [float(k) for k in range(top - lo)]
+    for i in range(lo, hi + 1):
+        if i > lo and binomial:
+            # Q(., n) from Q(., n + 1): drop one slot
+            slots = float(n + 1)
+            row = [
+                (x * (slots - k) + y * (k + 1.0)) / slots for k, x, y in zip(counts, row, row[1:])
+            ]
+        pmf[i:] = map(add, pmf[i:], map(floor[i].__mul__, row))
+        n -= 1
+    return [min(x, 1.0) for x in pmf], dropped + tail

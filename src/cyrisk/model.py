@@ -67,11 +67,11 @@ class IncidentLikelihood:
     NO_CHANGE carries the full pmf over incident counts as a dense tuple,
     pmf[s] = Pr(S = s) for s = 0 up to the top of the truncated support;
     CHANGE carries the scalar probability of the single incident.
-    quadrature_error is, for NO_CHANGE, the largest per-cell gap between the
-    last two Gauss-Jacobi rules and, for CHANGE, a bound on the error of the
-    value from truncating its series (or from skipping it, where a bound on
-    Pr(no incident) is below 2^-54 and the value is 1.0). It is 0 for a
-    point-mass band.
+    quadrature_error bounds the truncation error of the series behind the
+    result: for NO_CHANGE, of every pmf cell (the series tails and the floor
+    counts left out), and for CHANGE, of the value (or of skipping its series,
+    where a bound on Pr(no incident) is below 2^-54 and the value is 1.0). It
+    is 0 for a point-mass band.
     """
 
     regime: Regime

@@ -776,3 +776,23 @@ def test_change_regime_leaves_numpy_out(tmp_path, command):
     if command == "likelihood":
         argv += ["--regime", "change"]
     assert probe(code, *argv).splitlines()[-1] == "0 False"
+
+
+def test_no_change_regime_leaves_numpy_out(tmp_path):
+    # the no-change pmf is a sum of positive terms in the math module
+    ref.write_profile(tmp_path / "profile.json")
+    ref.write_threat_catalog(tmp_path / "threats.json")
+    config = ref.write_run_config(
+        tmp_path / "run.json",
+        {"profile": "profile.json", "threats": "threats.json"},
+        n_avg=30.0,
+        t=365,
+    )
+    code = "import sys, cyrisk.cli; print(cyrisk.cli.main(sys.argv[1:]), 'numpy' in sys.modules)"
+    argv = ["likelihood", "--config", config, "--out", tmp_path / "out", "--regime", "no-change"]
+    assert probe(code, *argv).splitlines()[-1] == "0 False"
+    assert (tmp_path / "out" / "likelihood_report.json").exists()
+
+
+def test_analytic_layer_leaves_numpy_out():
+    assert probe("import sys, cyrisk.incidence, cyrisk.mixture; print('numpy' in sys.modules)") == "False"

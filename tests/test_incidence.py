@@ -1,9 +1,11 @@
+import functools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cyrisk import mixture
-from cyrisk.errors import ComputationError, InputError, QuadratureFailure
+from cyrisk.errors import ComputationError, InputError
 from cyrisk.incidence import (
     AttackCountModel,
     CountKind,
@@ -12,12 +14,12 @@ from cyrisk.incidence import (
     incident_likelihood,
     likelihood_change,
 )
-from cyrisk.mixture import attack_count_pmf
+from cyrisk.mixture import SERIES_TOL, attack_count_pmf
 from cyrisk.success import SuccessDistribution, pert_from_maturity, solve_asymptotes
-from reference_data import deadline
+from reference_data import deadline, reference_pmf
 
 MALWARE_BAND = SuccessDistribution.from_triple(0.28, 0.50, 0.72)
-# an asymmetric band: its rule's weights do not sum to exactly one
+# an asymmetric band: alpha and beta differ
 SKEWED_BAND = SuccessDistribution.from_triple(0.10, 0.20, 0.70)
 YEAR = AttackCountModel(t=365, n_avg=4.0)
 
@@ -142,8 +144,8 @@ class TestLikelihoodNoChange:
 
     @pytest.mark.parametrize("q", [1.0, 2.0])
     def test_vanishing_cells_stay_nonnegative(self, q):
-        # a steep band under heavy binomial pressure: mixing the offsets from the
-        # first node rounded cells of about 1e-323 below zero
+        # a steep band under heavy binomial pressure: a quadrature rule that mixed
+        # offsets from its first node rounded cells of about 1e-323 below zero
         band = pert_from_maturity(solve_asymptotes(-1.0, 4.3, 0.97, 0.03), 0.5, 1.0, q)
         model = AttackCountModel(t=8760, n_avg=1000.0)
         pmf = incident_likelihood(band, model, Regime.NO_CHANGE).pmf
@@ -210,20 +212,37 @@ COUNT_MODELS = [
 ]
 
 
+def model_id(model):
+    return f"{model.kind.value}-{model.t}-{model.n_avg:g}"
+
+
+CURVE = solve_asymptotes(-1.0, 4.3, 0.97, 0.03)
+# 54 bands across the scale: maturity x, attacker weight w and spread q
+GRID_BANDS = [
+    pert_from_maturity(CURVE, x, w, q)
+    for x in (0.0, 1.0, 3.0, 4.3, 6.5, 10.0)
+    for w in (0.6, 0.8, 1.0)
+    for q in (0.25, 1.0, 3.0)
+]
+
+
+@functools.lru_cache(maxsize=None)
+def no_change(band, model):
+    """The no-change result, computed once per (band, model) for the tests that share it."""
+    return incident_likelihood(band, model, Regime.NO_CHANGE)
+
+
 class TestChangeSeries:
     """The change regime's closed-form series against two independent references."""
 
-    @pytest.mark.parametrize("model", COUNT_MODELS, ids=lambda m: f"{m.kind.value}-{m.t}-{m.n_avg:g}")
+    @pytest.mark.parametrize("model", COUNT_MODELS, ids=model_id)
     def test_matches_no_change_pmf_at_zero(self, model):
-        # 1 - pmf(0) of the quadrature mixture, which the oracle checks
-        curve = solve_asymptotes(-1.0, 4.3, 0.97, 0.03)
-        for x in (0.0, 1.0, 3.0, 4.3, 6.5, 10.0):
-            for w in (0.6, 0.8, 1.0):
-                for q in (0.25, 1.0, 3.0):
-                    band = pert_from_maturity(curve, x, w, q)
-                    pmf = incident_likelihood(band, model, Regime.NO_CHANGE).pmf
-                    change = likelihood_change(band, model)
-                    assert abs(change - (1.0 - pmf[0])) <= 1e-13, (x, w, q)
+        # 1 - pmf(0) of the no-change series, which the oracle and the
+        # Gauss-Jacobi reference check
+        for band in GRID_BANDS:
+            pmf = no_change(band, model).pmf
+            change = likelihood_change(band, model)
+            assert abs(change - (1.0 - pmf[0])) <= 1e-13, band
 
     @pytest.mark.parametrize(
         "band, model",
@@ -296,7 +315,7 @@ class TestIncidentLikelihood:
         assert lik.quadrature_error < 1e-5
 
     def test_mean_events_against_band_mean(self):
-        # asymmetric bands catch an alpha/beta swap in the quadrature rule
+        # asymmetric bands catch an alpha/beta swap in the series
         for triple in [(0.28, 0.50, 0.72), (0.08, 0.17, 0.34), (0.79, 0.90, 0.95)]:
             band = SuccessDistribution.from_triple(*triple)
             for kind in CountKind:
@@ -321,16 +340,100 @@ class TestIncidentLikelihood:
             )
 
 
-class TestQuadratureFailure:
-    def test_integration_trouble_is_reported(self, monkeypatch):
-        # at n_avg = 2000 the kernel is narrow in p: 128 nodes leave a gap of
-        # about 4e-7, so a rule capped at 128 nodes cannot reach the tolerance
-        model = AttackCountModel(t=365, n_avg=2000.0, kind=CountKind.POISSON)
-        band = SuccessDistribution.from_triple(0.05, 0.50, 0.95)
-        assert incident_likelihood(band, model, Regime.NO_CHANGE).quadrature_error <= 1e-8
-        monkeypatch.setattr(mixture, "MAX_NODES", 128)
-        with pytest.raises(QuadratureFailure, match="128 nodes"):
-            incident_likelihood(band, model, Regime.NO_CHANGE)
+def assert_matches_reference(band, model, lik=None):
+    """Every pmf cell within 1e-13 of the 512-node Gauss-Jacobi reference."""
+    lik = lik or incident_likelihood(band, model, Regime.NO_CHANGE)
+    expected = reference_pmf(band, model, len(lik.pmf) - 1)
+    worst = max(abs(p - e) for p, e in zip(lik.pmf, expected.tolist()))
+    assert worst <= 1e-13, (band, model, worst)
+    return lik
+
+
+class TestNoChangeSeries:
+    """The no-change pmf's positive series against a Gauss-Jacobi mixture that shares no code."""
+
+    @pytest.mark.parametrize("model", COUNT_MODELS, ids=model_id)
+    def test_matches_gauss_jacobi_reference(self, model):
+        for band in [*GRID_BANDS, STEEP_BAND, SKEWED_BAND, SuccessDistribution.point_mass(0.3)]:
+            assert_matches_reference(band, model, no_change(band, model))
+
+    def test_large_slot_count_keeps_pmf_zero(self):
+        # at t = 1e7, log-gamma differences put pmf(0) off by 1e-8
+        model = AttackCountModel(t=10_000_000, n_avg=4.0)
+        for band in (MALWARE_BAND, SKEWED_BAND, STEEP_BAND):
+            pmf = assert_matches_reference(band, model).pmf
+            assert abs(likelihood_change(band, model) - (1.0 - pmf[0])) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "band, model",
+        [
+            # raw floats gave NaN for this steep band under heavy binomial pressure
+            (STEEP_BAND, AttackCountModel(t=10_000, n_avg=1000.0)),
+            # and for heavy Poisson pressure
+            (SuccessDistribution.from_triple(0.05, 0.50, 0.95),
+             AttackCountModel(t=365, n_avg=2000.0, kind=CountKind.POISSON)),
+        ],
+        ids=["steep-binomial", "heavy-poisson"],
+    )
+    def test_heavy_pressure_stays_finite(self, band, model):
+        with deadline(10):
+            lik = assert_matches_reference(band, model)
+        assert all(math.isfinite(p) and p >= 0.0 for p in lik.pmf)
+        assert math.fsum(lik.pmf) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("p_m", [1e-9, 0.05, 0.5])
+    def test_series_start_at_their_largest_term(self, p_m):
+        # supports near 1,000: a window centred on Bin(i; m, z) alone, rather than
+        # on the largest term of the whole summand, was off by up to 4e-3
+        band = SuccessDistribution.from_triple(p_m, p_m + 0.3 * (0.9 - p_m), 0.9)
+        assert_matches_reference(band, AttackCountModel(t=8760, n_avg=1000.0))
+
+    def test_error_bound_is_tiny_and_exact_cases_are_exact(self):
+        for band in (MALWARE_BAND, SKEWED_BAND, STEEP_BAND):
+            for model in COUNT_MODELS:
+                assert 0.0 <= no_change(band, model).quadrature_error <= 2 * SERIES_TOL
+        point = incident_likelihood(SuccessDistribution.point_mass(0.3), YEAR, Regime.NO_CHANGE)
+        assert point.quadrature_error == 0.0
+        idle_year = AttackCountModel(t=365, n_avg=0.0)
+        idle = incident_likelihood(MALWARE_BAND, idle_year, Regime.NO_CHANGE)
+        assert (idle.pmf, idle.quadrature_error) == ((1.0,), 0.0)
+
+
+def bands():
+    """PERT bands with point masses, floors near zero (theta -> 1) and ceilings near one."""
+    unit = st.floats(0.0, 1.0)
+
+    def triple(low, high, mode_share):
+        mode = min(low + mode_share * (high - low), high)
+        return SuccessDistribution.from_triple(low, mode, high)
+
+    return st.one_of(
+        st.floats(1e-9, 0.999).map(SuccessDistribution.point_mass),
+        st.builds(triple, st.floats(1e-6, 0.5), st.floats(0.5, 0.999), unit),
+        st.builds(triple, st.floats(1e-12, 1e-6), st.floats(1e-3, 0.99), unit),
+        st.builds(triple, st.floats(0.01, 0.9), st.floats(1 - 1e-6, 1 - 1e-9), unit),
+    )
+
+
+@st.composite
+def count_models(draw):
+    # n_avg <= 110 keeps the support at or below 200 counts for any band
+    n_avg = draw(st.one_of(st.just(0.0), st.floats(1e-3, 110.0)))
+    if draw(st.booleans()):
+        return AttackCountModel(t=draw(st.integers(1, 365)), n_avg=n_avg, kind=CountKind.POISSON)
+    t = draw(st.one_of(st.integers(math.ceil(n_avg) or 1, 400), st.integers(400, 10_000_000)))
+    return AttackCountModel(t=t, n_avg=n_avg)
+
+
+@settings(max_examples=50, deadline=None)
+@given(band=bands(), model=count_models())
+def test_no_change_pmf_properties(band, model):
+    lik = assert_matches_reference(band, model)
+    assert len(lik.pmf) <= 201
+    assert all(math.isfinite(p) and p >= 0.0 for p in lik.pmf)
+    assert abs(math.fsum(lik.pmf) - 1.0) <= 1e-12
+    mean = math.fsum(s * p for s, p in enumerate(lik.pmf))
+    assert abs(mean - model.n_avg * band.mean) <= 1e-12 * model.n_avg * band.mean
 
 
 class TestBoundedWork:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cyrisk.errors import DegenerateCurve, InputError
-from cyrisk.mixture import pert_rule
 from cyrisk.success import (
     LogisticParams,
     SuccessDistribution,
@@ -12,6 +11,7 @@ from cyrisk.success import (
     solve_asymptotes,
     success_probability,
 )
+from reference_data import GAUSS_JACOBI_NODES, gauss_jacobi_rule
 
 
 def oracle_solve(growth_rate, midpoint, upper, lower):
@@ -158,20 +158,21 @@ class TestPertFromMaturity:
 
 
 class TestPertPdf:
-    """The band's density, as carried by its Gauss-Jacobi rule."""
+    """The band's density, as carried by the Gauss-Jacobi rule of the tests' reference pmf."""
 
     def test_zero_outside_support(self):
         dist = SuccessDistribution.from_triple(0.28, 0.50, 0.72)
-        nodes, _ = pert_rule(dist, 64)
+        nodes, _ = gauss_jacobi_rule(dist)
         assert np.all((nodes > dist.p_m) & (nodes < dist.p_M))
 
     def test_symmetric_band_peaks_at_mode(self):
         dist = SuccessDistribution.from_triple(0.28, 0.50, 0.72)
-        nodes, weights = pert_rule(dist, 64)
+        nodes, weights = gauss_jacobi_rule(dist)
+        half = GAUSS_JACOBI_NODES // 2
         assert np.allclose(nodes - 0.50, 0.50 - nodes[::-1], atol=1e-14)
         assert np.allclose(weights, weights[::-1], atol=1e-14)
         # weights rise towards the mode and fall after it
-        assert np.all(np.diff(weights[:32]) > 0) and np.all(np.diff(weights[32:]) < 0)
+        assert np.all(np.diff(weights[:half]) > 0) and np.all(np.diff(weights[half:]) < 0)
 
     @pytest.mark.parametrize(
         "triple",
@@ -179,7 +180,7 @@ class TestPertPdf:
     )
     def test_normalizes_to_one(self, triple):
         dist = SuccessDistribution.from_triple(*triple)
-        _, weights = pert_rule(dist, 64)
+        _, weights = gauss_jacobi_rule(dist)
         assert np.all(weights > 0)
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -189,14 +190,14 @@ class TestPertPdf:
     )
     def test_quadrature_mean_matches_closed_form(self, triple):
         dist = SuccessDistribution.from_triple(*triple)
-        nodes, weights = pert_rule(dist, 64)
+        nodes, weights = gauss_jacobi_rule(dist)
         assert weights @ nodes == pytest.approx(dist.mean, abs=1e-12)
 
     @pytest.mark.parametrize("triple", [(0.28, 0.50, 0.72), (0.08, 0.17, 0.34), (0.10, 0.10, 0.90)])
     def test_exact_for_polynomials_below_degree_2m(self, triple):
         # Beta moments: E[Y^j] = prod_{r < j} (alpha + r) / (alpha + beta + r)
         dist = SuccessDistribution.from_triple(*triple)
-        nodes, weights = pert_rule(dist, 16)
+        nodes, weights = gauss_jacobi_rule(dist, 16)
         y = (nodes - dist.p_m) / (dist.p_M - dist.p_m)
         moment = 1.0
         for j in range(32):
@@ -205,7 +206,10 @@ class TestPertPdf:
 
     @pytest.mark.parametrize("m", [64, 128, 256, 1024])
     def test_matches_scipy_gauss_jacobi(self, m):
-        special = pytest.importorskip("scipy.special")
+        # the rule built on scipy's Gauss-Jacobi nodes against scipy's adaptive
+        # quadrature of the band's Beta density, which catches a swapped alpha/beta
+        integrate = pytest.importorskip("scipy.integrate")
+        stats = pytest.importorskip("scipy.stats")
         integrands = [
             lambda p: -np.expm1(-30.0 * p),
             lambda p: np.exp(-50.0 * (p - 0.4) ** 2),
@@ -216,13 +220,13 @@ class TestPertPdf:
         for i, mode in enumerate((0.0, 0.1, 0.5, 0.9, 1.0)):
             low, high = bands[i % len(bands)]
             dist = SuccessDistribution.from_triple(low, low + mode * (high - low), high)
-            nodes, weights = pert_rule(dist, m)
-            x, w = special.roots_jacobi(m, dist.beta - 1.0, dist.alpha - 1.0)
-            ref_nodes = low + (high - low) * (x + 1.0) / 2.0
+            nodes, weights = gauss_jacobi_rule(dist, m)
             for g in integrands:
-                assert weights @ g(nodes) == pytest.approx(
-                    (w / w.sum()) @ g(ref_nodes), abs=1e-12
-                ), mode
+                expected, _ = integrate.quad(
+                    lambda x: g(low + (high - low) * x) * stats.beta.pdf(x, dist.alpha, dist.beta),
+                    0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200,
+                )
+                assert weights @ g(nodes) == pytest.approx(expected, abs=1e-12), mode
 
     def test_near_degenerate_triple_collapses_to_point_mass(self):
         dist = SuccessDistribution.from_triple(0.5, 0.5, 0.5 + 1e-13)

@@ -90,19 +90,6 @@ def _count(flag: str, value: int | None, configured: int) -> int:
     return configured if value is None else require_int64(flag, value)
 
 
-def _load_config(args: argparse.Namespace) -> tuple[RunConfig, Path]:
-    path = Path(args.config)
-    return load_run_config(path), path
-
-
-def _required_input(config: RunConfig, name: str, path: Path) -> Path:
-    """The input ``name`` of the run configuration at ``path``."""
-    found = config.input_path(name, path.parent)
-    if found is None:
-        raise DocumentError(f"{path}: inputs.{name}: missing")
-    return found
-
-
 def _band(
     config: RunConfig, profile: PostureProfile, maturity: float, malicious: bool = True
 ) -> SuccessDistribution:
@@ -125,7 +112,6 @@ class Assessment(NamedTuple):
 
 def _assess_threats(
     config: RunConfig,
-    path: Path,
     profile: PostureProfile,
     threats: Iterable[tuple[int, Threat]],
     regime: Regime,
@@ -133,10 +119,10 @@ def _assess_threats(
     """Maturity, success band and incident likelihood of each ``(catalog index,
     threat)``; a threat without a maturity index takes it from the weight matrix."""
     matrix = controls = None
-    matrix_path = config.input_path("weight_matrix", path.parent)
+    matrix_path = config.inputs.get("weight_matrix")
     if matrix_path is not None:
         matrix = load_weight_matrix(matrix_path)
-        controls = load_questionnaire(_required_input(config, "controls", path))
+        controls = load_questionnaire(config.input("controls"))
         known = {r.control_id for r in controls.responses}
         unknown = [c for c in matrix.controls if c not in known]
         if unknown:
@@ -145,13 +131,12 @@ def _assess_threats(
                 f"control list: {', '.join(sorted(unknown))}"
             )
 
-    model = config.count_model()
     rows = []
     for index, threat in threats:
         maturity = threat.maturity_index
         if maturity is None:
             field = (
-                f"{_required_input(config, 'threats', path)}: threats[{index}]."
+                f"{config.input('threats')}: threats[{index}]."
                 "maturity_index: missing, and"
             )
             if matrix is None:
@@ -161,17 +146,17 @@ def _assess_threats(
             except InputError as exc:
                 raise DocumentError(f"{field} the weight matrix cannot derive it: {exc}") from None
         band = _band(config, profile, maturity, threat.malicious)
-        lik = incident_likelihood(band, model, regime)
+        lik = incident_likelihood(band, config.count, regime)
         probability = lik.value if lik.value is not None else 1.0 - lik.pmf[0]
         rows.append(Assessment(index, threat, maturity, band, lik, probability))
     return rows
 
 
-def _catalog_assessments(config: RunConfig, path: Path, regime: Regime) -> list[Assessment]:
+def _catalog_assessments(config: RunConfig, regime: Regime) -> list[Assessment]:
     """Every threat in the catalog, assessed against the profile."""
-    profile = load_profile(_required_input(config, "profile", path))
-    threats = load_threats(_required_input(config, "threats", path))
-    return _assess_threats(config, path, profile, enumerate(threats), regime)
+    profile = load_profile(config.input("profile"))
+    threats = load_threats(config.input("threats"))
+    return _assess_threats(config, profile, enumerate(threats), regime)
 
 
 # ---------------------------------------------------------------------------
@@ -201,17 +186,17 @@ def cmd_assess(args: argparse.Namespace) -> Output:
 
 
 def cmd_likelihood(args: argparse.Namespace) -> Output:
-    config, path = _load_config(args)
+    config = load_run_config(args.config)
     regime = config.regime if args.regime is None else Regime(args.regime.replace("-", "_"))
-    rows = _catalog_assessments(config, path, regime)
+    rows = _catalog_assessments(config, regime)
     print(f"assessed {len(rows)} threats ({regime.value})")
     report = {
         "regime": regime.value,
         "count": {
-            "t": config.t,
-            "delta_t": config.delta_t,
-            "n_avg": config.n_avg,
-            "kind": config.count_kind.value,
+            "t": config.count.t,
+            "delta_t": config.count.delta_t,
+            "n_avg": config.count.n_avg,
+            "kind": config.count.kind.value,
         },
         "threats": [
             {
@@ -249,14 +234,14 @@ def cmd_likelihood(args: argparse.Namespace) -> Output:
 def cmd_htma(args: argparse.Namespace) -> Output:
     from .htma import run_htma
 
-    config, path = _load_config(args)
+    config = load_run_config(args.config)
     trials = _count("--trials", args.trials, config.trials)
     seed = _resolve_seed(args.seed, config.seed)
-    threats = load_threats(_required_input(config, "threats", path))
+    threats = load_threats(config.input("threats"))
     missing = [(i, t) for i, t in enumerate(threats) if t.likelihood is None]
     if missing:  # threats without a given likelihood get the change-regime value
-        profile = load_profile(_required_input(config, "profile", path))
-        for row in _assess_threats(config, path, profile, missing, Regime.CHANGE):
+        profile = load_profile(config.input("profile"))
+        for row in _assess_threats(config, profile, missing, Regime.CHANGE):
             threats[row.index] = replace(row.threat, likelihood=row.probability)
 
     result = run_htma(threats, trials=trials, seed=seed)
@@ -286,18 +271,16 @@ def cmd_htma(args: argparse.Namespace) -> Output:
 
 
 def cmd_fair(args: argparse.Namespace) -> Output:
-    import numpy as np
-
     from .fair import run_fair
 
-    config, path = _load_config(args)
+    config = load_run_config(args.config)
     trials = _count("--trials", args.trials, config.trials)
     seed = _resolve_seed(args.seed, config.seed)
-    profile = load_profile(_required_input(config, "profile", path))
-    categories = load_loss_categories(_required_input(config, "loss_categories", path))
+    profile = load_profile(config.input("profile"))
+    categories = load_loss_categories(config.input("loss_categories"))
 
     dist = _band(config, profile, profile.maturity_index)
-    lik = incident_likelihood(dist, config.count_model(), Regime.NO_CHANGE)
+    lik = incident_likelihood(dist, config.count, Regime.NO_CHANGE)
     result = run_fair(lik, categories, trials=trials, seed=seed)
     print(
         f"simulated {result.trials} trials; mean total loss "
@@ -306,7 +289,7 @@ def cmd_fair(args: argparse.Namespace) -> Output:
     report = {
         "seed": seed,
         "trials": result.trials,
-        "slots_per_period": config.t,
+        "slots_per_period": config.count.t,
         "success_band": {"p_m": dist.p_m, "p_star": dist.p_star, "p_M": dist.p_M},
         "analytic_mean_events": lik.mean_events,
         "quadrature_error": lik.quadrature_error,
@@ -317,8 +300,8 @@ def cmd_fair(args: argparse.Namespace) -> Output:
         },
     }
     # "events,lef" formatted once per count; lef is the per-slot event rate s/t
-    counts = np.arange(int(result.events.max()) + 1)
-    pair = [f"{s},{r!r}" for s, r in zip(counts.tolist(), (counts / config.t).tolist())]
+    t = float(config.count.t)
+    pair = [f"{s},{s / t!r}" for s in range(int(result.events.max()) + 1)]
     columns = [(pair.__getitem__, result.events), (repr, result.per_event_loss),
                (repr, result.total_loss)]
     return Output(
@@ -334,7 +317,7 @@ def cmd_fair(args: argparse.Namespace) -> Output:
 
 
 def cmd_compare(args: argparse.Namespace) -> Output:
-    config, path = _load_config(args)
+    config = load_run_config(args.config)
     table = [
         {
             "id": row.threat.id,
@@ -343,7 +326,7 @@ def cmd_compare(args: argparse.Namespace) -> Output:
             "likelihood_cvss": None if row.threat.cvss is None else cvss_likelihood(row.threat.cvss),
             "likelihood_expert": row.threat.expert_likelihood,
         }
-        for row in _catalog_assessments(config, path, Regime.CHANGE)
+        for row in _catalog_assessments(config, Regime.CHANGE)
     ]
     print(f"compared {len(table)} threats")
     return Output(
@@ -359,12 +342,14 @@ def cmd_compare(args: argparse.Namespace) -> Output:
     )
 
 
-def _success_band(config: RunConfig, path: Path) -> SuccessDistribution:
+def _success_band(config: RunConfig) -> SuccessDistribution:
     block = config.success or {}
     triple = {"p_m", "p_star", "p_M"} <= set(block)
     if not triple and "maturity_index" not in block:
-        raise DocumentError(f"{path}: success: needs either p_m/p_star/p_M or maturity_index")
-    profile = None if triple else load_profile(_required_input(config, "profile", path))
+        raise DocumentError(
+            f"{config.path}: success: needs either p_m/p_star/p_M or maturity_index"
+        )
+    profile = None if triple else load_profile(config.input("profile"))
     try:
         if triple:
             return SuccessDistribution.from_triple(
@@ -372,20 +357,18 @@ def _success_band(config: RunConfig, path: Path) -> SuccessDistribution:
             )
         return _band(config, profile, block["maturity_index"])
     except InputError as exc:
-        raise DocumentError(f"{path}: success: {exc}") from None
+        raise DocumentError(f"{config.path}: success: {exc}") from None
 
 
 def cmd_simulate(args: argparse.Namespace) -> Output:
     from .oracle import compare_to_analytic, simulate
 
-    config, path = _load_config(args)
+    config = load_run_config(args.config)
     replications = _count("--replications", args.replications, config.replications)
     seed = _resolve_seed(args.seed, config.seed)
-    dist = _success_band(config, path)
-    model = config.count_model()
-
-    analytic = incident_likelihood(dist, model, Regime.NO_CHANGE)
-    report = compare_to_analytic(simulate(dist, model, replications, seed), analytic)
+    dist = _success_band(config)
+    analytic = incident_likelihood(dist, config.count, Regime.NO_CHANGE)
+    report = compare_to_analytic(simulate(dist, config.count, replications, seed), analytic)
     status = "pass" if report.passed else "FAIL"
     print(
         f"oracle {status}: chi-square {report.chi_square:.2f} on "

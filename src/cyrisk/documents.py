@@ -45,7 +45,7 @@ from .posture import (
     Questionnaire,
     QuestionnaireKind,
 )
-from .success import DEFAULT_GROWTH_RATE, DEFAULT_LOWER, DEFAULT_SPREAD, DEFAULT_UPPER
+from .success import DEFAULT_GROWTH_RATE, DEFAULT_LOWER, DEFAULT_SPREAD, DEFAULT_UPPER, check_curve
 
 SCHEMA_VERSION = "1"
 
@@ -341,46 +341,49 @@ def load_loss_categories(path: str | Path) -> list[LossCategory]:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a pipeline run needs: model parameters, paths, trial counts."""
+    """Everything a pipeline run needs, checked whole when read: model
+    parameters, trial counts, and input paths resolved against ``path``'s
+    directory."""
 
+    path: Path
+    count: AttackCountModel
     growth_rate: float = DEFAULT_GROWTH_RATE
     upper: float = DEFAULT_UPPER
     lower: float = DEFAULT_LOWER
     spread: float = DEFAULT_SPREAD
-    t: int = 365
-    delta_t: float = 1.0
-    n_avg: float = 0.0
-    count_kind: CountKind = CountKind.BINOMIAL
     trials: int = 10_000
     replications: int = 100_000
     seed: int | None = None
     regime: Regime = Regime.CHANGE
-    inputs: Mapping[str, str] = field(default_factory=dict)
+    inputs: Mapping[str, Path] = field(default_factory=dict)
     output_dir: str | None = None
     #: Optional explicit success band for ``simulate``: {"p_m", "p_star", "p_M"}
     #: or {"maturity_index"} to derive the band from the profile and curve.
     success: Mapping[str, float] | None = None
 
-    def count_model(self) -> AttackCountModel:
-        return AttackCountModel(
-            t=self.t, n_avg=self.n_avg, kind=self.count_kind, delta_t=self.delta_t
-        )
+    def __post_init__(self) -> None:
+        check_curve(self.growth_rate, self.upper, self.lower, self.spread)
+        for name, value in (("trials", self.trials), ("replications", self.replications)):
+            if value < 1:
+                raise InputError(f"{name} must be >= 1, got {value}")
 
-    def input_path(self, name: str, base: Path) -> Path | None:
-        value = self.inputs.get(name)
-        if value is None:
-            return None
-        candidate = Path(value)
-        return candidate if candidate.is_absolute() else base / candidate
+    def input(self, name: str) -> Path:
+        """The path of input ``name``, which the run cannot do without."""
+        if name not in self.inputs:
+            raise DocumentError(f"{self.path}: inputs.{name}: missing")
+        return self.inputs[name]
 
 
 def load_run_config(path: str | Path) -> RunConfig:
     doc = _document(path)
+    path = Path(path)
     logistic = _object(doc.data.get("logistic", {}), doc.prefix + "logistic")
     count = _object(doc.data.get("count", {}), doc.prefix + "count")
+    inputs = _map_of(_str)(doc.data.get("inputs", {}), doc.prefix + "inputs")
     return doc.build(
         RunConfig,
-        inputs=doc.get("inputs", _map_of(_str)),
+        path=path,
+        inputs={name: path.parent / value for name, value in inputs.items()},
         seed=doc.get("seed", _optional(_seed)),
         output_dir=doc.get("output_dir", _optional(_str)),
         success=doc.get("success", _optional(_map_of(_number))),
@@ -388,10 +391,13 @@ def load_run_config(path: str | Path) -> RunConfig:
         upper=logistic.get("U", _number),
         lower=logistic.get("L", _number),
         spread=logistic.get("q", _number),
-        t=count.get("t", _int),
-        delta_t=count.get("delta_t", _number),
-        n_avg=count.get("n_avg", _number),
-        count_kind=count.get("kind", _enum(CountKind)),
+        count=count.build(
+            AttackCountModel,
+            t=count.get("t", _int),
+            delta_t=count.get("delta_t", _number),
+            n_avg=count.get("n_avg", _number),
+            kind=count.get("kind", _enum(CountKind)),
+        ),
         trials=doc.get("trials", _int),
         replications=doc.get("replications", _int),
         regime=doc.get("regime", _enum(Regime)),

@@ -36,8 +36,8 @@ class AttackCountModel:
     same length. delta_t records the slot length and is informational only.
     """
 
-    t: int
-    n_avg: float
+    t: int = 365
+    n_avg: float = 0.0
     kind: CountKind = CountKind.BINOMIAL
     delta_t: float = 1.0
 
@@ -129,10 +129,8 @@ class Threat:
             impact_high=self.impact_high,
             expert_likelihood=self.expert_likelihood,
         )
-        if self.impact_low < 0:
-            raise InvalidRange(
-                f"threat {self.id}: impact_low must be >= 0, got {self.impact_low}"
-            )
+        if not self.impact_low > 0:
+            raise InvalidRange(f"threat {self.id}: impact_low must be > 0, got {self.impact_low}")
         if not self.impact_high > self.impact_low:
             raise InvalidRange(
                 f"threat {self.id}: impact_high must exceed impact_low, got "

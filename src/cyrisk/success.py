@@ -33,12 +33,16 @@ def _sigmoid(z: float) -> float:
     return e / (1.0 + e)
 
 
-def _check_curve_inputs(growth_rate: float, midpoint: float, upper: float, lower: float) -> None:
-    require_finite("logistic curve", B=growth_rate, x0=midpoint, U=upper, L=lower)
-    if not growth_rate < 0:
-        raise InputError(f"growth rate B must be negative, got {growth_rate}")
-    if not (0.0 < lower < upper < 1.0):
-        raise InputError(f"need 0 < L < U < 1, got L={lower}, U={upper}")
+def check_curve(B: float, U: float, L: float, q: float = DEFAULT_SPREAD, x0: float = 0.0) -> None:
+    """Raise InputError naming the first curve value out of range: a finite
+    growth rate B < 0, levels 0 < L < U < 1, spread q > 0 and midpoint x0."""
+    require_finite("logistic curve", B=B, x0=x0, U=U, L=L, q=q)
+    if not B < 0:
+        raise InputError(f"growth rate B must be negative, got {B}")
+    if not (0.0 < L < U < 1.0):
+        raise InputError(f"need 0 < L < U < 1, got L={L}, U={U}")
+    if not q > 0:
+        raise InputError(f"spread q must be positive, got {q}")
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,7 @@ class LogisticParams:
     K: float
 
     def __post_init__(self) -> None:
-        _check_curve_inputs(self.B, self.x0, self.U, self.L)
+        check_curve(self.B, self.U, self.L, x0=self.x0)
         if abs(self.curve(0.0) - self.U) > 1e-12 or abs(self.curve(10.0) - self.L) > 1e-12:
             raise InputError("A and K do not satisfy the endpoint conditions f(0)=U, f(10)=L")
 
@@ -81,19 +85,21 @@ def solve_asymptotes(
 
     Raises:
         DegenerateCurve: the curve is numerically flat between x=0 and x=10,
-            which makes the system singular.
+            which makes the system singular, or so nearly flat that the
+            solved curve misses an endpoint by more than 1e-12.
     """
-    _check_curve_inputs(growth_rate, midpoint, upper, lower)
+    check_curve(growth_rate, upper, lower, x0=midpoint)
     g0 = _sigmoid(growth_rate * (0.0 - midpoint))
     g10 = _sigmoid(growth_rate * (10.0 - midpoint))
     denom = g0 - g10
-    if abs(denom) < 1e-15:
-        raise DegenerateCurve(
-            f"curve is flat between x=0 and x=10 for B={growth_rate}, x0={midpoint}"
-        )
-    span = (upper - lower) / denom
-    a = upper - span * g0
-    return LogisticParams(B=growth_rate, x0=midpoint, U=upper, L=lower, A=a, K=a + span)
+    if abs(denom) >= 1e-15:
+        span = (upper - lower) / denom
+        a = upper - span * g0
+        try:  # every check but the endpoint conditions has passed above
+            return LogisticParams(B=growth_rate, x0=midpoint, U=upper, L=lower, A=a, K=a + span)
+        except InputError:
+            pass
+    raise DegenerateCurve(f"curve is flat between x=0 and x=10 for B={growth_rate}, x0={midpoint}")
 
 
 def success_probability(params: LogisticParams, x: float, w: float = 1.0) -> float:
@@ -182,9 +188,7 @@ def pert_from_maturity(
     0..10 scale; the curve is decreasing, so x+q yields the band minimum and
     x-q the maximum.
     """
-    require_finite("PERT band", q=q)
-    if not q > 0:
-        raise InputError(f"spread q must be positive, got {q}")
+    check_curve(params.B, params.U, params.L, q)
     p_star = success_probability(params, x, w)  # checks x and w before the shifts
     p_m = success_probability(params, min(x + q, 10.0), w)
     p_M = success_probability(params, max(x - q, 0.0), w)

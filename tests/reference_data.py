@@ -116,11 +116,17 @@ def write_loss_categories(path):
 
 def write_run_config(path, inputs, seed=20240, n_avg=MEAN_ATTEMPTS, t=SLOTS_PER_YEAR,
                      growth_rate=DERIVED_GROWTH_RATE, trials=2_000, regime="change",
-                     replications=200_000, extra=None):
+                     replications=200_000, count=None, logistic=None, extra=None):
+    """A run configuration; ``count`` and ``logistic`` replace the whole block
+    that ``t``, ``n_avg`` and ``growth_rate`` otherwise fill."""
+    if logistic is None:
+        logistic = {"B": growth_rate, "U": CURVE_UPPER, "L": CURVE_LOWER, "q": SPREAD}
+    if count is None:
+        count = {"t": t, "delta_t": 1.0, "n_avg": n_avg, "kind": "binomial"}
     payload = {
         "schema_version": "1",
-        "logistic": {"B": growth_rate, "U": CURVE_UPPER, "L": CURVE_LOWER, "q": SPREAD},
-        "count": {"t": t, "delta_t": 1.0, "n_avg": n_avg, "kind": "binomial"},
+        "logistic": logistic,
+        "count": count,
         "trials": trials,
         "replications": replications,
         "seed": seed,

@@ -5,11 +5,12 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from cyrisk.cli import _band, main
+from cyrisk.cli import RUN_COMMANDS, _band, main
 from cyrisk.documents import (
     load_loss_categories,
     load_profile,
@@ -293,7 +294,7 @@ class TestLikelihood:
             tmp_path / "run.json",
             {"profile": "profile.json", "threats": "threats.json"},
             regime="no_change",
-            extra={"count": {"t": 365, "n_avg": 1e6, "kind": "poisson"}},
+            count={"t": 365, "n_avg": 1e6, "kind": "poisson"},
         )
         with ref.deadline(15):
             assert run(["likelihood", "--config", config, "--out", tmp_path / "out"]) == 1
@@ -446,10 +447,10 @@ class TestFair:
         config = load_run_config(fair_config)
         profile = load_profile(tmp_path / "profile.json")
         band = _band(config, profile, profile.maturity_index)
-        lik = incident_likelihood(band, config.count_model(), Regime.NO_CHANGE)
+        lik = incident_likelihood(band, config.count, Regime.NO_CHANGE)
         result = run_fair(lik, categories, trials=BLOCKS_TRIALS, seed=seed)
         assert result.events.max() > 1  # more than one events,lef pair
-        lef = result.events / config.t
+        lef = result.events / config.count.t
         columns = (result.events, lef, result.per_event_loss, result.total_loss)
         expected = csv_bytes(
             ["trial", "events", "lef", "per_event_loss", "total_loss"],
@@ -560,13 +561,14 @@ def test_count_past_int64_exits_2(tmp_path, capsys, command, field):
     ref.write_profile(tmp_path / "profile.json")
     ref.write_threat_catalog(tmp_path / "threats.json", with_likelihood=True)
     extra = {"success": {"p_m": 0.28, "p_star": 0.50, "p_M": 0.72}}
+    count = None
     if field == "count.t":
-        extra["count"] = {"t": 2**63, "n_avg": 1.0}
+        count = {"t": 2**63, "n_avg": 1.0}
     else:
         extra[field] = 2**63
     config = ref.write_run_config(
         tmp_path / "run.json", {"profile": "profile.json", "threats": "threats.json"},
-        extra=extra,
+        count=count, extra=extra,
     )
     assert run([command, "--config", config, "--out", tmp_path / "out"]) == 2
     assert f"{field}: a 64-bit integer is outside the signed 64-bit range" in (
@@ -622,10 +624,8 @@ def test_change_series_term_cap_exits_1(tmp_path, capsys):
     )
     config = ref.write_run_config(
         tmp_path / "run.json", {"profile": "profile.json", "threats": "threats.json"},
-        extra={
-            "logistic": {"B": -1.0, "U": 0.97, "L": 1e-9, "q": 1.0},
-            "count": {"t": 1, "n_avg": 1e9, "kind": "poisson"},
-        },
+        logistic={"B": -1.0, "U": 0.97, "L": 1e-9, "q": 1.0},
+        count={"t": 1, "n_avg": 1e9, "kind": "poisson"},
     )
     with ref.deadline(10):
         assert run(["likelihood", "--config", config, "--out", tmp_path / "out"]) == 1
@@ -667,6 +667,56 @@ def test_document_errors_name_their_file(tmp_path, capsys, case):
     }[case]
     assert run([command, "--config", config, "--out", tmp_path / "out"]) == 2
     assert message in capsys.readouterr().err
+
+
+#: One bad value in a run configuration, as ``write_run_config`` overrides,
+#: and the key its error names.
+BAD_RUN_VALUES = {
+    "n_avg_above_t": ({"count": {"t": 365, "n_avg": 500.0}}, "count: "),
+    "zero_slots": ({"count": {"t": 0}}, "count: "),
+    "zero_slot_length": ({"count": {"t": 365, "delta_t": 0.0, "n_avg": 4.0}}, "count: "),
+    "rising_curve": ({"logistic": {"B": 0.5}}, "B"),
+    "zero_spread": ({"logistic": {"B": -1.0, "q": 0.0}}, "q"),
+    "upper_below_lower": ({"logistic": {"B": -1.0, "U": 0.03, "L": 0.97}}, "L"),
+    "zero_trials": ({"trials": 0}, "trials"),
+    "zero_replications": ({"replications": 0}, "replications"),
+}
+
+
+@pytest.mark.parametrize("command", [name for name, *_ in RUN_COMMANDS])
+@pytest.mark.parametrize("case", list(BAD_RUN_VALUES))
+def test_bad_run_value_exits_2_naming_the_config(tmp_path, capsys, command, case):
+    # every run command checks the whole configuration, whether it reads the value or not
+    overrides, key = BAD_RUN_VALUES[case]
+    ref.write_profile(tmp_path / "profile.json")
+    ref.write_threat_catalog(tmp_path / "threats.json", with_likelihood=True)
+    ref.write_loss_categories(tmp_path / "categories.json")
+    config = ref.write_run_config(
+        tmp_path / "run.json",
+        {"profile": "profile.json", "threats": "threats.json",
+         "loss_categories": "categories.json"},
+        **{"trials": 200, "replications": 2_000, **overrides},
+        extra={"success": {"p_m": 0.28, "p_star": 0.50, "p_M": 0.72}},
+    )
+    with ref.deadline(15), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the loss band is out of order on purpose
+        assert run([command, "--config", config, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    prefix = f"validation error [DocumentError]: {config}: "
+    assert err.startswith(prefix)
+    assert key in err[len(prefix):]
+
+
+def test_zero_impact_bound_names_the_catalog(tmp_path, capsys):
+    catalog = ref.write_json(
+        tmp_path / "threats.json",
+        [{"id": 7, "name": "a", "impact_low": 0.0, "impact_high": 2.0, "likelihood": 0.5}],
+    )
+    config = ref.write_run_config(tmp_path / "run.json", {"threats": "threats.json"})
+    assert run(["htma", "--config", config, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"validation error [DocumentError]: {catalog}: threats[0]: threat 7: impact_low must be > 0"
+    )
 
 
 def test_output_contract(tmp_path, questionnaires, capsys):

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import warnings
 
 import numpy as np
@@ -29,8 +30,9 @@ from cyrisk.documents import (
     write_csv,
     write_json,
 )
-from cyrisk.errors import DocumentError
-from cyrisk.model import CountKind, IncidentLikelihood, Regime
+from cyrisk.cli import _band
+from cyrisk.errors import DegenerateCurve, DocumentError
+from cyrisk.model import AttackCountModel, CountKind, IncidentLikelihood, Regime
 from cyrisk.posture import Attractiveness, PostureProfile, QuestionnaireKind
 
 
@@ -328,21 +330,52 @@ class TestRunConfigDocument:
         assert config.growth_rate == -1.0
         assert config.upper == 0.97  # default
         assert config.spread == 1.0  # default
-        assert config.count_kind is CountKind.BINOMIAL
+        assert config.count == AttackCountModel(t=365, n_avg=4.0)
+        assert config.count.kind is CountKind.BINOMIAL
         assert config.regime is Regime.NO_CHANGE
         assert config.seed == 7
-        assert config.input_path("profile", tmp_path) == tmp_path / "profile.json"
-        assert config.input_path("threats", tmp_path) is None
+        assert config.path == path
+        assert config.input("profile") == tmp_path / "profile.json"
+        assert config.inputs == {"profile": tmp_path / "profile.json"}
+        missing = re.escape(f"{path}: inputs.threats: missing")
+        with pytest.raises(DocumentError, match=f"^{missing}"):
+            config.input("threats")
 
     def test_count_model_built_from_config(self, tmp_path):
         path = dump(
             tmp_path / "run.json",
             {"count": {"t": 100, "n_avg": 2.5, "kind": "poisson", "delta_t": 0.5}},
         )
-        model = load_run_config(path).count_model()
+        model = load_run_config(path).count
         assert model.t == 100
         assert model.kind is CountKind.POISSON
         assert model.delta_t == 0.5
+
+    def test_defaults_fill_an_empty_document(self, tmp_path):
+        config = load_run_config(dump(tmp_path / "run.json", {}))
+        assert config.count == AttackCountModel(t=365, n_avg=0.0)
+        assert (config.trials, config.replications, config.inputs) == (10_000, 100_000, {})
+
+    def test_absolute_input_kept(self, tmp_path):
+        (tmp_path / "sub").mkdir()
+        target = tmp_path / "elsewhere" / "profile.json"
+        path = dump(tmp_path / "sub" / "run.json", {"inputs": {"profile": str(target)}})
+        assert load_run_config(path).input("profile") == target
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"count": {"t": 365, "n_avg": 500.0}}, "count: binomial model needs n_avg <= t"),
+            ({"count": {"t": 0}}, "count: slot count t must be >= 1"),
+            ({"logistic": {"B": 0.5}}, "growth rate B must be negative"),
+            ({"logistic": {"q": 0.0}}, "spread q must be positive"),
+            ({"trials": 0}, "trials must be >= 1, got 0"),
+        ],
+    )
+    def test_checked_when_read(self, tmp_path, payload, message):
+        path = dump(tmp_path / "run.json", payload)
+        with pytest.raises(DocumentError, match=rf"^{re.escape(f'{path}: {message}')}"):
+            load_run_config(path)
 
     def test_bad_field_named(self, tmp_path):
         path = dump(tmp_path / "run.json", {"count": {"t": "a year"}})
@@ -484,6 +517,12 @@ VALID_DOCUMENTS = {
     },
 }
 
+#: A profile whose complexity index puts the curve's midpoint mid-scale.
+COMPLEXITY_5 = PostureProfile(
+    awareness_index=5.0, maturity_index=5.0, complexity_index=5.0,
+    attractiveness=Attractiveness.VERY_LOW,
+)
+
 DELETE = object()
 HUGE_LITERAL = "__1e400__"  # written out as the bare literal 1e400, which json reads as inf
 
@@ -545,6 +584,9 @@ _cases = st.sampled_from(list(VALID_DOCUMENTS)).flatmap(
 @example(case=(load_profile, ("categories",), 5))
 @example(case=(load_questionnaire, ("responses", 0, "score"), -1))
 @example(case=(load_threats, ("threats", 0, "cvss", "av"), DELETE))
+@example(case=(load_threats, ("threats", 0, "impact_low"), 0))
+@example(case=(load_run_config, ("logistic", "B"), -1e-6))
+@example(case=(load_run_config, ("logistic", "L"), 5e-324))
 def test_one_bad_field_ends_in_a_value_or_a_named_document_error(tmp_path, case):
     loader, path, value = case
     text = json.dumps(_mutated(VALID_DOCUMENTS[loader], path, value))
@@ -553,6 +595,14 @@ def test_one_bad_field_ends_in_a_value_or_a_named_document_error(tmp_path, case)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a loss band out of order is reordered loudly
         try:
-            loader(document)
+            loaded = loader(document)
         except DocumentError as exc:
             assert str(exc).startswith(f"{document}: ")
+            return
+    if loader is load_run_config:
+        # a run configuration that loads gives a band; only the profile's
+        # complexity index can still make the curve degenerate
+        try:
+            _band(loaded, COMPLEXITY_5, 5.0)
+        except DegenerateCurve:
+            pass

@@ -7,6 +7,7 @@ from cyrisk.errors import DegenerateCurve, InputError
 from cyrisk.success import (
     LogisticParams,
     SuccessDistribution,
+    check_curve,
     pert_from_maturity,
     solve_asymptotes,
     success_probability,
@@ -56,6 +57,19 @@ class TestSolveAsymptotes:
     def test_flat_curve_rejected(self):
         with pytest.raises(DegenerateCurve):
             solve_asymptotes(-1e-16, 5.0, 0.97, 0.03)
+
+    @pytest.mark.parametrize("growth_rate", [-1e-15, -1e-10, -1e-6])
+    def test_nearly_flat_curve_rejected(self, growth_rate):
+        # solvable in exact arithmetic, but rounding moves the endpoints past 1e-12
+        with pytest.raises(DegenerateCurve):
+            solve_asymptotes(growth_rate, 5.0, 0.97, 0.03)
+
+    def test_one_check_for_the_curve_values(self):
+        for bad in ({"B": 0.5}, {"U": 0.01}, {"L": 0.0}, {"q": 0.0}, {"x0": math.nan}):
+            values = {"B": -1.0, "U": 0.97, "L": 0.03, "q": 1.0, **bad}
+            with pytest.raises(InputError, match=next(iter(bad))):
+                check_curve(**values)
+        check_curve(-1.0, 0.97, 0.03, 1.0)
 
     def test_positive_growth_rejected(self):
         with pytest.raises(InputError):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
@@ -38,7 +37,7 @@ from .documents import (
     write_csv,
     write_json,
 )
-from .errors import DocumentError, InputError, RiskModelError, parse_enum, require_int64
+from .errors import DocumentError, InputError, InvalidRange, RiskModelError, parse_enum, require_int64
 from .incidence import incident_likelihood
 from .model import IncidentLikelihood, Regime, Threat
 from .posture import (
@@ -87,6 +86,8 @@ def _resolve_seed(flag_seed: int | None, config_seed: int | None) -> int:
 
 
 def _count(flag: str, value: int | None, configured: int) -> int:
+    if value is not None and value < 1:
+        raise DocumentError(f"{flag}: must be >= 1, got {value}")
     return configured if value is None else require_int64(flag, value)
 
 
@@ -98,7 +99,10 @@ def _band(
         config.growth_rate, profile.complexity_index, config.upper, config.lower
     )
     weight = attacker_weight(profile.attractiveness, malicious)
-    return pert_from_maturity(params, maturity, weight, config.spread)
+    try:
+        return pert_from_maturity(params, maturity, weight, config.spread)
+    except InvalidRange as exc:  # a tiny L can round the band's floor to 0 or below
+        raise DocumentError(f"{config.path}: logistic: {exc}") from None
 
 
 class Assessment(NamedTuple):
@@ -192,12 +196,7 @@ def cmd_likelihood(args: argparse.Namespace) -> Output:
     print(f"assessed {len(rows)} threats ({regime.value})")
     report = {
         "regime": regime.value,
-        "count": {
-            "t": config.count.t,
-            "delta_t": config.count.delta_t,
-            "n_avg": config.count.n_avg,
-            "kind": config.count.kind.value,
-        },
+        "count": {**config.count._asdict(), "kind": config.count.kind.value},
         "threats": [
             {
                 "id": row.threat.id,
@@ -242,7 +241,7 @@ def cmd_htma(args: argparse.Namespace) -> Output:
     if missing:  # threats without a given likelihood get the change-regime value
         profile = load_profile(config.input("profile"))
         for row in _assess_threats(config, profile, missing, Regime.CHANGE):
-            threats[row.index] = replace(row.threat, likelihood=row.probability)
+            threats[row.index] = row.threat._replace(likelihood=row.probability)
 
     result = run_htma(threats, trials=trials, seed=seed)
     losses = result.losses
@@ -293,7 +292,7 @@ def cmd_fair(args: argparse.Namespace) -> Output:
         "success_band": {"p_m": dist.p_m, "p_star": dist.p_star, "p_M": dist.p_M},
         "analytic_mean_events": lik.mean_events,
         "quadrature_error": lik.quadrature_error,
-        "summary": {name: asdict(row) for name, row in result.summary.items()},
+        "summary": {name: row._asdict() for name, row in result.summary.items()},
         "percentiles": {
             name: {str(p): v for p, v in values.items()}
             for name, values in result.percentiles.items()
@@ -349,13 +348,14 @@ def _success_band(config: RunConfig) -> SuccessDistribution:
         raise DocumentError(
             f"{config.path}: success: needs either p_m/p_star/p_M or maturity_index"
         )
-    profile = None if triple else load_profile(config.input("profile"))
     try:
         if triple:
             return SuccessDistribution.from_triple(
                 **{k: v for k, v in block.items() if k in ("p_m", "p_star", "p_M", "w")}
             )
-        return _band(config, profile, block["maturity_index"])
+        return _band(config, load_profile(config.input("profile")), block["maturity_index"])
+    except DocumentError:  # it names its own file and field
+        raise
     except InputError as exc:
         raise DocumentError(f"{config.path}: success: {exc}") from None
 
@@ -376,7 +376,7 @@ def cmd_simulate(args: argparse.Namespace) -> Output:
         f"(level {report.level:g}) over {replications} replications (seed {seed})"
     )
     payload = {
-        **asdict(report),
+        **report._asdict(),
         "seed": seed,
         "replications": replications,
         "success_band": {"p_m": dist.p_m, "p_star": dist.p_star, "p_M": dist.p_M},

@@ -6,8 +6,9 @@ of the five factors, so it always lands in (0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from enum import Enum
+from typing import NamedTuple
 
 
 class _Metric(Enum):
@@ -71,8 +72,7 @@ _FACTORS: dict[Enum, float] = {
 }
 
 
-@dataclass(frozen=True)
-class CvssVector:
+class CvssVector(NamedTuple):
     """The five metric levels scoring one threat."""
 
     access_vector: AccessVector
@@ -83,11 +83,5 @@ class CvssVector:
 
 
 def cvss_likelihood(vector: CvssVector) -> float:
-    """Likelihood baseline: the product of the five metric factors."""
-    return (
-        vector.access_vector.factor
-        * vector.access_complexity.factor
-        * vector.authentication.factor
-        * vector.exploitability.factor
-        * vector.report_confidence.factor
-    )
+    """Likelihood baseline: the product of the five metric factors, in field order."""
+    return math.prod(metric.factor for metric in vector)

@@ -13,11 +13,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 from .cvss import (
     AccessComplexity,
@@ -27,7 +27,7 @@ from .cvss import (
     Exploitability,
     ReportConfidence,
 )
-from .errors import DocumentError, InputError, parse_enum, require_int64
+from .errors import DocumentError, InputError, checked, parse_enum, require_int64
 from .model import (
     AttackCountModel,
     ControlWeightMatrix,
@@ -228,16 +228,9 @@ def load_questionnaire(path: str | Path) -> Questionnaire:
 
 def profile_to_dict(profile: PostureProfile) -> dict[str, Any]:
     return {
-        "awareness_index": profile.awareness_index,
-        "maturity_index": profile.maturity_index,
-        "complexity_index": profile.complexity_index,
+        **profile._asdict(),
         "attractiveness": profile.attractiveness.value,
-        "awareness_control_count": profile.awareness_control_count,
-        "core_control_count": profile.core_control_count,
-        "categories": [
-            {"label": c.label, "index": c.index, "control_count": c.control_count}
-            for c in profile.categories
-        ],
+        "categories": [c._asdict() for c in profile.categories],
     }
 
 
@@ -339,8 +332,8 @@ def load_loss_categories(path: str | Path) -> list[LossCategory]:
 # run configuration
 
 
-@dataclass(frozen=True)
-class RunConfig:
+@checked
+class RunConfig(NamedTuple):
     """Everything a pipeline run needs, checked whole when read: model
     parameters, trial counts, and input paths resolved against ``path``'s
     directory."""
@@ -355,17 +348,18 @@ class RunConfig:
     replications: int = 100_000
     seed: int | None = None
     regime: Regime = Regime.CHANGE
-    inputs: Mapping[str, Path] = field(default_factory=dict)
+    inputs: Mapping[str, Path] = MappingProxyType({})  # read-only, so safe to share
     output_dir: str | None = None
     #: Optional explicit success band for ``simulate``: {"p_m", "p_star", "p_M"}
     #: or {"maturity_index"} to derive the band from the profile and curve.
     success: Mapping[str, float] | None = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> RunConfig:
         check_curve(self.growth_rate, self.upper, self.lower, self.spread)
         for name, value in (("trials", self.trials), ("replications", self.replications)):
             if value < 1:
                 raise InputError(f"{name} must be >= 1, got {value}")
+        return self
 
     def input(self, name: str) -> Path:
         """The path of input ``name``, which the run cannot do without."""

@@ -13,6 +13,7 @@ from enum import Enum
 from typing import Any, TypeVar
 
 _E = TypeVar("_E", bound=Enum)
+_C = TypeVar("_C", bound=type)
 
 
 class RiskModelError(Exception):
@@ -82,3 +83,12 @@ def parse_enum(enum_type: type[_E], value: Any, context: str) -> _E:
         raise DocumentError(
             f"{context}: unknown value {value!r} (expected one of: {allowed})"
         ) from None
+
+
+def checked(cls: _C) -> _C:
+    """Make every construction of the ``NamedTuple`` ``cls`` return ``self._check()``,
+    the instance to keep: ``_make`` and ``_replace`` too, which skip ``__new__``."""
+    new = cls.__new__
+    cls.__new__ = staticmethod(lambda klass, *args, **kwargs: new(klass, *args, **kwargs)._check())
+    cls._make = classmethod(lambda klass, values: klass(*values))
+    return cls

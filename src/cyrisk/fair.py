@@ -8,8 +8,7 @@ contribute zero when none are supplied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,16 +64,14 @@ def sample_loss_magnitude(
     return total
 
 
-@dataclass(frozen=True)
-class SummaryRow:
+class SummaryRow(NamedTuple):
     minimum: float
     mean: float
     mode: float
     maximum: float
 
 
-@dataclass(frozen=True)
-class FairResult:
+class FairResult(NamedTuple):
     """Per-trial event counts and losses plus their summaries.
 
     per_event_loss holds each trial's mean loss per event (zero for trials

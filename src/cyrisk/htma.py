@@ -9,8 +9,7 @@ empirical complementary CDF of those losses on an even grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,8 +40,7 @@ def sample_impact(threat: Threat, rng: np.random.Generator, size: int) -> np.nda
     return rng.lognormal(mean=mu, sigma=sigma, size=size)
 
 
-@dataclass(frozen=True)
-class HtmaResult:
+class HtmaResult(NamedTuple):
     """Per-trial annual losses plus the loss exceedance curve built from them.
 
     lec is a pair of columns: the loss grid x and P(loss > x) at each point.

@@ -1,16 +1,20 @@
 """Value types the documents describe, free of numpy: the analytic layer and the
 engines (``incidence``, ``mixture``, ``htma``, ``fair``, ``oracle``) compute with
 them, and ``documents`` and ``cli`` read and write them without loading numpy.
+
+Every value type of the package is an immutable ``typing.NamedTuple``: use
+``_replace`` and ``_asdict()`` on it. A type that validates its fields does so
+in ``_check``, which ``errors.checked`` runs on every construction path.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .cvss import CvssVector
-from .errors import InputError, InvalidRange, require_finite
+from .errors import InputError, InvalidRange, checked, require_finite
 
 #: Stated estimate confidence maps to the PERT shape as gamma = confidence / 5,
 #: so the conventional confidence of 20 recovers the canonical shape 4.
@@ -28,8 +32,8 @@ class Regime(Enum):
     CHANGE = "change"
 
 
-@dataclass(frozen=True)
-class AttackCountModel:
+@checked
+class AttackCountModel(NamedTuple):
     """Distribution of attack attempts over t slots with mean n_avg per period.
 
     n_avg is typically the attempt count observed in a previous period of the
@@ -41,7 +45,7 @@ class AttackCountModel:
     kind: CountKind = CountKind.BINOMIAL
     delta_t: float = 1.0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> AttackCountModel:
         require_finite("attack count model", n_avg=self.n_avg, delta_t=self.delta_t)
         if self.t < 1:
             raise InputError(f"slot count t must be >= 1, got {self.t}")
@@ -53,6 +57,7 @@ class AttackCountModel:
             )
         if not self.delta_t > 0:
             raise InputError(f"delta_t must be positive, got {self.delta_t}")
+        return self
 
     @property
     def attempt_probability(self) -> float:
@@ -60,8 +65,8 @@ class AttackCountModel:
         return self.n_avg / self.t
 
 
-@dataclass(frozen=True)
-class IncidentLikelihood:
+@checked
+class IncidentLikelihood(NamedTuple):
     """Incident-likelihood result for one period.
 
     NO_CHANGE carries the full pmf over incident counts as a dense tuple,
@@ -79,7 +84,7 @@ class IncidentLikelihood:
     value: float | None
     quadrature_error: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> IncidentLikelihood:
         if (self.pmf is None) == (self.value is None):
             raise InputError("exactly one of pmf and value must be set")
         if self.regime is Regime.NO_CHANGE and self.pmf is None:
@@ -92,6 +97,7 @@ class IncidentLikelihood:
             for s, p in enumerate(self.pmf):
                 if not 0.0 <= p <= 1.0:
                     raise InputError(f"pmf[{s}] must be in [0, 1], got {p}")
+        return self
 
     @property
     def mean_events(self) -> float:
@@ -101,8 +107,8 @@ class IncidentLikelihood:
         return sum(s * p for s, p in enumerate(self.pmf))
 
 
-@dataclass(frozen=True)
-class Threat:
+@checked
+class Threat(NamedTuple):
     """One threat: impact band (90% CI bounds) plus, once computed, its likelihood.
 
     maturity_index may be left unset when it is meant to be derived from a
@@ -122,7 +128,7 @@ class Threat:
     cvss: CvssVector | None = None
     expert_likelihood: float | None = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> Threat:
         require_finite(
             f"threat {self.id}",
             impact_low=self.impact_low,
@@ -144,20 +150,21 @@ class Threat:
             raise InputError(
                 f"threat {self.id}: likelihood must be in [0, 1], got {self.likelihood}"
             )
+        return self
 
 
-@dataclass(frozen=True)
-class ControlWeightMatrix:
+@checked
+class ControlWeightMatrix(NamedTuple):
     """Control-by-threat relevance weights; column j selects threat j's control subset."""
 
     controls: tuple[str, ...]
     threats: tuple[int, ...]
     weights: tuple[tuple[float, ...], ...]  # one row per control
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "controls", tuple(self.controls))
-        object.__setattr__(self, "threats", tuple(self.threats))
-        object.__setattr__(self, "weights", tuple(tuple(row) for row in self.weights))
+    def _check(self) -> ControlWeightMatrix:
+        normal = (tuple(self.controls), tuple(self.threats), tuple(map(tuple, self.weights)))
+        if tuple(self) != normal:
+            return self._make(normal)
         if len(self.weights) != len(self.controls):
             raise InputError(
                 f"weight matrix has {len(self.weights)} rows for {len(self.controls)} controls"
@@ -177,6 +184,7 @@ class ControlWeightMatrix:
         for j, threat_id in enumerate(self.threats):
             if not any(row[j] > 0 for row in self.weights):
                 raise InputError(f"threat {threat_id} has no positively weighted control")
+        return self
 
     def column(self, threat_id: int) -> dict[str, float]:
         """Relevance weight per control id for one threat."""
@@ -187,8 +195,8 @@ class ControlWeightMatrix:
         return {c: row[j] for c, row in zip(self.controls, self.weights)}
 
 
-@dataclass(frozen=True)
-class LossCategory:
+@checked
+class LossCategory(NamedTuple):
     """One loss category with a (min, most likely, max) band per event.
 
     Bands arriving out of order are sorted into a valid PERT support; that is
@@ -204,7 +212,7 @@ class LossCategory:
     secondary: bool = False
     currency: str = "EUR"
 
-    def __post_init__(self) -> None:
+    def _check(self) -> LossCategory:
         require_finite(
             f"loss category {self.name!r}",
             low=self.low,
@@ -218,17 +226,16 @@ class LossCategory:
             warnings.warn(
                 f"loss category {self.name!r}: band {triple} is not ordered; "
                 f"reordered to {tuple(ordered)}",
-                stacklevel=2,
+                stacklevel=3,  # the constructor's caller
             )
-            object.__setattr__(self, "low", ordered[0])
-            object.__setattr__(self, "most_likely", ordered[1])
-            object.__setattr__(self, "high", ordered[2])
+            return self._replace(low=ordered[0], most_likely=ordered[1], high=ordered[2])
         if self.low < 0:
             raise InvalidRange(f"loss category {self.name!r}: losses must be >= 0")
         if not self.confidence > 0:
             raise InputError(
                 f"loss category {self.name!r}: confidence must be positive, got {self.confidence}"
             )
+        return self
 
     @property
     def shape(self) -> float:

@@ -11,7 +11,7 @@ model and is deliberately not offered.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ LEVEL = 1e-3
 MIN_EXPECTED_COUNT = 5.0
 
 
-@dataclass(frozen=True)
-class EmpiricalCounts:
+class EmpiricalCounts(NamedTuple):
     """Normalized incident-count histogram."""
 
     probabilities: np.ndarray  # index s -> empirical Pr(S = s)
@@ -74,8 +73,7 @@ def _chi_square_tail(k: int, x: float) -> float:
     return min(math.fsum(terms), 1.0)
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     """Outcome of an empirical-vs-analytic comparison.
 
     ``passed`` comes from one chi-square goodness-of-fit test at ``level``;

@@ -9,11 +9,10 @@ never drag an index toward zero.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .errors import EmptyAssessment, InputError, NoApplicableControls, require_finite
+from .errors import EmptyAssessment, InputError, NoApplicableControls, checked, require_finite
 from .model import ControlWeightMatrix
 
 
@@ -51,15 +50,15 @@ ATTACKER_WEIGHTS = {
 }
 
 
-@dataclass(frozen=True)
-class ControlResponse:
+@checked
+class ControlResponse(NamedTuple):
     """One scored control. ``score=None`` marks the control as not applicable."""
 
     control_id: str
     score: int | None
     weight: float = 1.0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> ControlResponse:
         if self.score is not None and self.score < 0:
             raise InputError(
                 f"control {self.control_id!r}: score must be >= 0, got {self.score}"
@@ -69,10 +68,11 @@ class ControlResponse:
             raise InputError(
                 f"control {self.control_id!r}: weight must be >= 0, got {self.weight}"
             )
+        return self
 
 
-@dataclass(frozen=True)
-class Questionnaire:
+@checked
+class Questionnaire(NamedTuple):
     """A flat list of scored controls sharing one 0..s_max scale."""
 
     responses: tuple[ControlResponse, ...]
@@ -80,8 +80,9 @@ class Questionnaire:
     kind: QuestionnaireKind
     category_label: str | None = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "responses", tuple(self.responses))
+    def _check(self) -> Questionnaire:
+        if not isinstance(self.responses, tuple):
+            return self._replace(responses=tuple(self.responses))
         if self.s_max < 1:
             raise InputError(f"s_max must be >= 1, got {self.s_max}")
         if not self.responses:
@@ -91,31 +92,33 @@ class Questionnaire:
                 raise InputError(
                     f"control {r.control_id!r}: score {r.score} exceeds s_max={self.s_max}"
                 )
+        return self
 
     @property
     def control_count(self) -> int:
         return len(self.responses)
 
 
-@dataclass(frozen=True)
-class CategoryComplexity:
+@checked
+class CategoryComplexity(NamedTuple):
     """Complexity score of one infrastructure category plus its control count."""
 
     label: str
     index: float
     control_count: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> CategoryComplexity:
         if not 0.0 <= self.index <= 10.0:
             raise InputError(
                 f"category {self.label!r}: index must be in [0, 10], got {self.index}"
             )
         if self.control_count < 1:
             raise InputError(f"category {self.label!r}: control_count must be positive")
+        return self
 
 
-@dataclass(frozen=True)
-class PostureProfile:
+@checked
+class PostureProfile(NamedTuple):
     """The four organization indices plus how many controls fed each of them."""
 
     awareness_index: float
@@ -126,12 +129,14 @@ class PostureProfile:
     core_control_count: int = 0
     categories: tuple[CategoryComplexity, ...] = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> PostureProfile:
         for name in ("awareness_index", "maturity_index", "complexity_index"):
             value = getattr(self, name)
             if not 0.0 <= value <= 10.0:
                 raise InputError(f"{name} must be in [0, 10], got {value}")
-        object.__setattr__(self, "categories", tuple(self.categories))
+        if not isinstance(self.categories, tuple):
+            return self._replace(categories=tuple(self.categories))
+        return self
 
 
 def score_index(questionnaire: Questionnaire) -> float:
@@ -173,18 +178,12 @@ def per_threat_maturity(
     for response in questionnaire.responses:
         relevance = column.get(response.control_id, 0.0)
         if relevance > 0.0:
-            subset.append(replace(response, weight=response.weight * relevance))
+            subset.append(response._replace(weight=response.weight * relevance))
     if not subset:
         raise NoApplicableControls(
             f"threat {threat_id}: none of its weighted controls appear in the responses"
         )
-    sub_questionnaire = Questionnaire(
-        responses=tuple(subset),
-        s_max=questionnaire.s_max,
-        kind=questionnaire.kind,
-        category_label=questionnaire.category_label,
-    )
-    return score_index(sub_questionnaire)
+    return score_index(questionnaire._replace(responses=tuple(subset)))
 
 
 def maturity_index(

@@ -10,9 +10,9 @@ probabilities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import DegenerateCurve, InputError, require_finite
+from .errors import DegenerateCurve, InputError, InvalidRange, checked, require_finite
 
 #: Curve defaults used by the CLI when the run configuration omits them.
 DEFAULT_GROWTH_RATE = -2.0
@@ -45,8 +45,8 @@ def check_curve(B: float, U: float, L: float, q: float = DEFAULT_SPREAD, x0: flo
         raise InputError(f"spread q must be positive, got {q}")
 
 
-@dataclass(frozen=True)
-class LogisticParams:
+@checked
+class LogisticParams(NamedTuple):
     """Decreasing logistic curve with asymptotes solved from its endpoint values.
 
     B is the (negative) growth rate, x0 the midpoint, U and L the curve
@@ -62,10 +62,11 @@ class LogisticParams:
     A: float
     K: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> LogisticParams:
         check_curve(self.B, self.U, self.L, x0=self.x0)
         if abs(self.curve(0.0) - self.U) > 1e-12 or abs(self.curve(10.0) - self.L) > 1e-12:
             raise InputError("A and K do not satisfy the endpoint conditions f(0)=U, f(10)=L")
+        return self
 
     def curve(self, x: float) -> float:
         """Raw curve value A + (K - A) / (1 + exp(-B (x - x0)))."""
@@ -115,8 +116,8 @@ def success_probability(params: LogisticParams, x: float, w: float = 1.0) -> flo
     return w * params.curve(x)
 
 
-@dataclass(frozen=True)
-class SuccessDistribution:
+@checked
+class SuccessDistribution(NamedTuple):
     """PERT band (p_m, p_star, p_M) for the single-attack success probability.
 
     alpha and beta are the shape parameters of the underlying scaled Beta;
@@ -131,10 +132,10 @@ class SuccessDistribution:
     beta: float
     w: float = 1.0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> SuccessDistribution:
         require_finite("PERT band", alpha=self.alpha, beta=self.beta)
         if not (0.0 < self.p_m <= self.p_star <= self.p_M < 1.0):
-            raise InputError(
+            raise InvalidRange(
                 "need 0 < p_m <= p_star <= p_M < 1, got "
                 f"({self.p_m}, {self.p_star}, {self.p_M})"
             )
@@ -142,6 +143,7 @@ class SuccessDistribution:
             raise InputError(f"shape parameters must be >= 1, got ({self.alpha}, {self.beta})")
         if not 0.0 < self.w <= 1.0:
             raise InputError(f"attacker weight must be in (0, 1], got {self.w}")
+        return self
 
     @classmethod
     def from_triple(
@@ -149,7 +151,7 @@ class SuccessDistribution:
     ) -> "SuccessDistribution":
         """Build the band from its triple, deriving the canonical shapes."""
         if not p_m <= p_star <= p_M:
-            raise InputError(f"need p_m <= p_star <= p_M, got ({p_m}, {p_star}, {p_M})")
+            raise InvalidRange(f"need p_m <= p_star <= p_M, got ({p_m}, {p_star}, {p_M})")
         if p_M - p_m < POINT_MASS_EPS:
             return cls.point_mass(p_star, w=w)
         span = p_M - p_m

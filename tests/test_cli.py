@@ -593,6 +593,58 @@ def test_count_flag_past_int64_exits_2(tmp_path, capsys, command, flag):
     )
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("htma", "--trials", 0), ("fair", "--trials", -3), ("simulate", "--replications", 0)],
+)
+def test_count_flag_below_one_names_the_flag(tmp_path, capsys, command, flag, value):
+    ref.write_profile(tmp_path / "profile.json")
+    ref.write_threat_catalog(tmp_path / "threats.json", with_likelihood=True)
+    ref.write_loss_categories(tmp_path / "categories.json")
+    config = ref.write_run_config(
+        tmp_path / "run.json",
+        {"profile": "profile.json", "threats": "threats.json",
+         "loss_categories": "categories.json"},
+        extra={"success": {"p_m": 0.28, "p_star": 0.50, "p_M": 0.72}},
+    )
+    argv = [command, "--config", config, flag, str(value), "--out", tmp_path / "out"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        f"validation error [DocumentError]: {flag}: must be >= 1, got {value}\n"
+    )
+
+
+#: A curve floor L so small that A + (K - A) sigma rounds below it at x = 10,
+#: and the maturity whose band reaches x = 10.
+TINY_FLOORS = {
+    "L_1e-20_at_maturity_10": ({"B": -0.5, "L": 1e-20}, 10.0),
+    "L_1e-300_with_q_10": ({"B": -0.5, "L": 1e-300, "q": 10.0}, 5.0),
+}
+
+
+@pytest.mark.parametrize("command", ["likelihood", "simulate"])
+@pytest.mark.parametrize("case", list(TINY_FLOORS))
+def test_tiny_curve_floor_names_the_config(tmp_path, capsys, command, case):
+    # the band's floor p_m comes out <= 0: the curve in run.json cannot give a band
+    logistic, maturity = TINY_FLOORS[case]
+    ref.write_profile(tmp_path / "profile.json", complexity=2.5)
+    ref.write_json(
+        tmp_path / "threats.json",
+        [{"id": 1, "name": "a", "impact_low": 1.0, "impact_high": 2.0,
+          "maturity_index": maturity}],
+    )
+    config = ref.write_run_config(
+        tmp_path / "run.json", {"profile": "profile.json", "threats": "threats.json"},
+        logistic=logistic, extra={"success": {"maturity_index": maturity}},
+    )
+    assert run([command, "--config", config, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"validation error [DocumentError]: {config}: logistic: need 0 < p_m <= p_star <= p_M < 1"
+    )
+    assert err.count(str(config)) == 1
+
+
 def test_overlong_integer_literal_exits_2(tmp_path, capsys):
     # Python refuses to convert integer strings past 4300 digits
     ref.write_profile(tmp_path / "profile.json")
@@ -777,11 +829,17 @@ def probe(code, *argv):
     return result.stdout.strip()
 
 
-@pytest.mark.parametrize("package", ["scipy", "numpy", "secrets"])
+@pytest.mark.parametrize("package", ["scipy", "numpy", "secrets", "dataclasses", "inspect"])
 def test_cli_import_leaves_out(package):
     # every command starts by importing cyrisk.cli, so this is the start-up each one pays
     code = f"import sys, cyrisk.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     assert probe(code) == "[]"
+
+
+def test_engines_leave_dataclasses_out():
+    # numpy itself loads inspect, but none of it loads dataclasses
+    code = "import sys, cyrisk.htma, cyrisk.fair, cyrisk.oracle; print('dataclasses' in sys.modules)"
+    assert probe(code) == "False"
 
 
 def test_assess_leaves_numpy_out(tmp_path, questionnaires):

@@ -37,7 +37,15 @@ from .documents import (
     write_csv,
     write_json,
 )
-from .errors import DocumentError, InputError, InvalidRange, RiskModelError, parse_enum, require_int64
+from .errors import (
+    DegenerateCurve,
+    DocumentError,
+    InputError,
+    InvalidRange,
+    RiskModelError,
+    parse_enum,
+    require_int64,
+)
 from .incidence import incident_likelihood
 from .model import IncidentLikelihood, Regime, Threat
 from .posture import (
@@ -95,13 +103,15 @@ def _band(
     config: RunConfig, profile: PostureProfile, maturity: float, malicious: bool = True
 ) -> SuccessDistribution:
     """Success band at ``maturity`` on the profile's curve, weighted for the attacker."""
-    params = solve_asymptotes(
-        config.growth_rate, profile.complexity_index, config.upper, config.lower
-    )
     weight = attacker_weight(profile.attractiveness, malicious)
     try:
+        params = solve_asymptotes(
+            config.growth_rate, profile.complexity_index, config.upper, config.lower
+        )
         return pert_from_maturity(params, maturity, weight, config.spread)
-    except InvalidRange as exc:  # a tiny L can round the band's floor to 0 or below
+    except (DegenerateCurve, InvalidRange) as exc:
+        # a nearly flat curve cannot be solved at the profile's complexity index,
+        # and a tiny L can round the band's floor to 0 or below
         raise DocumentError(f"{config.path}: logistic: {exc}") from None
 
 

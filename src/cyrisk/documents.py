@@ -27,7 +27,7 @@ from .cvss import (
     Exploitability,
     ReportConfidence,
 )
-from .errors import DocumentError, InputError, checked, parse_enum, require_int64
+from .errors import ComputationError, DocumentError, InputError, checked, parse_enum, require_int64
 from .model import (
     AttackCountModel,
     ControlWeightMatrix,
@@ -403,9 +403,13 @@ def load_run_config(path: str | Path) -> RunConfig:
 
 
 def write_json(path: str | Path, payload: Mapping[str, Any]) -> None:
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    """Write ``payload`` as sorted, indented JSON; a NaN or an infinity in it raises
+    ComputationError, as JSON cannot carry one."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ComputationError(f"{path}: {exc}") from None
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 #: Rows a column table formats and writes at a time; larger blocks add memory,

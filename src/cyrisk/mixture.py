@@ -1,10 +1,8 @@
-"""The no-change incident-count pmf as sums of positive terms, with the ``math`` module alone.
+"""The incident-count pmf and the no-incident probability as sums of positive
+terms, with the ``math`` module alone.
 
-With the posture fixed all period, the incident count S given a success
-probability p is Binomial(t, r p), r = n_avg/t, or Poisson(n_avg p) under
-Poisson attempts. Over the band p = p_m + w X, X ~ Beta(alpha, beta), split S
-into I + K: I counts the incidents of the floor p_m and K those of the
-excess w X.
+In the notation of :mod:`cyrisk.incidence`, split the incident count S into
+I + K: I counts the incidents of the floor p_m and K those of the excess w X.
 
 * Binomial: I ~ Binomial(t, r p_m), and the other t - I slots each give an
   excess incident with probability z X, z = r w / (1 - r p_m). So
@@ -29,14 +27,20 @@ weighted average Q(k, n) = ((n + 1 - k) Q(k, n + 1) + (k + 1) Q(k + 1, n + 1))
 that hold a share of the probability, and of the mean, below SERIES_TOL are
 left out, and their mass plus the largest series tail bound is the reported
 quadrature error, a bound on each cell's truncation error.
+
+The no-incident probability E = pmf(0) = K(0; p_m) Q(0, t) is the first row
+alone, K(0; p) being the chance that p gives no incident. With b_i = Bin(i;
+t, z), or Pois(i; c), and rho_i = B(alpha, beta + i) / B(alpha, beta), its
+complement 1 - Q(0, t) = sum_i b_i (1 - rho_i) adds positive terms too.
 """
 
 from __future__ import annotations
 
 import math
 from operator import add
+from typing import Callable
 
-from .errors import ComputationError, InputError
+from .errors import ComputationError
 from .model import AttackCountModel, CountKind
 from .success import SuccessDistribution
 
@@ -102,8 +106,6 @@ def _kernel(model: AttackCountModel, p: float, top: int) -> list[float]:
     rate = p * (model.attempt_probability if binomial else model.n_avg)
     if rate == 0.0:
         return [1.0] + [0.0] * top
-    if binomial and rate >= 1.0:
-        return [float(s == model.t) for s in range(top + 1)]
     odds = rate / (1.0 - rate) if binomial else rate
 
     def ratio(s: int) -> float:
@@ -148,6 +150,25 @@ def _over_cap(work: int) -> ComputationError:
     )
 
 
+def _attempts(
+    dist: SuccessDistribution, model: AttackCountModel, n: int
+) -> tuple[float, float, float, Callable[[int], float]]:
+    """(first, odds, step, log_b) of the excess's attempt count over n slots: its
+    pmf b_i = Bin(i; n, z), or Pois(i; c) under Poisson attempts, has
+    b_(i+1) / b_i = (first - step i) odds / (i + 1), and log_b(i) = log b_i.
+    For binomial attempts first - step i = n - i, the slots left, as an exact float.
+    """
+    w = dist.p_M - dist.p_m
+    if model.kind is CountKind.BINOMIAL:
+        r = model.attempt_probability
+        # 1 - z = (1 - r p_M) / (1 - r p_m) keeps its precision as z nears one
+        miss_m, miss_M = 1.0 - r * dist.p_m, 1.0 - r * dist.p_M
+        z = r * w / miss_m
+        return float(n), r * w / miss_M, 1.0, lambda i: _log_point(i, n, z, miss_M / miss_m)
+    c = model.n_avg * w
+    return 1.0, c, 0.0, lambda i: _log_point(i, None, c)
+
+
 def _excess_pmf(
     dist: SuccessDistribution, model: AttackCountModel, n: int, top: int, work: int
 ) -> tuple[list[float], float]:
@@ -168,27 +189,19 @@ def _excess_pmf(
     """
     a, b = dist.alpha, dist.beta
     ab = a + b
-    w = dist.p_M - dist.p_m
-    if model.kind is CountKind.BINOMIAL:
-        r = model.attempt_probability
-        # 1 - z = (1 - r p_M) / (1 - r p_m) keeps its precision as z nears one
-        miss_m, miss_M = 1.0 - r * dist.p_m, 1.0 - r * dist.p_M
-        z = r * w / miss_m
-        # g = (n - j) odds, with n - j kept as an exact float count
-        first, odds, step = float(n), r * w / miss_M, 1.0
-    else:
-        first, odds, step = 1.0, model.n_avg * w, 0.0
+    first, odds, step, log_b = _attempts(dist, model, n)
 
-    # the largest term of the k = 0 series: Bin(i; n, z), or Pois(i; c), times
-    # B(alpha, beta + i) / B(alpha, beta), the latter an exact sum of small logs
+    # the largest term of the k = 0 series: b_i times B(alpha, beta + i) / B(alpha, beta),
+    # the latter an exact sum of small logs. Its ratio is below b_i's, so it peaks at
+    # or before b_i's mode, about (first odds - 1) / (1 + step odds): checked before any step
+    mode = (first * odds - 1.0) / (1.0 + step * odds)
+    if work + mode > MAX_WORK:
+        raise _over_cap(work + math.ceil(mode))
     i = 0
     while (first - step * i) * odds * (b + i) >= (i + 1) * (ab + i):
         i += 1
     logs = [math.log((b + l) / (ab + l)) for l in range(i)]
-    if step:
-        logs.append(_log_point(i, n, z, miss_M / miss_m))
-    else:
-        logs.append(_log_point(i, None, odds))
+    logs.append(log_b(i))
     peak = math.exp(math.fsum(logs))
     work += i
 
@@ -248,15 +261,6 @@ def _excess_pmf(
     return q, worst
 
 
-def attack_count_pmf(model: AttackCountModel, n: int) -> float:
-    """Exact probability of seeing n attempts in the period: the incident kernel at p = 1."""
-    if model.kind is CountKind.BINOMIAL and not 0 <= n <= model.t:
-        raise InputError(f"attempt count must be in [0, {model.t}], got {n}")
-    if n < 0:
-        raise InputError(f"attempt count must be >= 0, got {n}")
-    return min(_kernel(model, 1.0, n)[n], 1.0)
-
-
 def incident_pmf(dist: SuccessDistribution, model: AttackCountModel) -> tuple[list[float], float]:
     """(pmf over incident counts 0..top, a bound on each cell's truncation error)
     with the posture fixed all period.
@@ -301,3 +305,54 @@ def incident_pmf(dist: SuccessDistribution, model: AttackCountModel) -> tuple[li
         pmf[i:] = map(add, pmf[i:], map(floor[i].__mul__, row))
         n -= 1
     return [min(x, 1.0) for x in pmf], dropped + tail
+
+
+def no_incident(dist: SuccessDistribution, model: AttackCountModel) -> tuple[float, float, float]:
+    """(E = Pr(no incident all period), 1 - E, a bound on the truncation error of
+    each) over the band.
+
+    E = K(0; p_m) Q(0, t) is the no-change pmf's first cell. Where b_i falls from
+    i = 0 on, 1 - E is summed apart as (1 - K(0; p_m)) + K(0; p_m) (1 - Q(0, t)), so
+    that a tiny 1 - E keeps its relative precision.
+
+    Raises:
+        ComputationError: the first row's terms pass the work cap.
+    """
+    a, b = dist.alpha, dist.beta
+    first, odds, step, log_b = _attempts(dist, model, model.t)
+    if model.kind is CountKind.BINOMIAL:
+        log_floor = model.t * math.log1p(-model.attempt_probability * dist.p_m)
+    else:
+        log_floor = -model.n_avg * dist.p_m
+    # E <= K(0; p_m) min(1, Gamma(a + b) / Gamma(b) z_eff^-a), z_eff = t z or c, from
+    # (1 - x)^(b - 1) <= 1 and (1 - z x)^t <= exp(-t z x); below 2^-54 1 - E rounds
+    # to 1.0, so there is nothing to sum
+    z_eff = first * odds / (1.0 + step * odds)
+    if z_eff > 0.0:
+        log_bound = log_floor + min(0.0, math.lgamma(a + b) - math.lgamma(b) - a * math.log(z_eff))
+        if log_bound < -54.0 * math.log(2.0):
+            return 0.0, 1.0, math.exp(log_bound)
+
+    floor = math.exp(log_floor)
+    (row,), tail = _excess_pmf(dist, model, model.t, 0, 0)
+    none = floor * row
+    if first * odds >= 1.0:
+        # b_i peaks past 0, so t z or c is at least about 1/2, and 1 - E >= 1 - Q(0, t)
+        # >= (1 - e^-1/2) alpha / (alpha + beta): the subtraction loses no precision
+        return none, 1.0 - none, floor * tail
+
+    # 1 - Q(0, t) = sum_i b_i (1 - rho_i) from i = 1, as 1 - rho_0 = 0. Each term is at
+    # most b_i, so b_i's geometric tail bounds the sum's; as b_(i+1) / b_i < 1 / (i + 1),
+    # about 20 terms reach SERIES_TOL. b_1 = b_0 t z / (1 - z), or b_0 c, and log b_0
+    # is above -1 here, so exp loses no digit.
+    term, rho = math.exp(log_b(0)) * first * odds, b / (a + b)
+    some = term * (1.0 - rho)
+    m, left = 1.0, first - step
+    while term * (ratio := left * odds / (m + 1.0)) > SERIES_TOL * some * (1.0 - ratio):
+        term *= ratio
+        rho *= (b + m) / (a + b + m)
+        some += term * (1.0 - rho)
+        m += 1.0
+        left -= step
+    error = floor * max(tail, term * ratio / (1.0 - ratio))
+    return none, -math.expm1(log_floor) + floor * some, error

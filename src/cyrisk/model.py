@@ -71,12 +71,12 @@ class IncidentLikelihood(NamedTuple):
 
     NO_CHANGE carries the full pmf over incident counts as a dense tuple,
     pmf[s] = Pr(S = s) for s = 0 up to the top of the truncated support;
-    CHANGE carries the scalar probability of the single incident.
+    CHANGE carries the scalar probability 1 - pmf[0] of the first incident.
     quadrature_error bounds the truncation error of the series behind the
     result: for NO_CHANGE, of every pmf cell (the series tails and the floor
-    counts left out), and for CHANGE, of the value (or of skipping its series,
-    where a bound on Pr(no incident) is below 2^-54 and the value is 1.0). It
-    is 0 for a point-mass band.
+    counts left out), and for CHANGE, of the value (the tails of pmf[0]'s row
+    and of its complement, or, where a bound on pmf[0] is below 2^-54 and the
+    value is 1.0, that bound). It is 0 for a zero-width band.
     """
 
     regime: Regime

@@ -166,6 +166,22 @@ def deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+def attempt_pmf(model, n):
+    """Pr(n attempts in the period) in closed form: ``math.comb`` for binomial
+    attempts (t up to about 1,000, where the binomial coefficient still fits a
+    float), and exp(-n_avg) n_avg^n / n! for Poisson ones, the power and the
+    factorial taken as a product of n ratios. It shares no code with
+    ``cyrisk.mixture``."""
+    import math
+
+    from cyrisk.model import CountKind
+
+    if model.kind is CountKind.BINOMIAL:
+        r = model.n_avg / model.t
+        return math.comb(model.t, n) * r**n * (1.0 - r) ** (model.t - n)
+    return math.exp(-model.n_avg) * math.prod(model.n_avg / k for k in range(1, n + 1))
+
+
 #: Nodes of the fixed Gauss-Jacobi rule behind ``reference_pmf``.
 GAUSS_JACOBI_NODES = 512
 

@@ -32,9 +32,7 @@ from cyrisk.incidence import (
     CountKind,
     Regime,
     incident_likelihood,
-    likelihood_change,
 )
-from cyrisk.mixture import attack_count_pmf
 from cyrisk.oracle import compare_to_analytic, simulate
 from cyrisk.success import (
     SuccessDistribution,
@@ -71,7 +69,7 @@ def test_criterion_01_reported_bands_reproduce_likelihood_column():
     deviations = []
     for tid, _, (p_m, p_star, p_M), reported in reference_bands():
         band = SuccessDistribution.from_triple(p_m, p_star, p_M)
-        value = likelihood_change(band, YEAR)
+        value = incident_likelihood(band, YEAR, Regime.CHANGE).value
         deviations.append((tid, abs(value - reported)))
     elapsed = time.perf_counter() - started
     worst = max(d for _, d in deviations)
@@ -135,8 +133,11 @@ def test_threat_7_p_m_erratum():
     computed = pert_from_maturity(DERIVED_PARAMS, maturity, w=1.0, q=ref.SPREAD)
     from_printed = SuccessDistribution.from_triple(*printed)
     assert truncated_cents(computed.p_m) == round(corrected * 100)
-    assert truncated_cents(likelihood_change(computed, YEAR)) == round(likelihood * 100)
-    assert truncated_cents(likelihood_change(from_printed, YEAR)) != round(likelihood * 100)
+    computed_l, printed_l = (
+        incident_likelihood(band, YEAR, Regime.CHANGE).value for band in (computed, from_printed)
+    )
+    assert truncated_cents(computed_l) == round(likelihood * 100)
+    assert truncated_cents(printed_l) != round(likelihood * 100)
 
 
 def test_reference_band_regression_pin():
@@ -184,7 +185,7 @@ def test_criterion_03_curve_endpoint_conditions():
 
 def test_criterion_04_point_mass_closed_form():
     band = SuccessDistribution.point_mass(0.5)
-    value = likelihood_change(band, YEAR)
+    value = incident_likelihood(band, YEAR, Regime.CHANGE).value
     expected = 1.0 - (1.0 - 2.0 / 365.0) ** 365
     deviation = abs(value - expected)
     report(
@@ -231,7 +232,7 @@ def test_criterion_06_normalization_and_monotonicity_suite():
 
     # monotone in the mean attempt count
     by_attempts = [
-        likelihood_change(band, AttackCountModel(t=365, n_avg=n))
+        incident_likelihood(band, AttackCountModel(t=365, n_avg=n), Regime.CHANGE).value
         for n in (1.0, 2.0, 4.0, 8.0, 16.0)
     ]
     if not all(a <= b + 1e-12 for a, b in zip(by_attempts, by_attempts[1:])):
@@ -239,9 +240,9 @@ def test_criterion_06_normalization_and_monotonicity_suite():
 
     # monotone under uniform upward band shifts
     by_shift = [
-        likelihood_change(
-            SuccessDistribution.from_triple(0.28 + s, 0.50 + s, 0.72 + s), YEAR
-        )
+        incident_likelihood(
+            SuccessDistribution.from_triple(0.28 + s, 0.50 + s, 0.72 + s), YEAR, Regime.CHANGE
+        ).value
         for s in (0.0, 0.05, 0.10, 0.15)
     ]
     if not all(a <= b + 1e-12 for a, b in zip(by_shift, by_shift[1:])):
@@ -262,7 +263,7 @@ def test_criterion_06_normalization_and_monotonicity_suite():
         binom = AttackCountModel(t=365, n_avg=float(n_avg))
         poisson = AttackCountModel(t=365, n_avg=float(n_avg), kind=CountKind.POISSON)
         tv = 0.5 * sum(
-            abs(attack_count_pmf(binom, n) - attack_count_pmf(poisson, n))
+            abs(ref.attempt_pmf(binom, n) - ref.attempt_pmf(poisson, n))
             for n in range(366)
         )
         if tv > n_avg**2 / 365:

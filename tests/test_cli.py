@@ -325,6 +325,22 @@ class TestHtma:
         assert report["seed"] == 20240
         assert report["trials"] == 2_000
 
+    def test_overflowing_impact_exits_1_naming_the_report(self, tmp_path, capsys):
+        # sigma = ln(1e308) / 3.29 is about 215, so some loss draws overflow to inf
+        ref.write_profile(tmp_path / "profile.json")
+        ref.write_json(
+            tmp_path / "threats.json",
+            [{"id": 1, "name": "a", "impact_low": 1.0, "impact_high": 1e308, "likelihood": 0.5}],
+        )
+        config = ref.write_run_config(
+            tmp_path / "run.json", {"profile": "profile.json", "threats": "threats.json"}
+        )
+        out = tmp_path / "out"
+        assert run(["htma", "--config", config, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [ComputationError]: {out / 'htma_report.json'}: ")
+        assert not (out / "htma_report.json").exists()
+
     def test_byte_identical_reruns(self, tmp_path, htma_config):
         first, second = tmp_path / "a", tmp_path / "b"
         for out in (first, second):
@@ -645,6 +661,24 @@ def test_tiny_curve_floor_names_the_config(tmp_path, capsys, command, case):
     assert err.count(str(config)) == 1
 
 
+@pytest.mark.parametrize("command", ["likelihood", "simulate"])
+def test_flat_curve_names_the_config(tmp_path, capsys, command):
+    # B = -1e-17 loads, but the curve cannot be solved at the profile's complexity index
+    ref.write_profile(tmp_path / "profile.json", complexity=2.5)
+    ref.write_json(
+        tmp_path / "threats.json",
+        [{"id": 1, "name": "a", "impact_low": 1.0, "impact_high": 2.0, "maturity_index": 5.0}],
+    )
+    config = ref.write_run_config(
+        tmp_path / "run.json", {"profile": "profile.json", "threats": "threats.json"},
+        growth_rate=-1e-17, extra={"success": {"maturity_index": 5.0}},
+    )
+    assert run([command, "--config", config, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error [DocumentError]: {config}: logistic: curve is flat")
+    assert err.count(str(config)) == 1
+
+
 def test_overlong_integer_literal_exits_2(tmp_path, capsys):
     # Python refuses to convert integer strings past 4300 digits
     ref.write_profile(tmp_path / "profile.json")
@@ -668,7 +702,8 @@ def test_non_utf8_document_exits_2(tmp_path, capsys):
 
 def test_change_series_term_cap_exits_1(tmp_path, capsys):
     # maturity 10 on a curve ending at 1e-9 puts the band's floor at 1e-9, and
-    # 1e9 Poisson attempts would need over 2^21 terms of the change series
+    # under 1e9 Poisson attempts the no-incident row peaks past the work cap,
+    # which holds the place of the change series' own term cap
     ref.write_profile(tmp_path / "profile.json")
     ref.write_json(
         tmp_path / "threats.json",
@@ -681,7 +716,7 @@ def test_change_series_term_cap_exits_1(tmp_path, capsys):
     )
     with ref.deadline(10):
         assert run(["likelihood", "--config", config, "--out", tmp_path / "out"]) == 1
-    assert "term cap" in capsys.readouterr().err
+    assert "work cap" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -12,11 +12,10 @@ from cyrisk.incidence import (
     IncidentLikelihood,
     Regime,
     incident_likelihood,
-    likelihood_change,
 )
-from cyrisk.mixture import SERIES_TOL, attack_count_pmf
+from cyrisk.mixture import SERIES_TOL
 from cyrisk.success import SuccessDistribution, pert_from_maturity, solve_asymptotes
-from reference_data import deadline, reference_pmf
+from reference_data import attempt_pmf, deadline, reference_pmf
 
 MALWARE_BAND = SuccessDistribution.from_triple(0.28, 0.50, 0.72)
 # an asymmetric band: alpha and beta differ
@@ -31,36 +30,7 @@ def conditional_pmf(dist, n):
     ).pmf
 
 
-class TestAttackCountPmf:
-    def test_no_attempts_is_certain_zero(self):
-        model = AttackCountModel(t=365, n_avg=0.0)
-        assert attack_count_pmf(model, 0) == 1.0
-        assert attack_count_pmf(model, 3) == 0.0
-
-    def test_binomial_zero_attempts_closed_form(self):
-        assert attack_count_pmf(YEAR, 0) == pytest.approx((1 - 4 / 365) ** 365, rel=1e-12)
-
-    def test_poisson_zero_attempts_closed_form(self):
-        model = AttackCountModel(t=365, n_avg=4.0, kind=CountKind.POISSON)
-        assert attack_count_pmf(model, 0) == pytest.approx(math.exp(-4.0), rel=1e-12)
-
-    def test_saturated_slots(self):
-        model = AttackCountModel(t=10, n_avg=10.0)
-        assert attack_count_pmf(model, 10) == 1.0
-        assert attack_count_pmf(model, 9) == 0.0
-
-    @pytest.mark.parametrize("kind", [CountKind.BINOMIAL, CountKind.POISSON])
-    def test_sums_to_one(self, kind):
-        model = AttackCountModel(t=365, n_avg=6.5, kind=kind)
-        total = sum(attack_count_pmf(model, n) for n in range(366 if kind is CountKind.BINOMIAL else 200))
-        assert total == pytest.approx(1.0, abs=1e-10)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(InputError):
-            attack_count_pmf(YEAR, 366)
-        with pytest.raises(InputError):
-            attack_count_pmf(YEAR, -1)
-
+class TestAttackCountModel:
     def test_model_validation(self):
         with pytest.raises(InputError):
             AttackCountModel(t=0, n_avg=1.0)
@@ -81,7 +51,7 @@ class TestBinomialPoissonAgreement:
         binom = AttackCountModel(t=365, n_avg=n_avg, kind=CountKind.BINOMIAL)
         poisson = AttackCountModel(t=365, n_avg=n_avg, kind=CountKind.POISSON)
         tv = 0.5 * sum(
-            abs(attack_count_pmf(binom, n) - attack_count_pmf(poisson, n))
+            abs(attempt_pmf(binom, n) - attempt_pmf(poisson, n))
             for n in range(366)
         )
         assert tv <= n_avg**2 / 365
@@ -109,7 +79,7 @@ class TestConditionalSuccess:
 
     def test_negative_counts_rejected(self):
         with pytest.raises(InputError):
-            attack_count_pmf(YEAR, -1)
+            conditional_pmf(MALWARE_BAND, -1)
 
 
 class TestLikelihoodNoChange:
@@ -131,7 +101,7 @@ class TestLikelihoodNoChange:
             lik = incident_likelihood(MALWARE_BAND, model, Regime.NO_CHANGE)
             for s in (0, 1, 2, 5, 12):
                 mixture = math.fsum(
-                    attack_count_pmf(model, n) * given_n[n][s]
+                    attempt_pmf(model, n) * given_n[n][s]
                     for n in range(41)
                     if s < len(given_n[n])
                 )
@@ -140,7 +110,7 @@ class TestLikelihoodNoChange:
     def test_zero_attempt_mass_lands_on_s_zero(self):
         # Pr(S=0) must include the full no-attempt probability
         pmf = incident_likelihood(MALWARE_BAND, YEAR, Regime.NO_CHANGE).pmf
-        assert pmf[0] > attack_count_pmf(YEAR, 0)
+        assert pmf[0] > attempt_pmf(YEAR, 0)
 
     @pytest.mark.parametrize("q", [1.0, 2.0])
     def test_vanishing_cells_stay_nonnegative(self, q):
@@ -162,23 +132,26 @@ class TestLikelihoodChange:
     def test_point_mass_closed_form(self):
         dist = SuccessDistribution.point_mass(0.5)
         expected = 1.0 - (1.0 - 2.0 / 365.0) ** 365
-        assert likelihood_change(dist, YEAR) == pytest.approx(expected, abs=1e-6)
+        lik = incident_likelihood(dist, YEAR, Regime.CHANGE)
+        assert lik.value == pytest.approx(expected, abs=1e-6)
 
     def test_reference_malware_band(self):
-        assert likelihood_change(MALWARE_BAND, YEAR) == pytest.approx(0.86, abs=0.01)
+        lik = incident_likelihood(MALWARE_BAND, YEAR, Regime.CHANGE)
+        assert lik.value == pytest.approx(0.86, abs=0.01)
 
     def test_reference_insider_band(self):
         dist = SuccessDistribution.from_triple(0.79, 0.90, 0.95)
-        assert likelihood_change(dist, YEAR) == pytest.approx(0.97, abs=0.01)
+        lik = incident_likelihood(dist, YEAR, Regime.CHANGE)
+        assert lik.value == pytest.approx(0.97, abs=0.01)
 
     def test_no_attempts_no_incident(self):
         model = AttackCountModel(t=365, n_avg=0.0)
-        assert likelihood_change(MALWARE_BAND, model) == 0.0
+        assert incident_likelihood(MALWARE_BAND, model, Regime.CHANGE).value == 0.0
 
     def test_monotone_in_mean_attempts(self):
         values = [
-            likelihood_change(MALWARE_BAND, AttackCountModel(t=365, n_avg=n))
-            for n in (0.0, 1.0, 2.0, 4.0, 8.0, 16.0)
+            incident_likelihood(MALWARE_BAND, AttackCountModel(t=365, n_avg=n), Regime.CHANGE)
+            .value for n in (0.0, 1.0, 2.0, 4.0, 8.0, 16.0)
         ]
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
@@ -186,20 +159,21 @@ class TestLikelihoodChange:
         values = []
         for shift in (0.0, 0.02, 0.05, 0.10, 0.20):
             dist = SuccessDistribution.from_triple(0.28 + shift, 0.50 + shift, 0.72 + shift)
-            values.append(likelihood_change(dist, YEAR))
+            values.append(incident_likelihood(dist, YEAR, Regime.CHANGE).value)
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_matches_complement_of_zero_incidents(self):
         # the change-regime value equals 1 - Pr(S=0) under the fixed-posture pmf
         lik = incident_likelihood(MALWARE_BAND, YEAR, Regime.NO_CHANGE)
-        assert likelihood_change(MALWARE_BAND, YEAR) == pytest.approx(
-            1.0 - lik.pmf[0], abs=1e-7
-        )
+        change = incident_likelihood(MALWARE_BAND, YEAR, Regime.CHANGE)
+        assert change.value == pytest.approx(1.0 - lik.pmf[0], abs=1e-7)
 
 
 # the band from 1e-9 to 0.9 with its mode at 1e-9: its incident-free
-# mass falls slowly as attempts grow, so the change series needs the most terms
+# mass falls slowly as attempts grow, so its first row peaks far out
 STEEP_BAND = SuccessDistribution.from_triple(1e-9, 1e-9, 0.9)
+# a band so low that under 1e-3 Poisson attempts L is about 3e-15
+TINY_BAND = SuccessDistribution.from_triple(1e-12, 2e-12, 1e-11)
 COUNT_MODELS = [
     AttackCountModel(t=365, n_avg=4.0),
     AttackCountModel(t=365, n_avg=50.0),
@@ -233,16 +207,16 @@ def no_change(band, model):
 
 
 class TestChangeSeries:
-    """The change regime's closed-form series against two independent references."""
+    """The change regime's likelihood against the no-change pmf and 60-digit closed forms."""
 
     @pytest.mark.parametrize("model", COUNT_MODELS, ids=model_id)
     def test_matches_no_change_pmf_at_zero(self, model):
         # 1 - pmf(0) of the no-change series, which the oracle and the
-        # Gauss-Jacobi reference check
+        # Gauss-Jacobi reference check: its first row, or that row's complement
         for band in GRID_BANDS:
             pmf = no_change(band, model).pmf
-            change = likelihood_change(band, model)
-            assert abs(change - (1.0 - pmf[0])) <= 1e-13, band
+            change = incident_likelihood(band, model, Regime.CHANGE).value
+            assert abs(change - (1.0 - pmf[0])) <= 1e-15, band
 
     @pytest.mark.parametrize(
         "band, model",
@@ -254,12 +228,16 @@ class TestChangeSeries:
             (MALWARE_BAND, YEAR),
             (SKEWED_BAND, AttackCountModel(t=8760, n_avg=100.0, kind=CountKind.POISSON)),
             (SuccessDistribution.from_triple(1e-6, 2e-6, 1e-5), YEAR),
+            # z is within 1e-6 of one; a binomial row has at most t + 1 terms
+            (SuccessDistribution.from_triple(1e-9, 1e-9, 0.999999),
+             AttackCountModel(t=365, n_avg=365.0)),
+            # L is about 3e-15, held to a relative 1e-13 below
+            (TINY_BAND, AttackCountModel(t=1, n_avg=1e-3, kind=CountKind.POISSON)),
         ],
         ids=lambda v: f"{v.kind.value}-{v.t}-{v.n_avg:g}" if isinstance(v, AttackCountModel) else None,
     )
     def test_matches_mpmath(self, band, model):
-        # the untransformed forms, evaluated in 60-digit arithmetic: Kummer's and
-        # Euler's transformations are not used by the reference
+        # the hypergeometric closed forms, evaluated in 60-digit arithmetic
         mp = pytest.importorskip("mpmath")
         with mp.workdps(60):
             a, b = mp.mpf(band.alpha), mp.mpf(band.beta)
@@ -274,6 +252,8 @@ class TestChangeSeries:
             expected = float(expected)
         lik = incident_likelihood(band, model, Regime.CHANGE)
         assert abs(lik.value - expected) <= 1e-13
+        if band is TINY_BAND:
+            assert abs(lik.value - expected) <= 1e-13 * expected
         assert lik.quadrature_error <= 1e-16
 
     def test_certain_incident_skips_the_sum(self):
@@ -287,16 +267,14 @@ class TestChangeSeries:
 
     @pytest.mark.parametrize(
         "band, model",
-        [
-            # foreseen: the terms keep rising for about 7.5e6 terms
-            (STEEP_BAND, AttackCountModel(t=1, n_avg=1e7, kind=CountKind.POISSON)),
-            # found while summing: z is within 1e-6 of one, so the terms fall too slowly
-            (SuccessDistribution.from_triple(1e-9, 1e-9, 0.999999), AttackCountModel(t=365, n_avg=365.0)),
-        ],
-        ids=["foreseen", "summed"],
+        # foreseen: the first row's terms rise for about 9e6 terms
+        [(STEEP_BAND, AttackCountModel(t=1, n_avg=1e7, kind=CountKind.POISSON))],
+        ids=["foreseen"],
     )
     def test_term_cap(self, band, model):
-        with deadline(10), pytest.raises(ComputationError, match="term cap"):
+        # the shared work cap holds the place of the change series' own term cap,
+        # and is found before any step towards the row's largest term
+        with deadline(10), pytest.raises(ComputationError, match="work cap"):
             incident_likelihood(band, model, Regime.CHANGE)
 
 
@@ -304,7 +282,7 @@ class TestIncidentLikelihood:
     def test_change_regime_carries_scalar(self):
         lik = incident_likelihood(MALWARE_BAND, YEAR, Regime.CHANGE)
         assert lik.pmf is None
-        assert lik.value == pytest.approx(likelihood_change(MALWARE_BAND, YEAR), abs=1e-12)
+        assert 0.0 < lik.value < 1.0
         assert lik.quadrature_error < 1e-6
 
     def test_no_change_regime_carries_pmf(self):
@@ -362,7 +340,8 @@ class TestNoChangeSeries:
         model = AttackCountModel(t=10_000_000, n_avg=4.0)
         for band in (MALWARE_BAND, SKEWED_BAND, STEEP_BAND):
             pmf = assert_matches_reference(band, model).pmf
-            assert abs(likelihood_change(band, model) - (1.0 - pmf[0])) <= 1e-13
+            change = incident_likelihood(band, model, Regime.CHANGE).value
+            assert abs(change - (1.0 - pmf[0])) <= 1e-13
 
     @pytest.mark.parametrize(
         "band, model",
@@ -446,9 +425,9 @@ class TestBoundedWork:
         binom = AttackCountModel(t=t, n_avg=4.0)
         poisson = AttackCountModel(t=t, n_avg=4.0, kind=CountKind.POISSON)
         with deadline(2):
-            change = likelihood_change(MALWARE_BAND, binom)
+            change = incident_likelihood(MALWARE_BAND, binom, Regime.CHANGE).value
             pmf = incident_likelihood(MALWARE_BAND, binom, Regime.NO_CHANGE).pmf
-            poisson_change = likelihood_change(MALWARE_BAND, poisson)
+            poisson_change = incident_likelihood(MALWARE_BAND, poisson, Regime.CHANGE).value
             poisson_pmf = incident_likelihood(MALWARE_BAND, poisson, Regime.NO_CHANGE).pmf
         assert abs(change - poisson_change) <= 4.0**2 / t
         assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-9)
@@ -461,4 +440,4 @@ class TestBoundedWork:
         # the change regime needs no support and still answers
         with deadline(10):
             for band in (MALWARE_BAND, SKEWED_BAND):
-                assert likelihood_change(band, model) == 1.0
+                assert incident_likelihood(band, model, Regime.CHANGE).value == 1.0

@@ -9,7 +9,6 @@ from cyrisk.incidence import (
     CountKind,
     Regime,
     incident_likelihood,
-    likelihood_change,
 )
 from cyrisk.oracle import (
     MIN_EXPECTED_COUNT,
@@ -72,7 +71,7 @@ class TestSimulate:
         replications = 10**6
         counts = simulate(MALWARE_BAND, YEAR, replications, seed=42)
         empirical_any = 1.0 - counts.probabilities[0]
-        analytic = likelihood_change(MALWARE_BAND, YEAR)
+        analytic = incident_likelihood(MALWARE_BAND, YEAR, Regime.CHANGE).value
         se = math.sqrt(analytic * (1.0 - analytic) / replications)
         assert abs(empirical_any - analytic) <= 3 * se
         # and the analytic value agrees with the reported 0.86 at two decimals

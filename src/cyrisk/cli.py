@@ -269,7 +269,10 @@ def cmd_htma(args: argparse.Namespace) -> Output:
     return Output(
         {
             "htma_report.json": report,
-            "htma_losses.csv": (["trial", "loss"], Columns(result.trials, [(repr, losses)])),
+            "htma_losses.csv": (
+                ["trial", "loss"],
+                Columns(result.trials, lambda i, j: [map(repr, losses[i:j].tolist())]),
+            ),
             "htma_lec.csv": (
                 ["loss", "exceedance_probability"],
                 zip(*(column.tolist() for column in result.lec)),
@@ -311,14 +314,24 @@ def cmd_fair(args: argparse.Namespace) -> Output:
     # "events,lef" formatted once per count; lef is the per-slot event rate s/t
     t = float(config.count.t)
     pair = [f"{s},{s / t!r}" for s in range(int(result.events.max()) + 1)]
-    columns = [(pair.__getitem__, result.events), (repr, result.per_event_loss),
-               (repr, result.total_loss)]
+
+    def block(start: int, stop: int) -> list[Iterable[str]]:
+        events = result.events[start:stop]
+        total = list(map(repr, result.total_loss[start:stop].tolist()))
+        # a trial with at most one event has its total as its per-event loss, so
+        # only trials with two or more events format a per-event loss of their own
+        per_event = total.copy()
+        many = (events > 1).nonzero()[0]
+        for i, loss in zip(many.tolist(), result.per_event_loss[start + many].tolist()):
+            per_event[i] = repr(loss)
+        return [map(pair.__getitem__, events.tolist()), per_event, total]
+
     return Output(
         {
             "fair_report.json": report,
             "fair_trials.csv": (
                 ["trial", "events", "lef", "per_event_loss", "total_loss"],
-                Columns(result.trials, columns),
+                Columns(result.trials, block),
             ),
         },
         config.output_dir,

@@ -4,8 +4,10 @@ Every problem with an input document raises DocumentError, whose message reads
 ``<file>: <field path>: <reason>``. Writers are deterministic:
 sorted keys, two-space indent, a trailing newline and no timestamps, so a
 rerun with identical inputs produces byte-identical files. The per-trial
-tables are ``Columns``, written in blocks of ``BLOCK_ROWS`` rows, with bytes
-identical to ``csv.writer`` formatting each float in its shortest ``repr``.
+tables are ``Columns``: a block function gives the formatted cells of
+``BLOCK_ROWS`` rows at a time, so a table can reuse one formatted value in
+several cells; the bytes are those of ``csv.writer`` formatting each float
+in its shortest ``repr``.
 """
 
 from __future__ import annotations
@@ -418,19 +420,20 @@ BLOCK_ROWS = 1024
 
 
 class Columns:
-    """A per-trial table of ``rows`` rows, held as columns: row ``i`` is ``i``
-    followed by ``cell(array[i])`` of each ``(cell, array)`` pair in ``cells``.
+    """A per-trial table of ``rows`` rows, formatted a block at a time.
 
-    ``cell`` receives the Python value of ``array.tolist()``, so ``repr`` for
-    floats and ``str`` for ints give the bytes ``csv.writer`` writes. Not a
-    tuple and without ``len()``: a table is not a sequence of rows.
+    ``block(start, stop)`` returns the cell columns that follow the trial
+    index in rows ``start`` to ``stop``: one iterable of strings per column,
+    each giving the bytes ``csv.writer`` writes for that cell (``repr`` for a
+    float, ``str`` for an int). Not a tuple and without ``len()``: a table is
+    not a sequence of rows.
     """
 
-    __slots__ = ("rows", "cells")
+    __slots__ = ("rows", "block")
 
-    def __init__(self, rows: int, cells: Sequence[tuple[Callable[[Any], str], Any]]) -> None:
+    def __init__(self, rows: int, block: Callable[[int, int], Sequence[Iterable[str]]]) -> None:
         self.rows = rows
-        self.cells = cells
+        self.block = block
 
 
 def write_csv(
@@ -445,10 +448,16 @@ def write_csv(
             writer.writerows(rows)
             return
         for start in range(0, rows.rows, BLOCK_ROWS):
-            stop = min(start + BLOCK_ROWS, rows.rows)
-            cells = [map(str, range(start, stop))]
-            cells += [map(cell, array[start:stop].tolist()) for cell, array in rows.cells]
-            handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            handle.write("\n".join(_block_lines(rows, start, min(start + BLOCK_ROWS, rows.rows))))
+
+
+def _block_lines(table: Columns, start: int, stop: int) -> list[str]:
+    """Rows ``start`` to ``stop`` of ``table``, then "" to end the last row.
+
+    The block's columns are freed when this returns, before the rows are
+    joined, so a block never holds its columns and its text at once."""
+    cells = zip(map(str, range(start, stop)), *table.block(start, stop))
+    return [*map(",".join, cells), ""]
 
 
 def likelihood_to_dict(lik: IncidentLikelihood) -> dict[str, Any]:

@@ -12,7 +12,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ComputationError, InputError
 from .model import IncidentLikelihood, LossCategory
 
 MODE_HISTOGRAM_BINS = 50
@@ -75,7 +75,8 @@ class FairResult(NamedTuple):
     """Per-trial event counts and losses plus their summaries.
 
     per_event_loss holds each trial's mean loss per event (zero for trials
-    without events); summaries of it cover only trials that saw at least one
+    without events), so it equals total_loss bit for bit wherever a trial saw
+    at most one event; summaries of it cover only trials that saw at least one
     event.
     """
 
@@ -116,6 +117,13 @@ def _summary(values: np.ndarray, mode: float) -> SummaryRow:
     )
 
 
+def _percentiles(values: np.ndarray) -> dict[int, float]:
+    """``SUMMARY_PERCENTILES`` of ``values``, all from one partition; 0.0 when empty."""
+    if values.size == 0:
+        return dict.fromkeys(SUMMARY_PERCENTILES, 0.0)
+    return dict(zip(SUMMARY_PERCENTILES, np.percentile(values, SUMMARY_PERCENTILES).tolist()))
+
+
 def run_fair(
     lik: IncidentLikelihood, categories: Sequence[LossCategory], trials: int, seed: int
 ) -> FairResult:
@@ -123,7 +131,8 @@ def run_fair(
 
     The draw order is fixed (event counts, then primary magnitudes, then
     secondary magnitudes, each on its own stream derived from the seed), so a
-    given seed always reproduces the same trial table.
+    given seed always reproduces the same trial table. Losses past the float
+    range raise ComputationError naming the categories.
     """
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
@@ -145,6 +154,11 @@ def run_fair(
         )
     owner = np.repeat(np.arange(trials), events)
     total_loss = np.bincount(owner, weights=losses, minlength=trials)
+    # per_event_loss is total_loss over a count >= 1, or 0.0, so both are finite
+    # when total_loss is
+    if not np.isfinite(total_loss).all():
+        names = ", ".join(repr(c.name) for c in categories)
+        raise ComputationError(f"loss categories {names}: the losses overflow the float range")
     with_events = events > 0
     per_event_loss = np.where(with_events, total_loss / np.maximum(events, 1), 0.0)
 
@@ -155,13 +169,8 @@ def run_fair(
         "total_loss": _summary(total_loss, _histogram_mode(total_loss)),
     }
     percentiles = {
-        "per_event_loss": {
-            p: float(np.percentile(magnitudes, p)) if magnitudes.size else 0.0
-            for p in SUMMARY_PERCENTILES
-        },
-        "total_loss": {
-            p: float(np.percentile(total_loss, p)) for p in SUMMARY_PERCENTILES
-        },
+        "per_event_loss": _percentiles(magnitudes),
+        "total_loss": _percentiles(total_loss),
     }
     return FairResult(
         events=events,

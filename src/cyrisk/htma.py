@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InputError, InvalidRange
+from .errors import ComputationError, InputError, InvalidRange
 from .model import Threat
 
 #: A 90% confidence interval spans 2 x 1.645 log-normal standard deviations.
@@ -65,7 +65,8 @@ def run_htma(threats: Sequence[Threat], trials: int, seed: int) -> HtmaResult:
     Every threat gets its own random stream derived from the seed, and impact
     draws happen whether or not the threat fired, so changing one threat's
     likelihood cannot perturb any other draw. Identical seeds give bitwise
-    identical loss vectors.
+    identical loss vectors. A loss past the float range raises
+    ComputationError naming the threat whose draws took it there.
     """
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
@@ -81,4 +82,9 @@ def run_htma(threats: Sequence[Threat], trials: int, seed: int) -> HtmaResult:
         fired = rng.uniform(size=trials) < threat.likelihood
         impacts = sample_impact(threat, rng, size=trials)
         losses += np.where(fired, impacts, 0.0)
+        if not np.isfinite(losses).all():
+            raise ComputationError(
+                f"threat {threat.id}: its impact draws take the annual loss past the float "
+                f"range (impact band [{threat.impact_low!r}, {threat.impact_high!r}])"
+            )
     return HtmaResult(losses=losses, lec=loss_exceedance_curve(losses), trials=trials)

@@ -12,6 +12,7 @@ import pytest
 
 from cyrisk.cli import RUN_COMMANDS, _band, main
 from cyrisk.documents import (
+    BLOCK_ROWS,
     load_loss_categories,
     load_profile,
     load_run_config,
@@ -338,7 +339,8 @@ class TestHtma:
         out = tmp_path / "out"
         assert run(["htma", "--config", config, "--out", out]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error [ComputationError]: {out / 'htma_report.json'}: ")
+        assert err.startswith("error [ComputationError]: threat 1: ")
+        assert "float range" in err
         assert not (out / "htma_report.json").exists()
 
     def test_byte_identical_reruns(self, tmp_path, htma_config):
@@ -429,6 +431,21 @@ class TestFair:
         assert run(["fair", "--config", fair_config, "--out", tmp_path / "out"]) == 2
         assert "categories[0].max" in capsys.readouterr().err
 
+    def test_overflowing_losses_exit_1_naming_the_categories(self, tmp_path, fair_config, capsys):
+        # two losses near 1e308 per event sum past the float range
+        ref.write_json(
+            tmp_path / "categories.json",
+            [{"name": name, "min": 1, "most_likely": 1e308, "max": 1.7e308}
+             for name in ("response", "replacement")],
+        )
+        out = tmp_path / "out"
+        assert run(["fair", "--config", fair_config, "--out", out]) == 1
+        err = capsys.readouterr().err
+        names = "'response', 'replacement'"
+        assert err.startswith(f"error [ComputationError]: loss categories {names}: ")
+        assert "float range" in err
+        assert not out.exists()
+
     def test_emits_report_and_trials(self, tmp_path, fair_config):
         out = tmp_path / "out"
         with pytest.warns(UserWarning, match="not ordered"):
@@ -465,7 +482,9 @@ class TestFair:
         band = _band(config, profile, profile.maturity_index)
         lik = incident_likelihood(band, config.count, Regime.NO_CHANGE)
         result = run_fair(lik, categories, trials=BLOCKS_TRIALS, seed=seed)
-        assert result.events.max() > 1  # more than one events,lef pair
+        # trials with no event, one event and several events, over three blocks
+        assert {0, 1} <= set(result.events.tolist()) and result.events.max() > 1
+        assert BLOCKS_TRIALS > 2 * BLOCK_ROWS
         lef = result.events / config.count.t
         columns = (result.events, lef, result.per_event_loss, result.total_loss)
         expected = csv_bytes(

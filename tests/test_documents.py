@@ -425,8 +425,12 @@ class TestWriters:
         pair = [f"{s},{r!r}" for s, r in zip(counts.tolist(), (counts / t).tolist())]
         header = ["trial", "events", "lef", "float", "int"]
         path, reference = tmp_path / "columns.csv", tmp_path / "rows.csv"
-        write_csv(path, header, Columns(length, [(pair.__getitem__, codes), (repr, floats),
-                                                 (str, ints)]))
+
+        def block(start, stop):
+            return [map(pair.__getitem__, codes[start:stop].tolist()),
+                    map(repr, floats[start:stop].tolist()), map(str, ints[start:stop].tolist())]
+
+        write_csv(path, header, Columns(length, block))
         rows = zip(range(length), codes.tolist(), (codes / t).tolist(), floats.tolist(),
                    ints.tolist())
         with open(reference, "w", encoding="utf-8", newline="") as handle:

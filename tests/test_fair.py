@@ -20,6 +20,8 @@ from cyrisk.incidence import (
     Regime,
     incident_likelihood,
 )
+from cyrisk.model import CountKind
+from cyrisk.oracle import LEVEL, EmpiricalCounts, compare_to_analytic
 from cyrisk.success import pert_from_maturity, solve_asymptotes
 
 RESPONSE = LossCategory("response", 2_750.0, 8_250.0, 22_000.0, confidence=20.0)
@@ -32,13 +34,16 @@ def two_point_pmf():
     )
 
 
-@pytest.fixture(scope="module")
-def healthcare_pmf():
+def case_study_pmf(model):
     """No-change incident pmf for the maturity-6.9 / complexity-5.2 case study."""
     params = solve_asymptotes(-2.0, 5.2, 0.97, 0.03)
     band = pert_from_maturity(params, 6.9, w=1.0, q=1.0)
-    model = AttackCountModel(t=365, n_avg=84.0)
     return incident_likelihood(band, model, Regime.NO_CHANGE)
+
+
+@pytest.fixture(scope="module")
+def healthcare_pmf():
+    return case_study_pmf(AttackCountModel(t=365, n_avg=84.0))
 
 
 class TestLossCategory:
@@ -188,6 +193,32 @@ class TestRunFair:
         events = np.array([int(row["events"]) for row in rows])
         assert events.any()
         assert np.allclose([float(row["lef"]) for row in rows], events / 30)
+
+    @pytest.mark.parametrize("seed", [9, 12, 20240])
+    def test_per_event_loss_is_total_for_at_most_one_event(self, healthcare_pmf, seed):
+        # the trial table formats total_loss once and reuses it for these trials
+        result = run_fair(healthcare_pmf, [RESPONSE, REPLACEMENT], trials=2_000, seed=seed)
+        assert {0, 1} <= set(result.events.tolist()) and result.events.max() >= 2
+        few = result.events <= 1
+        assert result.per_event_loss[few].tobytes() == result.total_loss[few].tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "model",
+        [AttackCountModel(t=365, n_avg=84.0), AttackCountModel(n_avg=3.0, kind=CountKind.POISSON)],
+        ids=["binomial", "poisson"],
+    )
+    def test_event_counts_pass_the_oracle(self, model, seed):
+        # the trials' event counts are a sample from the no-change pmf; the oracle's
+        # chi-square test fails a correct sampler at a given seed with probability
+        # LEVEL = 1e-3, so these four fixed cases together false-alarm at most 4e-3
+        lik = case_study_pmf(model)
+        trials = 100_000
+        events = run_fair(lik, [RESPONSE], trials=trials, seed=seed).events
+        report = compare_to_analytic(EmpiricalCounts(np.bincount(events) / trials, trials), lik)
+        assert report.level == LEVEL == 1e-3
+        assert report.passed, report.p_value
+        assert report.degrees_of_freedom >= 3
 
     def test_deterministic_for_fixed_seed(self, healthcare_pmf):
         first = run_fair(healthcare_pmf, [RESPONSE, REPLACEMENT], trials=2_000, seed=9)

@@ -303,7 +303,7 @@ def cmd_fair(args: argparse.Namespace) -> Output:
         "trials": result.trials,
         "slots_per_period": config.count.t,
         "success_band": {"p_m": dist.p_m, "p_star": dist.p_star, "p_M": dist.p_M},
-        "analytic_mean_events": lik.mean_events,
+        "analytic_mean_events": config.count.n_avg * dist.mean,
         "quadrature_error": lik.quadrature_error,
         "summary": {name: row._asdict() for name, row in result.summary.items()},
         "percentiles": {

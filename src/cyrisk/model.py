@@ -1,5 +1,5 @@
 """Value types the documents describe, free of numpy: the analytic layer and the
-engines (``incidence``, ``mixture``, ``htma``, ``fair``, ``oracle``) compute with
+engines (``incidence``, ``htma``, ``fair``, ``oracle``) compute with
 them, and ``documents`` and ``cli`` read and write them without loading numpy.
 
 Every value type of the package is an immutable ``typing.NamedTuple``: use
@@ -79,7 +79,6 @@ class IncidentLikelihood(NamedTuple):
     value is 1.0, that bound). It is 0 for a zero-width band.
     """
 
-    regime: Regime
     pmf: tuple[float, ...] | None
     value: float | None
     quadrature_error: float
@@ -87,10 +86,6 @@ class IncidentLikelihood(NamedTuple):
     def _check(self) -> IncidentLikelihood:
         if (self.pmf is None) == (self.value is None):
             raise InputError("exactly one of pmf and value must be set")
-        if self.regime is Regime.NO_CHANGE and self.pmf is None:
-            raise InputError("no-change results carry a pmf")
-        if self.regime is Regime.CHANGE and self.value is None:
-            raise InputError("change results carry a scalar value")
         if self.value is not None and not 0.0 <= self.value <= 1.0:
             raise InputError(f"likelihood must be in [0, 1], got {self.value}")
         if self.pmf is not None:
@@ -100,11 +95,9 @@ class IncidentLikelihood(NamedTuple):
         return self
 
     @property
-    def mean_events(self) -> float:
-        """Expected incident count (NO_CHANGE only)."""
-        if self.pmf is None:
-            raise InputError("mean_events needs the full pmf")
-        return sum(s * p for s, p in enumerate(self.pmf))
+    def regime(self) -> Regime:
+        """NO_CHANGE for a result that carries a pmf, CHANGE for one that carries a value."""
+        return Regime.CHANGE if self.pmf is None else Regime.NO_CHANGE
 
 
 @checked

@@ -171,7 +171,7 @@ def attempt_pmf(model, n):
     attempts (t up to about 1,000, where the binomial coefficient still fits a
     float), and exp(-n_avg) n_avg^n / n! for Poisson ones, the power and the
     factorial taken as a product of n ratios. It shares no code with
-    ``cyrisk.mixture``."""
+    ``cyrisk.incidence``."""
     import math
 
     from cyrisk.model import CountKind
@@ -222,7 +222,7 @@ def _jacobi_rule(m, a, b):
 def reference_pmf(dist, model, top):
     """Pr(S = s) for s = 0..top with the posture fixed all period: the count
     kernel at each node of the 512-node Gauss-Jacobi rule, mixed by its
-    weights. It shares no code with ``cyrisk.mixture``.
+    weights. It shares no code with ``cyrisk.incidence``.
 
     The kernel is evaluated in log space with log C(t, s) and log s! as
     exact sums (math.fsum) of logs: log-gamma differences are off by 4e-8 at

@@ -123,6 +123,46 @@ class TestAssess:
         assert "attractiveness" in capsys.readouterr().err
 
 
+    def test_attack_share_out_of_range_exits_2_naming_the_flag(
+        self, tmp_path, questionnaires, capsys
+    ):
+        aw, core, cats = questionnaires
+        out = tmp_path / "out"
+        code = run(
+            ["assess", "--awareness", aw, "--maturity", core, "--complexity", *cats,
+             "--attack-share", "150", "--out", out]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "validation error [DocumentError]: --attack-share: expected a percentage in "
+            "[0, 100], got 150.0"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, role", [("--maturity", "core"), ("--complexity", "complexity")])
+    def test_questionnaire_of_the_wrong_kind_exits_2(
+        self, tmp_path, questionnaires, capsys, flag, role
+    ):
+        aw, core, cats = questionnaires
+        files = {"--awareness": [aw], "--maturity": [core], "--complexity": cats}
+        files[flag] = [aw]
+        argv = [item for name, paths in files.items() for item in (name, *paths)]
+        assert run(["assess", *argv, "--attack-share", "3.0", "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error [InputError]: {role} questionnaire ")
+        assert "has kind 'awareness'" in err
+
+    def test_zero_score_scale_exits_2_naming_the_file(self, tmp_path, questionnaires, capsys):
+        aw, _, cats = questionnaires
+        core = ref.write_questionnaire(tmp_path / "zero.json", "maturity_core", [0, 0], s_max=0)
+        code = run(
+            ["assess", "--awareness", aw, "--maturity", core, "--complexity", *cats,
+             "--attack-share", "3.0", "--out", tmp_path / "out"]
+        )
+        assert code == 2
+        assert f"{core}: s_max must be >= 1, got 0" in capsys.readouterr().err
+
+
 class TestLikelihood:
     def test_nine_threat_table_reproduced(self, tmp_path):
         profile = ref.write_profile(tmp_path / "profile.json")
@@ -263,7 +303,9 @@ class TestLikelihood:
         assert run(["likelihood", "--config", config, "--out", tmp_path / "out"]) == 2
         assert "inputs.profile" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("categories", [5, [5], {}])
+    @pytest.mark.parametrize(
+        "categories", [5, [5], {}, [{"label": "n", "index": 5.0, "control_count": 0}]]
+    )
     def test_malformed_profile_categories_exit_2(self, tmp_path, capsys, categories):
         profile = ref.write_profile(tmp_path / "profile.json")
         ref.write_json(profile, {**json.loads(profile.read_text()), "categories": categories})
@@ -273,6 +315,16 @@ class TestLikelihood:
         )
         assert run(["likelihood", "--config", config, "--out", tmp_path / "out"]) == 2
         assert f"{profile}: categories" in capsys.readouterr().err
+
+    def test_profile_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        profile = tmp_path / "profile.json"
+        profile.write_text("[1]", encoding="utf-8")
+        ref.write_threat_catalog(tmp_path / "threats.json")
+        config = ref.write_run_config(
+            tmp_path / "run.json", {"profile": "profile.json", "threats": "threats.json"}
+        )
+        assert run(["likelihood", "--config", config, "--out", tmp_path / "out"]) == 2
+        assert f"{profile}: expected a JSON object" in capsys.readouterr().err
 
     def test_infinite_attempt_mean_exits_2(self, tmp_path, capsys):
         ref.write_profile(tmp_path / "profile.json")
@@ -291,15 +343,18 @@ class TestLikelihood:
     def test_huge_attempt_mean_exits_1_at_the_work_cap(self, tmp_path, capsys):
         ref.write_profile(tmp_path / "profile.json")
         ref.write_threat_catalog(tmp_path / "threats.json")
-        config = ref.write_run_config(
-            tmp_path / "run.json",
-            {"profile": "profile.json", "threats": "threats.json"},
-            regime="no_change",
-            count={"t": 365, "n_avg": 1e6, "kind": "poisson"},
-        )
-        with ref.deadline(15):
-            assert run(["likelihood", "--config", config, "--out", tmp_path / "out"]) == 1
-        assert "work cap" in capsys.readouterr().err
+        # at 1e6 the support fits the cap and the mixture cells do not;
+        # at 1e7 the support alone is past it
+        for n_avg in (1e6, 1e7):
+            config = ref.write_run_config(
+                tmp_path / "run.json",
+                {"profile": "profile.json", "threats": "threats.json"},
+                regime="no_change",
+                count={"t": 365, "n_avg": n_avg, "kind": "poisson"},
+            )
+            with ref.deadline(15):
+                assert run(["likelihood", "--config", config, "--out", tmp_path / "out"]) == 1
+            assert "work cap" in capsys.readouterr().err
 
 
 class TestHtma:
@@ -342,6 +397,25 @@ class TestHtma:
         assert err.startswith("error [ComputationError]: threat 1: ")
         assert "float range" in err
         assert not (out / "htma_report.json").exists()
+
+    def test_overflowing_mean_exits_1_naming_the_report(self, tmp_path, capsys):
+        # every trial's loss is finite, about 1.5e306, but their sum over
+        # 1,000 trials is not, so the report's mean overflows
+        ref.write_json(
+            tmp_path / "threats.json",
+            [{"id": i, "name": f"t{i}", "impact_low": 5e305, "impact_high": 5.000001e305,
+              "likelihood": 1.0} for i in (1, 2, 3)],
+        )
+        config = ref.write_run_config(tmp_path / "run.json", {"threats": "threats.json"})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow in the mean
+            assert run(["htma", "--config", config, "--trials", "1000", "--out", out]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error [ComputationError]: {out / 'htma_report.json'}: Out of range float "
+            "values are not JSON compliant"
+        )
+        assert not any(out.iterdir())
 
     def test_byte_identical_reruns(self, tmp_path, htma_config):
         first, second = tmp_path / "a", tmp_path / "b"
@@ -957,4 +1031,4 @@ def test_no_change_regime_leaves_numpy_out(tmp_path):
 
 
 def test_analytic_layer_leaves_numpy_out():
-    assert probe("import sys, cyrisk.incidence, cyrisk.mixture; print('numpy' in sys.modules)") == "False"
+    assert probe("import sys, cyrisk.incidence; print('numpy' in sys.modules)") == "False"

@@ -440,12 +440,8 @@ class TestWriters:
         assert path.read_bytes() == reference.read_bytes()
 
     def test_likelihood_payload_shapes(self):
-        scalar = IncidentLikelihood(
-            regime=Regime.CHANGE, pmf=None, value=0.25, quadrature_error=1e-9
-        )
-        pmf = IncidentLikelihood(
-            regime=Regime.NO_CHANGE, pmf=(0.75, 0.25), value=None, quadrature_error=0.0
-        )
+        scalar = IncidentLikelihood(pmf=None, value=0.25, quadrature_error=1e-9)
+        pmf = IncidentLikelihood(pmf=(0.75, 0.25), value=None, quadrature_error=0.0)
         assert likelihood_to_dict(scalar)["value"] == 0.25
         assert likelihood_to_dict(pmf)["pmf"] == {"0": 0.75, "1": 0.25}
         assert likelihood_to_dict(pmf)["regime"] == "no_change"

@@ -29,9 +29,7 @@ REPLACEMENT = LossCategory("replacement", 20_000.0, 30_000.0, 50_000.0, confiden
 
 
 def two_point_pmf():
-    return IncidentLikelihood(
-        regime=Regime.NO_CHANGE, pmf=(0.5, 0.5), value=None, quadrature_error=0.0
-    )
+    return IncidentLikelihood(pmf=(0.5, 0.5), value=None, quadrature_error=0.0)
 
 
 def case_study_pmf(model):
@@ -75,9 +73,7 @@ class TestLossCategory:
 
 class TestSampleEventCount:
     def test_point_mass_at_zero(self):
-        lik = IncidentLikelihood(
-            regime=Regime.NO_CHANGE, pmf=(1.0,), value=None, quadrature_error=0.0
-        )
+        lik = IncidentLikelihood(pmf=(1.0,), value=None, quadrature_error=0.0)
         rng = np.random.default_rng(0)
         assert sample_event_count(lik, rng, size=1) == 0
         assert np.all(sample_event_count(lik, rng, size=1000) == 0)
@@ -97,9 +93,7 @@ class TestSampleEventCount:
         assert abs(draws.mean() - mean) <= 3 * se
 
     def test_change_regime_rejected(self):
-        lik = IncidentLikelihood(
-            regime=Regime.CHANGE, pmf=None, value=0.5, quadrature_error=0.0
-        )
+        lik = IncidentLikelihood(pmf=None, value=0.5, quadrature_error=0.0)
         with pytest.raises(InputError):
             sample_event_count(lik, np.random.default_rng(0), size=1)
 
@@ -135,17 +129,13 @@ class TestSampleLossMagnitude:
 
 class TestRunFair:
     def test_no_events_no_losses(self):
-        lik = IncidentLikelihood(
-            regime=Regime.NO_CHANGE, pmf=(1.0,), value=None, quadrature_error=0.0
-        )
+        lik = IncidentLikelihood(pmf=(1.0,), value=None, quadrature_error=0.0)
         result = run_fair(lik, [RESPONSE], trials=500, seed=4)
         assert np.all(result.total_loss == 0.0)
         assert result.summary["total_loss"].maximum == 0.0
 
     def test_single_event_degenerate_categories_exact(self):
-        lik = IncidentLikelihood(
-            regime=Regime.NO_CHANGE, pmf=(0.0, 1.0), value=None, quadrature_error=0.0
-        )
+        lik = IncidentLikelihood(pmf=(0.0, 1.0), value=None, quadrature_error=0.0)
         categories = [
             LossCategory("a", 100.0, 100.0, 100.0),
             LossCategory("b", 50.0, 50.0, 50.0),
@@ -227,9 +217,7 @@ class TestRunFair:
         assert np.array_equal(first.total_loss, second.total_loss)
 
     def test_secondary_categories_add_on_top(self):
-        lik = IncidentLikelihood(
-            regime=Regime.NO_CHANGE, pmf=(0.0, 1.0), value=None, quadrature_error=0.0
-        )
+        lik = IncidentLikelihood(pmf=(0.0, 1.0), value=None, quadrature_error=0.0)
         primary = LossCategory("a", 100.0, 100.0, 100.0)
         secondary = LossCategory("s", 40.0, 40.0, 40.0, secondary=True)
         with_secondary = run_fair(lik, [primary, secondary], trials=50, seed=10)
@@ -242,6 +230,10 @@ class TestRunFair:
         secondary = LossCategory("s", 1.0, 2.0, 3.0, secondary=True)
         with pytest.raises(InputError):
             run_fair(lik, [secondary], trials=10, seed=0)
+
+    def test_trials_validated(self):
+        with pytest.raises(InputError, match="trials must be >= 1, got 0"):
+            run_fair(two_point_pmf(), [RESPONSE], trials=0, seed=0)
 
     def test_per_event_summary_skips_empty_trials(self):
         result = run_fair(two_point_pmf(), [RESPONSE], trials=5_000, seed=12)

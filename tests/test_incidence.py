@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from cyrisk.errors import ComputationError, InputError
 from cyrisk.incidence import (
+    SERIES_TOL,
     AttackCountModel,
     CountKind,
     IncidentLikelihood,
     Regime,
     incident_likelihood,
 )
-from cyrisk.mixture import SERIES_TOL
 from cyrisk.success import SuccessDistribution, pert_from_maturity, solve_asymptotes
 from reference_data import attempt_pmf, deadline, reference_pmf
 
@@ -299,7 +299,8 @@ class TestIncidentLikelihood:
             for kind in CountKind:
                 model = AttackCountModel(t=365, n_avg=4.0, kind=kind)
                 lik = incident_likelihood(band, model, Regime.NO_CHANGE)
-                assert lik.mean_events == pytest.approx(4.0 * band.mean, rel=1e-9), (triple, kind)
+                mean = sum(s * p for s, p in enumerate(lik.pmf))
+                assert mean == pytest.approx(4.0 * band.mean, rel=1e-9), (triple, kind)
 
     def test_point_mass_band_needs_no_quadrature(self):
         dist = SuccessDistribution.point_mass(0.3)
@@ -309,13 +310,11 @@ class TestIncidentLikelihood:
 
     def test_validation(self):
         with pytest.raises(InputError):
-            IncidentLikelihood(regime=Regime.CHANGE, pmf=None, value=None, quadrature_error=0.0)
+            IncidentLikelihood(pmf=None, value=None, quadrature_error=0.0)
         with pytest.raises(InputError):
-            IncidentLikelihood(regime=Regime.CHANGE, pmf=None, value=1.5, quadrature_error=0.0)
+            IncidentLikelihood(pmf=None, value=1.5, quadrature_error=0.0)
         with pytest.raises(InputError):
-            IncidentLikelihood(
-                regime=Regime.NO_CHANGE, pmf=(-0.1,), value=None, quadrature_error=0.0
-            )
+            IncidentLikelihood(pmf=(-0.1,), value=None, quadrature_error=0.0)
 
 
 def assert_matches_reference(band, model, lik=None):

@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 import reference_data as ref
+from cyrisk.cli import main
 
 LEDGER = Path(__file__).with_name("output_ledger.json")
 
@@ -105,8 +106,6 @@ def _documents(root):
 def _run(argv, out, root):
     """One command in-process: its exit code, its masked output lines and the
     SHA-256 of each file it wrote."""
-    from cyrisk.cli import main
-
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(
         stdout

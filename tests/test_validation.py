@@ -24,7 +24,6 @@ from cyrisk.model import (
     ControlWeightMatrix,
     IncidentLikelihood,
     LossCategory,
-    Regime,
     Threat,
 )
 from cyrisk.oracle import EmpiricalCounts, OracleReport
@@ -66,7 +65,7 @@ VALIDATED = {
     ),
     "IncidentLikelihood": (
         IncidentLikelihood,
-        dict(regime=Regime.CHANGE, pmf=None, value=0.5, quadrature_error=0.0),
+        dict(pmf=None, value=0.5, quadrature_error=0.0),
         ("value", 1.5),
         "likelihood must be in [0, 1]",
     ),

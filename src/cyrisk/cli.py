@@ -38,6 +38,7 @@ from .documents import (
     write_json,
 )
 from .errors import (
+    ComputationError,
     DegenerateCurve,
     DocumentError,
     InputError,
@@ -51,6 +52,8 @@ from .model import IncidentLikelihood, Regime, Threat
 from .posture import (
     Attractiveness,
     PostureProfile,
+    Questionnaire,
+    QuestionnaireKind,
     assess_posture,
     attacker_weight,
     classify_attractiveness,
@@ -177,10 +180,23 @@ def _catalog_assessments(config: RunConfig, regime: Regime) -> list[Assessment]:
 # commands
 
 
+def _questionnaire(flag: str, path: str, kind: QuestionnaireKind) -> Questionnaire:
+    """The questionnaire in ``path``, given by ``flag``, which must be of ``kind``."""
+    questionnaire = load_questionnaire(path)
+    if questionnaire.kind is not kind:
+        raise DocumentError(
+            f"{flag}: {path}: kind: expected {kind.value!r}, got {questionnaire.kind.value!r}"
+        )
+    return questionnaire
+
+
 def cmd_assess(args: argparse.Namespace) -> Output:
-    awareness = load_questionnaire(args.awareness)
-    core = load_questionnaire(args.maturity)
-    categories = [load_questionnaire(path) for path in args.complexity]
+    awareness = _questionnaire("--awareness", args.awareness, QuestionnaireKind.AWARENESS)
+    core = _questionnaire("--maturity", args.maturity, QuestionnaireKind.MATURITY_CORE)
+    categories = [
+        _questionnaire("--complexity", path, QuestionnaireKind.COMPLEXITY_CATEGORY)
+        for path in args.complexity
+    ]
     if args.attack_share is not None:
         if not 0.0 <= args.attack_share <= 100.0:
             raise DocumentError(
@@ -241,6 +257,8 @@ def cmd_likelihood(args: argparse.Namespace) -> Output:
 
 
 def cmd_htma(args: argparse.Namespace) -> Output:
+    import numpy as np
+
     from .htma import run_htma
 
     config = load_run_config(args.config)
@@ -255,13 +273,21 @@ def cmd_htma(args: argparse.Namespace) -> Output:
 
     result = run_htma(threats, trials=trials, seed=seed)
     losses = result.losses
+    with np.errstate(over="ignore"):  # every loss is finite, but their sum can overflow
+        mean = float(losses.mean())
+    if not np.isfinite(mean):
+        ids = ", ".join(str(t.id) for t in threats)
+        raise ComputationError(
+            f"threats {ids}: the mean annual loss over {result.trials} trials overflows "
+            "the float range"
+        )
     print(f"simulated {result.trials} trials over {len(threats)} threats (seed {seed})")
     report = {
         "seed": seed,
         "trials": result.trials,
         "threats": [{"id": t.id, "name": t.name, "likelihood": t.likelihood} for t in threats],
         "loss_statistics": {
-            "mean": float(losses.mean()),
+            "mean": mean,
             "min": float(losses.min()),
             "max": float(losses.max()),
         },

@@ -13,7 +13,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ComputationError, InputError
-from .model import IncidentLikelihood, LossCategory
+from .model import IncidentLikelihood, LossCategory, sorted_quantile
 
 MODE_HISTOGRAM_BINS = 50
 SUMMARY_PERCENTILES = (10, 50, 90)
@@ -118,10 +118,11 @@ def _summary(values: np.ndarray, mode: float) -> SummaryRow:
 
 
 def _percentiles(values: np.ndarray) -> dict[int, float]:
-    """``SUMMARY_PERCENTILES`` of ``values``, all from one partition; 0.0 when empty."""
+    """``SUMMARY_PERCENTILES`` of ``values``, all from one sort; 0.0 when empty."""
     if values.size == 0:
         return dict.fromkeys(SUMMARY_PERCENTILES, 0.0)
-    return dict(zip(SUMMARY_PERCENTILES, np.percentile(values, SUMMARY_PERCENTILES).tolist()))
+    ordered = np.sort(values)
+    return {p: sorted_quantile(ordered, p / 100) for p in SUMMARY_PERCENTILES}
 
 
 def run_fair(

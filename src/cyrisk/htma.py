@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ComputationError, InputError, InvalidRange
-from .model import Threat
+from .model import Threat, sorted_quantile
 
 #: A 90% confidence interval spans 2 x 1.645 log-normal standard deviations.
 LOGNORMAL_CI_FACTOR = 3.29
@@ -54,8 +54,9 @@ class HtmaResult(NamedTuple):
 def loss_exceedance_curve(losses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Empirical P(loss > x) on an even grid from 0 to the 99.9th loss percentile."""
     losses = np.sort(np.asarray(losses, dtype=float))
-    high = float(np.quantile(losses, LEC_UPPER_QUANTILE))
-    grid = np.unique(np.linspace(0.0, high, LEC_POINTS))
+    grid = np.linspace(0.0, sorted_quantile(losses, LEC_UPPER_QUANTILE), LEC_POINTS)
+    # the grid never descends, and it repeats points where the top is 0 or subnormal
+    grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
     return grid, 1.0 - np.searchsorted(losses, grid, side="right") / losses.size
 
 

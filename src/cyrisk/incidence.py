@@ -319,9 +319,9 @@ def incident_pmf(dist: SuccessDistribution, model: AttackCountModel) -> tuple[li
     return [min(x, 1.0) for x in pmf], dropped + tail
 
 
-def no_incident(dist: SuccessDistribution, model: AttackCountModel) -> tuple[float, float, float]:
-    """(E = Pr(no incident all period), 1 - E, a bound on the truncation error of
-    each) over the band.
+def no_incident(dist: SuccessDistribution, model: AttackCountModel) -> tuple[float, float]:
+    """(1 - E, a bound on its truncation error) over the band, where E is
+    Pr(no incident all period).
 
     E = K(0; p_m) Q(0, t) is the no-change pmf's first cell. Where b_i falls from
     i = 0 on, 1 - E is summed apart as (1 - K(0; p_m)) + K(0; p_m) (1 - Q(0, t)), so
@@ -343,15 +343,14 @@ def no_incident(dist: SuccessDistribution, model: AttackCountModel) -> tuple[flo
     if z_eff > 0.0:
         log_bound = log_floor + min(0.0, math.lgamma(a + b) - math.lgamma(b) - a * math.log(z_eff))
         if log_bound < -54.0 * math.log(2.0):
-            return 0.0, 1.0, math.exp(log_bound)
+            return 1.0, math.exp(log_bound)
 
     floor = math.exp(log_floor)
     (row,), tail = _excess_pmf(dist, model, model.t, 0, 0)
-    none = floor * row
     if first * odds >= 1.0:
         # b_i peaks past 0, so t z or c is at least about 1/2, and 1 - E >= 1 - Q(0, t)
         # >= (1 - e^-1/2) alpha / (alpha + beta): the subtraction loses no precision
-        return none, 1.0 - none, floor * tail
+        return 1.0 - floor * row, floor * tail
 
     # 1 - Q(0, t) = sum_i b_i (1 - rho_i) from i = 1, as 1 - rho_0 = 0. Each term is at
     # most b_i, so b_i's geometric tail bounds the sum's; as b_(i+1) / b_i < 1 / (i + 1),
@@ -367,7 +366,7 @@ def no_incident(dist: SuccessDistribution, model: AttackCountModel) -> tuple[flo
         m += 1.0
         left -= step
     error = floor * max(tail, term * ratio / (1.0 - ratio))
-    return none, -math.expm1(log_floor) + floor * some, error
+    return -math.expm1(log_floor) + floor * some, error
 
 
 def incident_likelihood(
@@ -379,7 +378,7 @@ def incident_likelihood(
         ComputationError: the sums need more cells and terms than the work cap.
     """
     if regime is Regime.CHANGE:
-        _, value, error = no_incident(dist, model)
+        value, error = no_incident(dist, model)
         return IncidentLikelihood(pmf=None, value=value, quadrature_error=error)
     pmf, error = incident_pmf(dist, model)
     return IncidentLikelihood(pmf=tuple(pmf), value=None, quadrature_error=error)

@@ -1,6 +1,7 @@
 """Value types the documents describe, free of numpy: the analytic layer and the
 engines (``incidence``, ``htma``, ``fair``, ``oracle``) compute with
 them, and ``documents`` and ``cli`` read and write them without loading numpy.
+``sorted_quantile`` is the one sample quantile the engines report.
 
 Every value type of the package is an immutable ``typing.NamedTuple``: use
 ``_replace`` and ``_asdict()`` on it. A type that validates its fields does so
@@ -9,9 +10,10 @@ in ``_check``, which ``errors.checked`` runs on every construction path.
 
 from __future__ import annotations
 
+import math
 import warnings
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .cvss import CvssVector
 from .errors import InputError, InvalidRange, checked, require_finite
@@ -238,3 +240,23 @@ class LossCategory(NamedTuple):
     def mean(self) -> float:
         """Modified-PERT mean (low + shape * most_likely + high) / (shape + 2)."""
         return (self.low + self.shape * self.most_likely + self.high) / (self.shape + 2.0)
+
+
+def sorted_quantile(values: Sequence[float], q: float) -> float:
+    """The ``q`` quantile of the non-empty ascending ``values`` by numpy's default
+    rule, "linear" (Hyndman & Fan's type 7), with the same bits as ``np.quantile``.
+
+    The virtual index is (n - 1) q; at or past n - 1 the last value is the
+    quantile. Otherwise the two values around it are interpolated as numpy's
+    ``_lerp`` does: from below for a fraction under 1/2, from above for the rest.
+    """
+    n = len(values)
+    position = (n - 1) * q
+    if position >= n - 1:
+        return float(values[-1])
+    below = math.floor(position)
+    fraction = position - below
+    a, b = float(values[below]), float(values[below + 1])
+    if fraction >= 0.5:
+        return b - (b - a) * (1.0 - fraction)
+    return a + (b - a) * fraction

@@ -139,18 +139,29 @@ class TestAssess:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, role", [("--maturity", "core"), ("--complexity", "complexity")])
+    @pytest.mark.parametrize(
+        "flag, expected",
+        [
+            pytest.param("--awareness", "awareness", id="--awareness-awareness"),
+            pytest.param("--maturity", "maturity_core", id="--maturity-core"),
+            pytest.param("--complexity", "complexity_category", id="--complexity-complexity"),
+        ],
+    )
     def test_questionnaire_of_the_wrong_kind_exits_2(
-        self, tmp_path, questionnaires, capsys, flag, role
+        self, tmp_path, questionnaires, capsys, flag, expected
     ):
         aw, core, cats = questionnaires
         files = {"--awareness": [aw], "--maturity": [core], "--complexity": cats}
-        files[flag] = [aw]
+        wrong, found = (core, "maturity_core") if flag == "--awareness" else (aw, "awareness")
+        files[flag] = [wrong]
         argv = [item for name, paths in files.items() for item in (name, *paths)]
-        assert run(["assess", *argv, "--attack-share", "3.0", "--out", tmp_path / "out"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"validation error [InputError]: {role} questionnaire ")
-        assert "has kind 'awareness'" in err
+        out = tmp_path / "out"
+        assert run(["assess", *argv, "--attack-share", "3.0", "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"validation error [DocumentError]: {flag}: {wrong}: kind: expected {expected!r}, "
+            f"got {found!r}\n"
+        )
+        assert not out.exists()
 
     def test_zero_score_scale_exits_2_naming_the_file(self, tmp_path, questionnaires, capsys):
         aw, _, cats = questionnaires
@@ -409,13 +420,13 @@ class TestHtma:
         config = ref.write_run_config(tmp_path / "run.json", {"threats": "threats.json"})
         out = tmp_path / "out"
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow in the mean
+            warnings.simplefilter("error")  # numpy's overflow warning would end the run
             assert run(["htma", "--config", config, "--trials", "1000", "--out", out]) == 1
-        assert capsys.readouterr().err.startswith(
-            f"error [ComputationError]: {out / 'htma_report.json'}: Out of range float "
-            "values are not JSON compliant"
+        assert capsys.readouterr().err == (
+            "error [ComputationError]: threats 1, 2, 3: the mean annual loss over 1000 trials "
+            "overflows the float range\n"
         )
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path, htma_config):
         first, second = tmp_path / "a", tmp_path / "b"
@@ -1028,6 +1039,23 @@ def test_no_change_regime_leaves_numpy_out(tmp_path):
     argv = ["likelihood", "--config", config, "--out", tmp_path / "out", "--regime", "no-change"]
     assert probe(code, *argv).splitlines()[-1] == "0 False"
     assert (tmp_path / "out" / "likelihood_report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["htma", "fair"])
+def test_engines_leave_numpy_ma_out(tmp_path, command):
+    # np.quantile, np.percentile and np.unique each load numpy.ma
+    ref.write_profile(tmp_path / "profile.json")
+    ref.write_threat_catalog(tmp_path / "threats.json", with_likelihood=True)
+    ref.write_loss_categories(tmp_path / "categories.json")
+    config = ref.write_run_config(
+        tmp_path / "run.json",
+        {"profile": "profile.json", "threats": "threats.json", "loss_categories": "categories.json"},
+        n_avg=12.0,
+        regime="no_change",
+    )
+    code = "import sys, cyrisk.cli; print(cyrisk.cli.main(sys.argv[1:]), 'numpy.ma' in sys.modules)"
+    argv = [command, "--config", config, "--out", tmp_path / "out"]
+    assert probe(code, *argv).splitlines()[-1] == "0 False"
 
 
 def test_analytic_layer_leaves_numpy_out():

@@ -32,11 +32,22 @@ def two_point_pmf():
     return IncidentLikelihood(pmf=(0.5, 0.5), value=None, quadrature_error=0.0)
 
 
+def case_study_band():
+    """Success band for the maturity-6.9 / complexity-5.2 case study."""
+    return pert_from_maturity(solve_asymptotes(-2.0, 5.2, 0.97, 0.03), 6.9, w=1.0, q=1.0)
+
+
 def case_study_pmf(model):
-    """No-change incident pmf for the maturity-6.9 / complexity-5.2 case study."""
-    params = solve_asymptotes(-2.0, 5.2, 0.97, 0.03)
-    band = pert_from_maturity(params, 6.9, w=1.0, q=1.0)
-    return incident_likelihood(band, model, Regime.NO_CHANGE)
+    """No-change incident pmf for the case study."""
+    return incident_likelihood(case_study_band(), model, Regime.NO_CHANGE)
+
+
+#: Binomial and Poisson attempts for the case study.
+case_study_models = pytest.mark.parametrize(
+    "model",
+    [AttackCountModel(t=365, n_avg=84.0), AttackCountModel(n_avg=3.0, kind=CountKind.POISSON)],
+    ids=["binomial", "poisson"],
+)
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +163,33 @@ class TestRunFair:
         se = result.total_loss.std() / math.sqrt(trials)
         assert abs(result.total_loss.mean() - expected) <= 3 * se
 
+    @pytest.mark.parametrize("seed", [3, 4])
+    @case_study_models
+    def test_mean_total_matches_the_closed_form(self, model, seed):
+        # E[total] = E[S] sum_c (low + shape mode + high) / (shape + 2) by Wald's
+        # identity, with E[S] = n_avg (p_m + 4 p* + p_M) / 6 exact for both count
+        # kinds. A correct engine's mean over 100,000 trials lies outside 3.2905
+        # standard errors with probability 1e-3 (normal approximation), so these
+        # four fixed cases together false-alarm at most 4e-3.
+        fines = LossCategory("fines", 0.0, 500.0, 9_000.0, secondary=True)
+        categories = [RESPONSE, REPLACEMENT, fines]
+        trials = 100_000
+        total = run_fair(case_study_pmf(model), categories, trials=trials, seed=seed).total_loss
+        expected = model.n_avg * case_study_band().mean * sum(c.mean for c in categories)
+        se = total.std(ddof=1) / math.sqrt(trials)
+        assert abs(total.mean() - expected) <= 3.2905 * se
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_percentiles_are_numpys(self, healthcare_pmf, seed):
+        result = run_fair(healthcare_pmf, [RESPONSE, REPLACEMENT], trials=5_001, seed=seed)
+        columns = {
+            "per_event_loss": result.per_event_loss[result.events > 0],
+            "total_loss": result.total_loss,
+        }
+        for name, values in columns.items():
+            expected = np.percentile(values, [10, 50, 90]).tolist()
+            assert list(result.percentiles[name].items()) == list(zip([10, 50, 90], expected))
+
     def test_summary_and_percentile_invariants(self, healthcare_pmf):
         result = run_fair(healthcare_pmf, [RESPONSE, REPLACEMENT], trials=20_000, seed=7)
         for row in result.summary.values():
@@ -193,11 +231,7 @@ class TestRunFair:
         assert result.per_event_loss[few].tobytes() == result.total_loss[few].tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize(
-        "model",
-        [AttackCountModel(t=365, n_avg=84.0), AttackCountModel(n_avg=3.0, kind=CountKind.POISSON)],
-        ids=["binomial", "poisson"],
-    )
+    @case_study_models
     def test_event_counts_pass_the_oracle(self, model, seed):
         # the trials' event counts are a sample from the no-change pmf; the oracle's
         # chi-square test fails a correct sampler at a given seed with probability

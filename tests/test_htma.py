@@ -11,7 +11,7 @@ from cyrisk.htma import (
     run_htma,
     sample_impact,
 )
-from cyrisk.model import ControlWeightMatrix
+from cyrisk.model import ControlWeightMatrix, sorted_quantile
 from cyrisk.posture import ControlResponse, Questionnaire, QuestionnaireKind, per_threat_maturity
 
 
@@ -202,6 +202,45 @@ class TestLossExceedanceCurve:
         grid, probs = loss_exceedance_curve(np.zeros(100))
         assert len(grid) == len(probs) == 1
         assert probs[0] == 0.0
+
+    @pytest.mark.parametrize(
+        "losses",
+        [
+            np.zeros(100),
+            np.full(100, 5e-323),  # a subnormal top: linspace repeats points
+            np.random.default_rng(3).lognormal(1.0, 0.8, size=5_000),
+        ],
+        ids=["zeros", "subnormal", "lognormal"],
+    )
+    def test_matches_numpys_quantile_and_unique(self, losses):
+        high = float(np.quantile(losses, 0.999))
+        grid = np.unique(np.linspace(0.0, high, 200))
+        exceedance = 1.0 - np.searchsorted(np.sort(losses), grid, side="right") / losses.size
+        got = loss_exceedance_curve(losses)
+        assert got[0].tobytes() == grid.tobytes()
+        assert got[1].tobytes() == exceedance.tobytes()
+
+
+#: Sorted samples for the quantile helper: n = 1, 2 and many, ties, all zeros, and
+#: a subnormal top. n = 1000 puts (n - 1) q on both sides of a half; at q = 0.5 and
+#: 0.9, interpolating [0.1, 0.5] from below would be one ulp off numpy's value.
+SAMPLES = {
+    "one": [2.5],
+    "two": [0.1, 0.5],
+    "many": np.sort(np.random.default_rng(4).lognormal(10.0, 1.5, size=1_000)),
+    "many-odd": np.sort(np.random.default_rng(5).normal(0.0, 1.0, size=4_999)),
+    "ties": [0.0, 1.0, 1.0, 1.0, 2.0, 2.0, 5.0],
+    "zeros": [0.0] * 10,
+    "subnormal-top": [0.0, 0.0, 0.0, 1e-321, 3e-310],
+}
+
+
+@pytest.mark.parametrize("name", SAMPLES)
+@pytest.mark.parametrize("q, percent", [(0.1, 10), (0.5, 50), (0.9, 90), (0.999, 99.9)])
+def test_sorted_quantile_is_numpys_bit_for_bit(name, q, percent):
+    values = np.asarray(SAMPLES[name], dtype=float)
+    assert sorted_quantile(values, q).hex() == float(np.quantile(values, q)).hex()
+    assert sorted_quantile(values, percent / 100).hex() == float(np.percentile(values, percent)).hex()
 
 
 class TestThreatValidation:

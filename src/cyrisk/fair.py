@@ -13,7 +13,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ComputationError, InputError
-from .model import IncidentLikelihood, LossCategory, sorted_quantile
+from .model import IncidentLikelihood, LossCategory, check_draws, sorted_quantile
 
 MODE_HISTOGRAM_BINS = 50
 SUMMARY_PERCENTILES = (10, 50, 90)
@@ -133,7 +133,8 @@ def run_fair(
     The draw order is fixed (event counts, then primary magnitudes, then
     secondary magnitudes, each on its own stream derived from the seed), so a
     given seed always reproduces the same trial table. Losses past the float
-    range raise ComputationError naming the categories.
+    range raise ComputationError naming the categories; so do more than
+    ``MAX_DRAWS`` trials, or events once their counts are drawn.
     """
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
@@ -142,9 +143,11 @@ def run_fair(
     if not primary:
         raise InputError("at least one primary loss category is required")
 
+    check_draws(f"{trials} trials", trials)
     count_stream, primary_stream, secondary_stream = np.random.SeedSequence(seed).spawn(3)
     events = sample_event_count(lik, np.random.default_rng(count_stream), size=trials)
     total_events = int(events.sum())
+    check_draws(f"the {total_events} events of {trials} trials", total_events)
 
     losses = sample_loss_magnitude(
         primary, np.random.default_rng(primary_stream), size=total_events

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ComputationError, InputError, InvalidRange
-from .model import Threat, sorted_quantile
+from .model import Threat, check_draws, sorted_quantile
 
 #: A 90% confidence interval spans 2 x 1.645 log-normal standard deviations.
 LOGNORMAL_CI_FACTOR = 3.29
@@ -67,7 +67,8 @@ def run_htma(threats: Sequence[Threat], trials: int, seed: int) -> HtmaResult:
     draws happen whether or not the threat fired, so changing one threat's
     likelihood cannot perturb any other draw. Identical seeds give bitwise
     identical loss vectors. A loss past the float range raises
-    ComputationError naming the threat whose draws took it there.
+    ComputationError naming the threat whose draws took it there, and so does
+    more than ``MAX_DRAWS`` trials x threats, before anything is drawn.
     """
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
@@ -76,6 +77,8 @@ def run_htma(threats: Sequence[Threat], trials: int, seed: int) -> HtmaResult:
             raise InputError(
                 f"threat {threat.id} has no likelihood; run the likelihood step first"
             )
+    # the loss column holds one value per trial even without threats
+    check_draws(f"{trials} trials of {len(threats)} threats", trials * max(len(threats), 1))
     losses = np.zeros(trials)
     streams = np.random.SeedSequence(seed).spawn(len(threats))
     for threat, stream in zip(threats, streams):

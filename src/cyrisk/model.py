@@ -1,7 +1,8 @@
 """Value types the documents describe, free of numpy: the analytic layer and the
 engines (``incidence``, ``htma``, ``fair``, ``oracle``) compute with
 them, and ``documents`` and ``cli`` read and write them without loading numpy.
-``sorted_quantile`` is the one sample quantile the engines report.
+``sorted_quantile`` is the one sample quantile the engines report, and
+``check_draws`` holds each engine run to ``MAX_DRAWS``.
 
 Every value type of the package is an immutable ``typing.NamedTuple``: use
 ``_replace`` and ``_asdict()`` on it. A type that validates its fields does so
@@ -12,11 +13,17 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import suppress
 from enum import Enum
 from typing import NamedTuple, Sequence
 
 from .cvss import CvssVector
-from .errors import InputError, InvalidRange, checked, require_finite
+from .errors import ComputationError, InputError, InvalidRange, checked, require_finite
+
+#: Most random draws of one kind an engine run may take: htma's trials x threats,
+#: fair's trials and their events, simulate's replications. A column of this
+#: many floats takes 256 MiB, and a run holds a few.
+MAX_DRAWS = 2**25
 
 #: Stated estimate confidence maps to the PERT shape as gamma = confidence / 5,
 #: so the conventional confidence of 20 recovers the canonical shape 4.
@@ -170,14 +177,19 @@ class ControlWeightMatrix(NamedTuple):
                     f"weight row for control {control!r} has {len(row)} entries "
                     f"for {len(self.threats)} threats"
                 )
-            for value in row:
+            with suppress(TypeError, OverflowError):  # a non-float: the loop raises on it
+                if all(map(math.isfinite, row)) and min(row, default=0.0) >= 0:
+                    continue
+            for value in row:  # name the row's first bad weight
                 require_finite(f"control {control!r}", weight=value)
                 if not value >= 0:
                     raise InputError(
                         f"weight for control {control!r} must be >= 0, got {value}"
                     )
-        for j, threat_id in enumerate(self.threats):
-            if not any(row[j] > 0 for row in self.weights):
+        # without controls there are no columns, and every threat fails
+        columns = zip(*self.weights) if self.weights else [()] * len(self.threats)
+        for threat_id, column in zip(self.threats, columns):
+            if not max(column, default=0.0) > 0:
                 raise InputError(f"threat {threat_id} has no positively weighted control")
         return self
 
@@ -240,6 +252,14 @@ class LossCategory(NamedTuple):
     def mean(self) -> float:
         """Modified-PERT mean (low + shape * most_likely + high) / (shape + 2)."""
         return (self.low + self.shape * self.most_likely + self.high) / (self.shape + 2.0)
+
+
+def check_draws(what: str, draws: int) -> None:
+    """Raise ComputationError naming ``what`` if ``draws`` is over ``MAX_DRAWS``."""
+    if draws > MAX_DRAWS:
+        raise ComputationError(
+            f"{what} need {draws} draws, over the engine work cap of {MAX_DRAWS}"
+        )
 
 
 def sorted_quantile(values: Sequence[float], q: float) -> float:

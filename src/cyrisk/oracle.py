@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, SupportMismatch
-from .model import AttackCountModel, CountKind, IncidentLikelihood
+from .model import AttackCountModel, CountKind, IncidentLikelihood, check_draws
 from .success import SuccessDistribution
 
 #: Chi-square level: the oracle's false-alarm rate at a correct pmf.
@@ -35,9 +35,11 @@ class EmpiricalCounts(NamedTuple):
 def simulate(
     dist: SuccessDistribution, model: AttackCountModel, replications: int, seed: int
 ) -> EmpiricalCounts:
-    """Replay the period ``replications`` times and histogram the incident counts."""
+    """Replay the period ``replications`` times and histogram the incident counts;
+    more than ``MAX_DRAWS`` replications raise ComputationError."""
     if replications < 1:
         raise InputError(f"replications must be >= 1, got {replications}")
+    check_draws(f"{replications} replications", replications)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if dist.is_point_mass:
         p = np.full(replications, dist.p_star)

@@ -8,9 +8,10 @@ never drag an index toward zero.
 
 from __future__ import annotations
 
+import math
 import warnings
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyAssessment, InputError, NoApplicableControls, checked, require_finite
 from .model import ControlWeightMatrix
@@ -146,13 +147,21 @@ def score_index(questionnaire: Questionnaire) -> float:
         NoApplicableControls: every response is N/A or the applicable ones
             carry zero total weight.
     """
+    return _weighted_index(questionnaire, questionnaire.responses)
+
+
+def _weighted_index(
+    questionnaire: Questionnaire, responses: Iterable[tuple[str, int | None, float]]
+) -> float:
+    """``score_index`` of ``questionnaire`` with its responses replaced by
+    ``responses``, each a ``(control_id, score, weight)`` already checked."""
     numerator = 0.0
     total_weight = 0.0
-    for r in questionnaire.responses:
-        if r.score is None:
+    for _, score, weight in responses:
+        if score is None:
             continue
-        numerator += r.score * r.weight
-        total_weight += r.weight
+        numerator += score * weight
+        total_weight += weight
     if total_weight <= 0.0:
         where = (
             f" in category {questionnaire.category_label!r}"
@@ -175,15 +184,18 @@ def per_threat_maturity(
     """
     column = matrix.column(threat_id)
     subset = []
-    for response in questionnaire.responses:
-        relevance = column.get(response.control_id, 0.0)
+    for control_id, score, weight in questionnaire.responses:
+        relevance = column.get(control_id, 0.0)
         if relevance > 0.0:
-            subset.append(response._replace(weight=response.weight * relevance))
+            weight *= relevance
+            if not math.isfinite(weight):  # two finite weights can overflow
+                require_finite(f"control {control_id!r}", weight=weight)
+            subset.append((control_id, score, weight))
     if not subset:
         raise NoApplicableControls(
             f"threat {threat_id}: none of its weighted controls appear in the responses"
         )
-    return score_index(questionnaire._replace(responses=tuple(subset)))
+    return _weighted_index(questionnaire, subset)
 
 
 def maturity_index(
@@ -259,17 +271,16 @@ def assess_posture(
     )
 
     categories = []
-    for q in complexity_categories:
+    for i, q in enumerate(complexity_categories):
+        # an unlabelled questionnaire is named by its position in the list
+        name = repr(q.category_label) if q.category_label else f"[{i}]"
         if q.kind is not QuestionnaireKind.COMPLEXITY_CATEGORY:
-            raise InputError(
-                f"complexity questionnaire {q.category_label!r} has kind {q.kind.value!r}"
-            )
+            raise InputError(f"complexity questionnaire {name} has kind {q.kind.value!r}")
         try:
             categories.append(category_complexity(q))
         except NoApplicableControls:
             warnings.warn(
-                f"complexity category {q.category_label!r} has no applicable "
-                "controls and was dropped",
+                f"complexity category {name} has no applicable controls and was dropped",
                 stacklevel=2,
             )
     complexity = complexity_index(categories)

@@ -252,3 +252,25 @@ def reference_pmf(dist, model, top):
             log_pmf = np.where(s == 0, 0.0, s * np.log(rate)) - rate
     log_pmf[:, 1:] += [math.fsum(terms[:s]) for s in range(1, top + 1)]
     return weights @ np.exp(log_pmf)
+
+
+def subset_maturity(questionnaire, matrix, threat_id):
+    """One threat's maturity as a questionnaire of its own: the responses whose
+    relevance in the threat's column is above 0, each rebuilt, and so checked, as
+    a ``ControlResponse`` weighing its weight times that relevance, then scored by
+    ``score_index``. ``posture.per_threat_maturity`` must match it bit for bit
+    and raise what it raises."""
+    from cyrisk.errors import NoApplicableControls
+    from cyrisk.posture import score_index
+
+    column = matrix.column(threat_id)
+    subset = [
+        response._replace(weight=response.weight * column[response.control_id])
+        for response in questionnaire.responses
+        if column.get(response.control_id, 0.0) > 0.0
+    ]
+    if not subset:
+        raise NoApplicableControls(
+            f"threat {threat_id}: none of its weighted controls appear in the responses"
+        )
+    return score_index(questionnaire._replace(responses=tuple(subset)))

@@ -734,6 +734,38 @@ def test_count_flag_below_one_names_the_flag(tmp_path, capsys, command, flag, va
     )
 
 
+@pytest.mark.parametrize(
+    "command, flag, need",
+    [
+        ("htma", "--trials", "1000000000000 trials of 9 threats need 9000000000000 draws"),
+        ("fair", "--trials", "1000000000000 trials need 1000000000000 draws"),
+        ("simulate", "--replications",
+         "1000000000000 replications need 1000000000000 draws"),
+    ],
+    ids=["htma", "fair", "simulate"],
+)
+def test_count_past_the_engine_work_cap_exits_1(tmp_path, capsys, command, flag, need):
+    # numpy cannot allocate the terabytes 10**12 draws take, and without the
+    # cap the command ends in its MemoryError traceback
+    ref.write_profile(tmp_path / "profile.json")
+    ref.write_threat_catalog(tmp_path / "threats.json", with_likelihood=True)
+    ref.write_json(
+        tmp_path / "categories.json", [{"name": "response", "min": 1, "most_likely": 2, "max": 3}]
+    )
+    config = ref.write_run_config(
+        tmp_path / "run.json",
+        {"profile": "profile.json", "threats": "threats.json",
+         "loss_categories": "categories.json"},
+        extra={"success": {"p_m": 0.28, "p_star": 0.50, "p_M": 0.72}},
+    )
+    out = tmp_path / "out"
+    assert run([command, "--config", config, flag, str(10**12), "--out", out]) == 1
+    assert capsys.readouterr() == (
+        "", f"error [ComputationError]: {need}, over the engine work cap of {2**25}\n"
+    )
+    assert not out.exists()
+
+
 #: A curve floor L so small that A + (K - A) sigma rounds below it at x = 10,
 #: and the maturity whose band reaches x = 10.
 TINY_FLOORS = {

@@ -275,6 +275,55 @@ class TestWeightMatrixDocument:
             load_weight_matrix(path)
 
 
+    # one bad cell in row 1, or one bad row; the message names weights[i][j]
+    # where the cell is read, and the control where the matrix is checked
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ('[0, "x"]', "weights[1][1]: expected a number, got 'x'"),
+            ("[true, 1]", "weights[1][0]: expected a number, got True"),
+            ("[0, null]", "weights[1][1]: expected a number, got None"),
+            ("[NaN, 1]", "weights[1][0]: expected a finite number, got nan"),
+            ("[0, 1e400]", "weights[1][1]: expected a finite number, got inf"),
+            ("[1" + "0" * 399 + ", 1]",
+             "weights[1][0]: expected a finite number, got 1" + "0" * 399),
+            ("[0.5, -1]", "weight for control 'c2' must be >= 0, got -1.0"),
+            ("[0, [1]]", "weights[1][1]: expected a number, got [1]"),
+            ('[{"a": 1}, 1]', "weights[1][0]: expected a number, got {'a': 1}"),
+            ("[1]", "weight row for control 'c2' has 1 entries for 2 threats"),
+            ('[-1, "x"]', "weights[1][1]: expected a number, got 'x'"),
+            ("5", "weights[1]: expected a list, got 5"),
+            (None, "threat 1 has no positively weighted control"),
+        ],
+        ids=["string", "true", "null", "nan", "1e400", "400-digit-integer", "negative",
+             "nested-list", "object", "short-row", "negative-then-string", "not-a-list",
+             "empty-matrix"],
+    )
+    def test_bad_weight_named(self, tmp_path, row, message):
+        path = tmp_path / "wm.json"
+        if row is None:
+            text = '{"controls": [], "threats": [1, 2], "weights": []}'
+        else:
+            text = '{"controls": ["c1", "c2"], "threats": [1, 2], "weights": [[1, 0.5], %s]}' % row
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DocumentError) as info:
+            load_weight_matrix(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_rows_read_whole_keep_their_values(self, tmp_path):
+        # ints, a 300-digit integer and a subnormal come back as the floats float() gives
+        big = "9" * 300
+        path = tmp_path / "wm.json"
+        path.write_text(
+            '{"controls": ["c1", "c2"], "threats": [1, 2], '
+            '"weights": [[1, 0], [%s, 5e-324]]}' % big,
+            encoding="utf-8",
+        )
+        weights = load_weight_matrix(path).weights
+        assert weights == ((1.0, 0.0), (float(int(big)), 5e-324))
+        assert {type(w) for row in weights for w in row} == {float}
+
+
 class TestLossCategoryDocument:
     def test_round_trip_with_reorder_warning(self, tmp_path):
         path = dump(

@@ -7,7 +7,7 @@ import pytest
 
 import reference_data as ref
 from cyrisk.cli import main
-from cyrisk.errors import InputError
+from cyrisk.errors import ComputationError, InputError
 from cyrisk.fair import (
     LossCategory,
     run_fair,
@@ -20,7 +20,7 @@ from cyrisk.incidence import (
     Regime,
     incident_likelihood,
 )
-from cyrisk.model import CountKind
+from cyrisk.model import MAX_DRAWS, CountKind
 from cyrisk.oracle import LEVEL, EmpiricalCounts, compare_to_analytic
 from cyrisk.success import pert_from_maturity, solve_asymptotes
 
@@ -178,6 +178,17 @@ class TestRunFair:
         expected = model.n_avg * case_study_band().mean * sum(c.mean for c in categories)
         se = total.std(ddof=1) / math.sqrt(trials)
         assert abs(total.mean() - expected) <= 3.2905 * se
+
+    def test_events_past_the_work_cap_stop_before_their_losses(self):
+        # every trial sees 32 events, so 2**20 + 1 trials draw 32 events past the cap
+        lik = IncidentLikelihood(pmf=(0.0,) * 32 + (1.0,), value=None, quadrature_error=0.0)
+        trials = MAX_DRAWS // 32 + 1
+        with pytest.raises(ComputationError) as info:
+            run_fair(lik, [RESPONSE], trials=trials, seed=1)
+        assert str(info.value) == (
+            f"the {32 * trials} events of {trials} trials need {32 * trials} draws, "
+            f"over the engine work cap of {MAX_DRAWS}"
+        )
 
     @pytest.mark.parametrize("seed", [7, 8])
     def test_percentiles_are_numpys(self, healthcare_pmf, seed):

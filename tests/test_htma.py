@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cyrisk.errors import InputError, InvalidRange, NoApplicableControls
+from cyrisk.errors import ComputationError, InputError, InvalidRange, NoApplicableControls
 from cyrisk.htma import (
     Threat,
     lognormal_params,
@@ -11,8 +12,10 @@ from cyrisk.htma import (
     run_htma,
     sample_impact,
 )
-from cyrisk.model import ControlWeightMatrix, sorted_quantile
+from cyrisk.model import MAX_DRAWS, ControlWeightMatrix, check_draws, sorted_quantile
 from cyrisk.posture import ControlResponse, Questionnaire, QuestionnaireKind, per_threat_maturity
+
+import reference_data as ref
 
 
 def make_threat(likelihood=0.5, low=1.0, high=2.0, threat_id=1):
@@ -36,6 +39,32 @@ def make_questionnaire(scores, weights=None, s_max=4):
         s_max=s_max,
         kind=QuestionnaireKind.MATURITY_CORE,
     )
+
+
+#: Weights and relevances: zero, plain, huge enough for a product to overflow,
+#: subnormal, and anything in between.
+_factors = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e10, 1e300, 5e-324]), st.floats(0.0, 100.0)
+)
+
+
+@st.composite
+def maturity_cases(draw):
+    """A questionnaire, labelled or not, with N/A scores among its responses; a
+    two-threat matrix over some of its controls, plus one control it lacks that
+    keeps both columns valid; and one of the two threats."""
+    s_max = draw(st.integers(1, 10))
+    n = draw(st.integers(1, 8))
+    responses = tuple(
+        ControlResponse(f"c{i}", draw(st.none() | st.integers(0, s_max)), draw(_factors))
+        for i in range(n)
+    )
+    label = draw(st.sampled_from([None, "", "network"]))
+    questionnaire = Questionnaire(responses, s_max, QuestionnaireKind.MATURITY_CORE, label)
+    controls = draw(st.lists(st.sampled_from([f"c{i}" for i in range(n)]), unique=True))
+    rows = [(draw(_factors), draw(_factors)) for _ in controls]
+    matrix = ControlWeightMatrix((*controls, "other"), (1, 2), (*rows, (1.0, 1.0)))
+    return questionnaire, matrix, draw(st.sampled_from([1, 2]))
 
 
 class TestPerThreatMaturity:
@@ -77,6 +106,47 @@ class TestPerThreatMaturity:
         matrix = ControlWeightMatrix(controls=("c0",), threats=(1,), weights=((1.0,),))
         with pytest.raises(InputError):
             per_threat_maturity(q, matrix, 99)
+
+    #: Threat 1 weighs c0 and c1, threat 2 only a control no response has, and
+    #: threat 3 c0 so heavily that a weight of 1e10 overflows.
+    ERROR_MATRIX = ControlWeightMatrix(
+        controls=("c0", "c1", "other"),
+        threats=(1, 2, 3),
+        weights=((1.0, 0.0, 1e300), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
+    )
+
+    @pytest.mark.parametrize(
+        "scores, weights, label, threat_id, error, message",
+        [
+            ([4, 2], None, None, 2, NoApplicableControls,
+             "threat 2: none of its weighted controls appear in the responses"),
+            ([None, None], None, "network", 1, NoApplicableControls,
+             "no applicable control with positive weight in category 'network'"),
+            ([None, None], None, None, 1, NoApplicableControls,
+             "no applicable control with positive weight"),
+            ([4, 2], [1e10, 1.0], None, 3, InputError,
+             "control 'c0': weight must be finite, got inf"),
+        ],
+        ids=["no-relevant-control", "all-na-in-category", "all-na", "overflowing-weight"],
+    )
+    def test_errors_keep_their_text(self, scores, weights, label, threat_id, error, message):
+        q = make_questionnaire(scores, weights)._replace(category_label=label)
+        with pytest.raises(error) as info:
+            per_threat_maturity(q, self.ERROR_MATRIX, threat_id)
+        assert str(info.value) == message
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=maturity_cases())
+    def test_matches_the_subset_questionnaire(self, case):
+        questionnaire, matrix, threat_id = case
+        try:
+            expected = ref.subset_maturity(questionnaire, matrix, threat_id)
+        except InputError as exc:
+            with pytest.raises(type(exc)) as info:
+                per_threat_maturity(questionnaire, matrix, threat_id)
+            assert str(info.value) == str(exc)
+        else:
+            assert per_threat_maturity(questionnaire, matrix, threat_id).hex() == expected.hex()
 
     def test_matrix_validation(self):
         with pytest.raises(InputError):
@@ -123,6 +193,25 @@ class TestImpactSampling:
         assert inside == pytest.approx(0.90, abs=0.005)
 
 
+#: Threat sets for the closed-form checks: moderate likelihoods with a wide, a
+#: narrow and a middling impact band, and the first three healthcare threats
+#: with their published change-regime likelihoods.
+CLOSED_FORM_CASES = {
+    "moderate": [
+        make_threat(likelihood=0.1, low=1.0, high=20.0, threat_id=1),
+        make_threat(likelihood=0.25, low=2.136, high=2.3941, threat_id=2),
+        make_threat(likelihood=0.4, low=0.5, high=5.0, threat_id=3),
+    ],
+    "healthcare": [
+        make_threat(likelihood=lik, low=low, high=high, threat_id=tid)
+        for tid, _, _, _, _, _, lik, _, (low, high) in ref.HEALTHCARE_THREATS[:3]
+    ],
+}
+
+#: Two-sided 1e-3 quantile of the standard normal.
+Z_1E3 = 3.2905
+
+
 class TestRunHtma:
     def test_zero_likelihoods_give_zero_losses(self):
         threats = [make_threat(likelihood=0.0, threat_id=i) for i in range(3)]
@@ -146,6 +235,54 @@ class TestRunHtma:
         fired = np.mean(result.losses > 0)
         tolerance = 3 * math.sqrt(0.37 * 0.63 / trials)
         assert abs(fired - 0.37) <= tolerance
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("case", CLOSED_FORM_CASES)
+    def test_share_without_loss_matches_the_closed_form(self, case, seed):
+        # A trial loses nothing exactly when no threat fires, since every impact
+        # draw is positive: P(loss = 0) = prod (1 - L_i). The share of such trials
+        # is a binomial proportion; a correct engine puts it outside 3.2905
+        # standard errors sqrt(P (1 - P) / trials) with probability 1e-3 (normal
+        # approximation), so these four fixed cases together false-alarm at most 4e-3.
+        threats = CLOSED_FORM_CASES[case]
+        trials = 100_000
+        losses = run_htma(threats, trials=trials, seed=seed).losses
+        p_zero = math.prod(1.0 - t.likelihood for t in threats)
+        share = np.count_nonzero(losses == 0.0) / trials
+        assert abs(share - p_zero) <= Z_1E3 * math.sqrt(p_zero * (1.0 - p_zero) / trials)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("case", CLOSED_FORM_CASES)
+    def test_mean_loss_matches_the_closed_form(self, case, seed):
+        # E[loss] = sum L_i exp(mu_i + sigma_i^2 / 2), the mean of an untruncated
+        # lognormal, with mu_i the log midpoint of the 90% band and sigma_i its log
+        # width over 3.29. A correct engine's mean over 100,000 trials lies outside
+        # 3.2905 standard errors with probability 1e-3 (normal approximation), so
+        # these four fixed cases together false-alarm at most 4e-3.
+        threats = CLOSED_FORM_CASES[case]
+        trials = 100_000
+        losses = run_htma(threats, trials=trials, seed=seed).losses
+        expected = 0.0
+        for t in threats:
+            mu = (math.log(t.impact_low) + math.log(t.impact_high)) / 2.0
+            sigma = (math.log(t.impact_high) - math.log(t.impact_low)) / 3.29
+            expected += t.likelihood * math.exp(mu + sigma**2 / 2.0)
+        se = losses.std(ddof=1) / math.sqrt(trials)
+        assert abs(losses.mean() - expected) <= Z_1E3 * se
+
+    def test_work_cap_holds_before_any_draw(self):
+        check_draws("x", MAX_DRAWS)
+        with pytest.raises(ComputationError) as info:
+            check_draws("2 trials of 3 threats", MAX_DRAWS + 1)
+        assert str(info.value) == (
+            f"2 trials of 3 threats need {MAX_DRAWS + 1} draws, "
+            f"over the engine work cap of {MAX_DRAWS}"
+        )
+        # 2**25 + 1 trials of no threat would allocate a 256 MiB loss column
+        with pytest.raises(ComputationError, match="0 threats need"):
+            run_htma([], trials=MAX_DRAWS + 1, seed=0)
+        # the largest engine run of the benchmark: 250,000 trials of 9 threats
+        assert 10 * 250_000 * 9 <= MAX_DRAWS
 
     def test_deterministic_for_fixed_seed(self):
         threats = [make_threat(likelihood=0.4, threat_id=i) for i in range(4)]

@@ -218,6 +218,20 @@ class TestAssessPosture:
         with pytest.raises(InputError):
             assess_posture(awareness, core, [], Attractiveness.LOW)
 
+    def test_unlabelled_questionnaires_named_by_position(self):
+        awareness = make_questionnaire([3], kind=QuestionnaireKind.AWARENESS)
+        core = make_questionnaire([2], kind=QuestionnaireKind.MATURITY_CORE)
+        apps = make_questionnaire([2], kind=QuestionnaireKind.COMPLEXITY_CATEGORY, label="apps")
+        empty = make_questionnaire([None], kind=QuestionnaireKind.COMPLEXITY_CATEGORY)
+        with pytest.raises(InputError) as info:
+            assess_posture(awareness, core, [apps, awareness], Attractiveness.LOW)
+        assert str(info.value) == "complexity questionnaire [1] has kind 'awareness'"
+        with pytest.warns(UserWarning) as record:
+            assess_posture(awareness, core, [empty, apps], Attractiveness.LOW)
+        assert [str(w.message) for w in record] == [
+            "complexity category [0] has no applicable controls and was dropped"
+        ]
+
     def test_category_complexity_carries_raw_control_count(self):
         q = make_questionnaire([2, None, 3], kind=QuestionnaireKind.COMPLEXITY_CATEGORY,
                                label="ip")

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .cvss import cvss_likelihood
 from .documents import (
@@ -87,6 +88,8 @@ def _write(out: Path, files: Mapping[str, Any]) -> None:
 
 
 def _resolve_seed(flag_seed: int | None, config_seed: int | None) -> int:
+    if flag_seed is not None and flag_seed < 0:
+        raise DocumentError(f"--seed: must be >= 0, got {flag_seed}")
     seed = config_seed if flag_seed is None else flag_seed
     if seed is None:
         import secrets  # only a generated seed needs it
@@ -102,20 +105,24 @@ def _count(flag: str, value: int | None, configured: int) -> int:
     return configured if value is None else require_int64(flag, value)
 
 
-def _band(
-    config: RunConfig, profile: PostureProfile, maturity: float, malicious: bool = True
-) -> SuccessDistribution:
-    """Success band at ``maturity`` on the profile's curve, weighted for the attacker."""
-    weight = attacker_weight(profile.attractiveness, malicious)
-    try:
-        params = solve_asymptotes(
-            config.growth_rate, profile.complexity_index, config.upper, config.lower
-        )
-        return pert_from_maturity(params, maturity, weight, config.spread)
-    except (DegenerateCurve, InvalidRange) as exc:
-        # a nearly flat curve cannot be solved at the profile's complexity index,
-        # and a tiny L can round the band's floor to 0 or below
-        raise DocumentError(f"{config.path}: logistic: {exc}") from None
+def _bands(config: RunConfig, profile: PostureProfile) -> Callable[..., SuccessDistribution]:
+    """``band(maturity, malicious=True)``: the success band at ``maturity`` on the
+    profile's curve, weighted for the attacker. The curve is solved at the first
+    band, so a document error found before it comes first, and is reused."""
+    curve = cache(lambda: solve_asymptotes(
+        config.growth_rate, profile.complexity_index, config.upper, config.lower
+    ))
+
+    def band(maturity: float, malicious: bool = True) -> SuccessDistribution:
+        weight = attacker_weight(profile.attractiveness, malicious)
+        try:
+            return pert_from_maturity(curve(), maturity, weight, config.spread)
+        except (DegenerateCurve, InvalidRange) as exc:
+            # a nearly flat curve cannot be solved at the profile's complexity index,
+            # and a tiny L can round the band's floor to 0 or below
+            raise DocumentError(f"{config.path}: logistic: {exc}") from None
+
+    return band
 
 
 class Assessment(NamedTuple):
@@ -148,6 +155,7 @@ def _assess_threats(
                 f"control list: {', '.join(sorted(unknown))}"
             )
 
+    band = _bands(config, profile)
     rows = []
     for index, threat in threats:
         maturity = threat.maturity_index
@@ -162,10 +170,10 @@ def _assess_threats(
                 maturity = per_threat_maturity(controls, matrix, threat.id)
             except InputError as exc:
                 raise DocumentError(f"{field} the weight matrix cannot derive it: {exc}") from None
-        band = _band(config, profile, maturity, threat.malicious)
-        lik = incident_likelihood(band, config.count, regime)
+        dist = band(maturity, threat.malicious)
+        lik = incident_likelihood(dist, config.count, regime)
         probability = lik.value if lik.value is not None else 1.0 - lik.pmf[0]
-        rows.append(Assessment(index, threat, maturity, band, lik, probability))
+        rows.append(Assessment(index, threat, maturity, dist, lik, probability))
     return rows
 
 
@@ -317,7 +325,7 @@ def cmd_fair(args: argparse.Namespace) -> Output:
     profile = load_profile(config.input("profile"))
     categories = load_loss_categories(config.input("loss_categories"))
 
-    dist = _band(config, profile, profile.maturity_index)
+    dist = _bands(config, profile)(profile.maturity_index)
     lik = incident_likelihood(dist, config.count, Regime.NO_CHANGE)
     result = run_fair(lik, categories, trials=trials, seed=seed)
     print(
@@ -402,7 +410,7 @@ def _success_band(config: RunConfig) -> SuccessDistribution:
             return SuccessDistribution.from_triple(
                 **{k: v for k, v in block.items() if k in ("p_m", "p_star", "p_M", "w")}
             )
-        return _band(config, load_profile(config.input("profile")), block["maturity_index"])
+        return _bands(config, load_profile(config.input("profile")))(block["maturity_index"])
     except DocumentError:  # it names its own file and field
         raise
     except InputError as exc:

@@ -185,7 +185,7 @@ def _weight_row(value: Any, name: str) -> tuple[float, ...]:
 
 
 def _seed(value: Any, name: str) -> int:
-    """An integer of any size: SeedSequence takes them all."""
+    """An integer of any size; ``RunConfig`` rejects a negative seed."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise DocumentError(f"{name}: expected an integer, got {value!r}")
     return value
@@ -373,6 +373,8 @@ class RunConfig(NamedTuple):
         for name, value in (("trials", self.trials), ("replications", self.replications)):
             if value < 1:
                 raise InputError(f"{name} must be >= 1, got {value}")
+        if self.seed is not None and self.seed < 0:
+            raise InputError(f"seed: must be >= 0, got {self.seed}")
         return self
 
     def input(self, name: str) -> Path:

@@ -23,7 +23,8 @@ def sample_event_count(
     lik: IncidentLikelihood, rng: np.random.Generator, size: int
 ) -> np.ndarray:
     """Draw incident counts by inverting the discrete CDF of the no-change pmf;
-    the CDF's index is the count."""
+    the CDF's index is the count. Only a library caller can pass a likelihood
+    without a pmf."""
     if lik.pmf is None:
         raise InputError("event-count sampling needs the full no-change pmf")
     cdf = np.cumsum(lik.pmf)
@@ -100,12 +101,6 @@ def _histogram_mode(values: np.ndarray) -> float:
     return float(0.5 * (edges[densest] + edges[densest + 1]))
 
 
-def _integer_mode(values: np.ndarray) -> float:
-    if values.size == 0:
-        return 0.0
-    return float(np.argmax(np.bincount(values)))
-
-
 def _summary(values: np.ndarray, mode: float) -> SummaryRow:
     if values.size == 0:
         return SummaryRow(0.0, 0.0, 0.0, 0.0)
@@ -168,7 +163,7 @@ def run_fair(
 
     magnitudes = per_event_loss[with_events]
     summary = {
-        "events_per_period": _summary(events, _integer_mode(events)),
+        "events_per_period": _summary(events, float(np.argmax(np.bincount(events)))),
         "per_event_loss": _summary(magnitudes, _histogram_mode(magnitudes)),
         "total_loss": _summary(total_loss, _histogram_mode(total_loss)),
     }

@@ -104,7 +104,8 @@ def compare_to_analytic(empirical: EmpiricalCounts, analytic: IncidentLikelihood
     a ``LEVEL`` share of seeds.
 
     Per-cell z-scores use standard errors from the analytic probabilities
-    (the null hypothesis), so an exact match scores zero everywhere.
+    (the null hypothesis), so an exact match scores zero everywhere. Only a
+    library caller can pass a change-regime likelihood, which raises SupportMismatch.
     """
     if analytic.pmf is None:
         raise SupportMismatch(

@@ -257,7 +257,8 @@ def assess_posture(
     """Run the full scoring pipeline over the three questionnaire groups.
 
     Complexity categories in which every control is N/A are dropped with a
-    warning rather than poisoning the weighted average.
+    warning rather than poisoning the weighted average. The questionnaire kind
+    checks are for library callers: the CLI checks each kind as it reads the file.
     """
     if awareness.kind is not QuestionnaireKind.AWARENESS:
         raise InputError(f"awareness questionnaire has kind {awareness.kind.value!r}")

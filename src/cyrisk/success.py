@@ -5,6 +5,9 @@ The curve is pinned so that a fully immature organization (x=0) sits at U and
 a fully mature one (x=10) at L; its midpoint x0 is the complexity index, so
 more intricate infrastructures shift the whole curve toward higher success
 probabilities.
+
+Each invariant is checked once, where it is owned: ``LogisticParams`` checks the
+curve, ``SuccessDistribution`` the band, and ``pert_from_maturity`` q, x and w.
 """
 
 from __future__ import annotations
@@ -41,6 +44,11 @@ def check_curve(B: float, U: float, L: float, q: float = DEFAULT_SPREAD, x0: flo
         raise InputError(f"growth rate B must be negative, got {B}")
     if not (0.0 < L < U < 1.0):
         raise InputError(f"need 0 < L < U < 1, got L={L}, U={U}")
+    _check_spread(q)
+
+
+def _check_spread(q: float) -> None:
+    require_finite("logistic curve", q=q)
     if not q > 0:
         raise InputError(f"spread q must be positive, got {q}")
 
@@ -64,7 +72,8 @@ class LogisticParams(NamedTuple):
 
     def _check(self) -> LogisticParams:
         check_curve(self.B, self.U, self.L, x0=self.x0)
-        if abs(self.curve(0.0) - self.U) > 1e-12 or abs(self.curve(10.0) - self.L) > 1e-12:
+        # written so that a NaN A or K fails it
+        if not (abs(self.curve(0.0) - self.U) <= 1e-12 and abs(self.curve(10.0) - self.L) <= 1e-12):
             raise InputError("A and K do not satisfy the endpoint conditions f(0)=U, f(10)=L")
         return self
 
@@ -88,18 +97,19 @@ def solve_asymptotes(
         DegenerateCurve: the curve is numerically flat between x=0 and x=10,
             which makes the system singular, or so nearly flat that the
             solved curve misses an endpoint by more than 1e-12.
+        InputError: a curve value out of range, named before a flat curve.
     """
-    check_curve(growth_rate, upper, lower, x0=midpoint)
     g0 = _sigmoid(growth_rate * (0.0 - midpoint))
     g10 = _sigmoid(growth_rate * (10.0 - midpoint))
     denom = g0 - g10
     if abs(denom) >= 1e-15:
         span = (upper - lower) / denom
         a = upper - span * g0
-        try:  # every check but the endpoint conditions has passed above
-            return LogisticParams(B=growth_rate, x0=midpoint, U=upper, L=lower, A=a, K=a + span)
-        except InputError:
-            pass
+        k = a + span
+        # LogisticParams' endpoint test, in the same arithmetic as its curve()
+        if abs(a + (k - a) * g0 - upper) <= 1e-12 and abs(a + (k - a) * g10 - lower) <= 1e-12:
+            return LogisticParams(B=growth_rate, x0=midpoint, U=upper, L=lower, A=a, K=k)
+    check_curve(growth_rate, upper, lower, x0=midpoint)  # only a valid curve is called flat
     raise DegenerateCurve(f"curve is flat between x=0 and x=10 for B={growth_rate}, x0={midpoint}")
 
 
@@ -188,10 +198,11 @@ def pert_from_maturity(
 
     The endpoints come from shifting the maturity by +-q, clamped to the
     0..10 scale; the curve is decreasing, so x+q yields the band minimum and
-    x-q the maximum.
+    x-q the maximum. ``params`` has checked the curve, so only q, x and w are
+    checked here, and the band checks itself.
     """
-    check_curve(params.B, params.U, params.L, q)
-    p_star = success_probability(params, x, w)  # checks x and w before the shifts
-    p_m = success_probability(params, min(x + q, 10.0), w)
-    p_M = success_probability(params, max(x - q, 0.0), w)
+    _check_spread(q)
+    p_star = success_probability(params, x, w)  # checks x and w
+    p_m = w * params.curve(min(x + q, 10.0))
+    p_M = w * params.curve(max(x - q, 0.0))
     return SuccessDistribution.from_triple(p_m, p_star, p_M, w=w)

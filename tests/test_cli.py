@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cyrisk.cli import RUN_COMMANDS, _band, main
+from cyrisk.cli import RUN_COMMANDS, _bands, main
 from cyrisk.documents import (
     BLOCK_ROWS,
     load_loss_categories,
@@ -564,7 +565,7 @@ class TestFair:
             categories = load_loss_categories(tmp_path / "categories.json")
         config = load_run_config(fair_config)
         profile = load_profile(tmp_path / "profile.json")
-        band = _band(config, profile, profile.maturity_index)
+        band = _bands(config, profile)(profile.maturity_index)
         lik = incident_likelihood(band, config.count, Regime.NO_CHANGE)
         result = run_fair(lik, categories, trials=BLOCKS_TRIALS, seed=seed)
         # trials with no event, one event and several events, over three blocks
@@ -1092,3 +1093,106 @@ def test_engines_leave_numpy_ma_out(tmp_path, command):
 
 def test_analytic_layer_leaves_numpy_out():
     assert probe("import sys, cyrisk.incidence; print('numpy' in sys.modules)") == "False"
+
+
+@pytest.mark.parametrize("command", ["htma", "fair", "simulate"])
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_negative_seed_exits_2_before_writing(tmp_path, capsys, command, source):
+    # numpy's SeedSequence takes only non-negative integers
+    ref.write_profile(tmp_path / "profile.json")
+    ref.write_threat_catalog(tmp_path / "threats.json", with_likelihood=True)
+    ref.write_loss_categories(tmp_path / "categories.json")
+    config = ref.write_run_config(
+        tmp_path / "run.json",
+        {"profile": "profile.json", "threats": "threats.json",
+         "loss_categories": "categories.json"},
+        seed=-1 if source == "config" else 5,
+        extra={"success": {"p_m": 0.28, "p_star": 0.50, "p_M": 0.72}},
+    )
+    out = tmp_path / "out"
+    flags = ["--seed", "-1"] if source == "flag" else []
+    assert run([command, "--config", config, *flags, "--out", out]) == 2
+    field = f"{config}: seed" if source == "config" else "--seed"
+    assert capsys.readouterr() == (
+        "", f"validation error [DocumentError]: {field}: must be >= 0, got -1\n"
+    )
+    assert not out.exists()
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The curves each command solves, counted where the CLI calls the solver."""
+    import cyrisk.cli
+
+    calls = []
+    solve = cyrisk.cli.solve_asymptotes
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cyrisk.cli, "solve_asymptotes", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "command, likelihoods, expected",
+    [("likelihood", False, 1), ("compare", False, 1), ("fair", False, 1), ("htma", False, 1),
+     ("htma", True, 0), ("simulate", False, 0)],
+)
+def test_one_curve_solve_per_command(tmp_path, solves, command, likelihoods, expected):
+    # the curve depends on the run configuration and the profile alone, not on the threat
+    ref.write_profile(tmp_path / "profile.json")
+    ref.write_threat_catalog(tmp_path / "threats.json", with_likelihood=likelihoods)
+    ref.write_loss_categories(tmp_path / "categories.json")
+    config = ref.write_run_config(
+        tmp_path / "run.json",
+        {"profile": "profile.json", "threats": "threats.json",
+         "loss_categories": "categories.json"},
+        trials=200, replications=2_000,
+        extra={"success": {"p_m": 0.28, "p_star": 0.50, "p_M": 0.72}},
+    )
+    assert len(ref.HEALTHCARE_THREATS) >= 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the case study's loss bands are reordered loudly
+        assert run([command, "--config", config, "--out", tmp_path / "out"]) == 0
+    assert len(solves) == expected
+
+
+@pytest.mark.parametrize("command", ["likelihood", "compare", "htma"])
+def test_flat_curve_without_a_band_exits_0(tmp_path, solves, command):
+    # B = -1e-17 cannot be solved at the profile's complexity index, but no band is built:
+    # the catalog is empty, or for htma every threat has its likelihood
+    ref.write_profile(tmp_path / "profile.json", complexity=2.5)
+    if command == "htma":
+        ref.write_threat_catalog(tmp_path / "threats.json", with_likelihood=True)
+    else:
+        ref.write_json(tmp_path / "threats.json", {"schema_version": "1", "threats": []})
+    config = ref.write_run_config(
+        tmp_path / "run.json", {"profile": "profile.json", "threats": "threats.json"},
+        growth_rate=-1e-17, trials=200,
+    )
+    assert run([command, "--config", config, "--out", tmp_path / "out"]) == 0
+    assert solves == []
+
+
+def test_readme_walkthrough_runs(tmp_path, monkeypatch, capsys):
+    # the README's "CLI walkthrough" block: each heredoc written, each cyrisk line run
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    walkthrough = readme.split("## CLI walkthrough", 1)[1]
+    script = walkthrough.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    files = re.findall(r"^cat > (\S+) <<'EOF'\n(.*?)^EOF$", script, flags=re.M | re.S)
+    commands = [shlex.split(line)[1:] for line in script.splitlines() if line.startswith("cyrisk ")]
+    assert len(files) == 6 and [argv[0] for argv in commands] == [
+        "assess", "likelihood", "htma", "fair", "compare", "simulate"
+    ]
+    monkeypatch.chdir(tmp_path)
+    for name, text in files:
+        Path(name).write_text(text, encoding="utf-8")
+    for argv in commands:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
+    outputs = readme.split("### Outputs", 1)[1].split("\n\n", 2)[1]
+    listed = re.findall(r"`([\w.]+)`", outputs)
+    assert len(listed) == 11
+    for name in listed:
+        assert (tmp_path / "run" / name).is_file(), name

@@ -30,7 +30,7 @@ from cyrisk.documents import (
     write_csv,
     write_json,
 )
-from cyrisk.cli import _band
+from cyrisk.cli import _bands
 from cyrisk.errors import DocumentError
 from cyrisk.model import AttackCountModel, CountKind, IncidentLikelihood, Regime
 from cyrisk.posture import Attractiveness, PostureProfile, QuestionnaireKind
@@ -652,6 +652,6 @@ def test_one_bad_field_ends_in_a_value_or_a_named_document_error(tmp_path, case)
         # a run configuration that loads gives a band; only the profile's
         # complexity index can still make the curve degenerate, which names the file
         try:
-            _band(loaded, COMPLEXITY_5, 5.0)
+            _bands(loaded, COMPLEXITY_5)(5.0)
         except DocumentError as exc:
             assert str(exc).startswith(f"{document}: logistic: ")

@@ -440,3 +440,11 @@ class TestBoundedWork:
         with deadline(10):
             for band in (MALWARE_BAND, SKEWED_BAND):
                 assert incident_likelihood(band, model, Regime.CHANGE).value == 1.0
+
+    def test_change_work_cap_fires_before_the_walk_to_the_mode(self):
+        # the largest term of the first series sits near the attempt mode, 6e7 steps out:
+        # the cap must fire on that count, not after walking there
+        band = SuccessDistribution.from_triple(1e-12, 1e-12, 0.6)
+        model = AttackCountModel(t=365, n_avg=1e8, kind=CountKind.POISSON)
+        with deadline(1), pytest.raises(ComputationError, match="work cap"):
+            incident_likelihood(band, model, Regime.CHANGE)

@@ -6,8 +6,9 @@ sorted keys, two-space indent, a trailing newline and no timestamps, so a
 rerun with identical inputs produces byte-identical files. The per-trial
 tables are ``Columns``: a block function gives the formatted cells of
 ``BLOCK_ROWS`` rows at a time, so a table can reuse one formatted value in
-several cells; the bytes are those of ``csv.writer`` formatting each float
-in its shortest ``repr``.
+several cells. Each block is one join of those cells with shared ones (the
+index digits and the separators), so no string is built per row; the bytes
+are those of ``csv.writer`` formatting each float in its shortest ``repr``.
 """
 
 from __future__ import annotations
@@ -428,9 +429,9 @@ def write_json(path: str | Path, payload: Mapping[str, Any]) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-#: Rows a column table formats and writes at a time; larger blocks add memory,
-#: not speed.
-BLOCK_ROWS = 1024
+#: Rows a column table formats and writes at a time: the rows of one block
+#: share every digit of their index but the last three (``_index_endings``).
+BLOCK_ROWS = 1000
 
 
 class Columns:
@@ -440,7 +441,8 @@ class Columns:
     index in rows ``start`` to ``stop``: one iterable of strings per column,
     each giving the bytes ``csv.writer`` writes for that cell (``repr`` for a
     float, ``str`` for an int). Not a tuple and without ``len()``: a table is
-    not a sequence of rows.
+    not a sequence of rows. The writer joins each block from these cells, the
+    block's shared index prefix, cached index endings and shared separators.
     """
 
     __slots__ = ("rows", "block")
@@ -448,6 +450,13 @@ class Columns:
     def __init__(self, rows: int, block: Callable[[int, int], Sequence[Iterable[str]]]) -> None:
         self.rows = rows
         self.block = block
+
+
+@cache
+def _index_endings() -> tuple[list[str], list[str]]:
+    """The last digits and comma of each row's index: in block 0, and in later blocks."""
+    rows = range(BLOCK_ROWS)
+    return [f"{r}," for r in rows], [f"{r:03}," for r in rows]
 
 
 def write_csv(
@@ -461,17 +470,20 @@ def write_csv(
         if not isinstance(rows, Columns):
             writer.writerows(rows)
             return
-        for start in range(0, rows.rows, BLOCK_ROWS):
-            handle.write("\n".join(_block_lines(rows, start, min(start + BLOCK_ROWS, rows.rows))))
-
-
-def _block_lines(table: Columns, start: int, stop: int) -> list[str]:
-    """Rows ``start`` to ``stop`` of ``table``, then "" to end the last row.
-
-    The block's columns are freed when this returns, before the rows are
-    joined, so a block never holds its columns and its text at once."""
-    cells = zip(map(str, range(start, stop)), *table.block(start, stop))
-    return [*map(",".join, cells), ""]
+        first, later = _index_endings()
+        for k, start in enumerate(range(0, rows.rows, BLOCK_ROWS)):
+            n = min(BLOCK_ROWS, rows.rows - start)
+            columns = rows.block(start, start + n)
+            # a row is: index prefix, index ending, then each column's cell
+            # followed by "," or, after the last, "\n"
+            width = 2 * len(columns) + 2
+            cells = [","] * (width * n)
+            cells[0::width] = [str(k) if k else ""] * n
+            cells[1::width] = (later if k else first)[:n]
+            for c, column in enumerate(columns):
+                cells[2 + 2 * c :: width] = column
+            cells[width - 1 :: width] = ["\n"] * n
+            handle.write("".join(cells))
 
 
 def likelihood_to_dict(lik: IncidentLikelihood) -> dict[str, Any]:

@@ -85,7 +85,7 @@ def run_htma(threats: Sequence[Threat], trials: int, seed: int) -> HtmaResult:
         rng = np.random.default_rng(stream)
         fired = rng.uniform(size=trials) < threat.likelihood
         impacts = sample_impact(threat, rng, size=trials)
-        losses += np.where(fired, impacts, 0.0)
+        np.add(losses, impacts, out=losses, where=fired)
         if not np.isfinite(losses).all():
             raise ComputationError(
                 f"threat {threat.id}: its impact draws take the annual loss past the float "

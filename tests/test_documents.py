@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import re
 import warnings
@@ -31,7 +32,7 @@ from cyrisk.documents import (
     write_json,
 )
 from cyrisk.cli import _bands
-from cyrisk.errors import DocumentError
+from cyrisk.errors import ComputationError, DocumentError
 from cyrisk.model import AttackCountModel, CountKind, IncidentLikelihood, Regime
 from cyrisk.posture import Attractiveness, PostureProfile, QuestionnaireKind
 
@@ -487,6 +488,38 @@ class TestWriters:
             writer.writerow(header)
             writer.writerows(rows)
         assert path.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_json_writer_refuses_non_finite_numbers(self, tmp_path, value):
+        path = tmp_path / "report.json"
+        with pytest.raises(ComputationError) as info:
+            write_json(path, {"mean": value})
+        assert str(info.value) == (
+            f"{path}: Out of range float values are not JSON compliant: {value!r}"
+        )
+        assert not path.exists()
+
+    def test_column_table_index_cells_at_block_boundaries(self, tmp_path):
+        # constant cells, so a million rows cost little: only the trial index varies.
+        # The rows around each index that gains a digit, and a last block that is not full
+        length = 1_000_000 + BLOCK_ROWS // 2
+        path = tmp_path / "columns.csv"
+
+        def block(start, stop):
+            return [["0.5"] * (stop - start), ("-7",) * (stop - start)]
+
+        write_csv(path, ["trial", "x", "y"], Columns(length, block))
+        lines = path.read_bytes().split(b"\n")
+        assert len(lines) == length + 2 and lines[-1] == b""  # header, rows, final newline
+        windows = [(0, 2), (998, 1002), (9998, 10002), (99998, 100002), (999998, 1000002),
+                   (length - BLOCK_ROWS // 2, length)]
+        for start, stop in windows:
+            reference = io.StringIO()
+            csv.writer(reference, lineterminator="\n").writerows(
+                (i, 0.5, -7) for i in range(start, stop)
+            )
+            text = b"".join(line + b"\n" for line in lines[1 + start : 1 + stop])
+            assert text == reference.getvalue().encode("utf-8"), (start, stop)
 
     def test_likelihood_payload_shapes(self):
         scalar = IncidentLikelihood(pmf=None, value=0.25, quadrature_error=1e-9)

@@ -92,6 +92,11 @@ class TestScoreIndex:
         with pytest.raises(InputError):
             ControlResponse(control_id="x", score=1, weight=-0.5)
 
+    def test_questionnaire_without_responses_rejected(self):
+        with pytest.raises(InputError) as info:
+            make_questionnaire([])
+        assert str(info.value) == "questionnaire has no responses"
+
 
 class TestMaturityIndex:
     def test_equal_inputs_pass_through(self):
@@ -106,6 +111,12 @@ class TestMaturityIndex:
     def test_empty_assessment(self):
         with pytest.raises(EmptyAssessment):
             maturity_index(5.0, 0, 5.0, 0)
+
+    @pytest.mark.parametrize("awareness_count, core_count", [(-1, 5), (5, -1)])
+    def test_negative_count_rejected(self, awareness_count, core_count):
+        with pytest.raises(InputError) as info:
+            maturity_index(5.0, awareness_count, 5.0, core_count)
+        assert str(info.value) == "control counts must be non-negative"
 
     @given(st.floats(0, 10), st.integers(0, 50), st.floats(0, 10), st.integers(0, 50))
     def test_bounded_by_inputs(self, awareness, e_count, core, t_count):
@@ -217,6 +228,13 @@ class TestAssessPosture:
         core = make_questionnaire([2], kind=QuestionnaireKind.MATURITY_CORE)
         with pytest.raises(InputError):
             assess_posture(awareness, core, [], Attractiveness.LOW)
+
+    def test_core_of_the_wrong_kind_rejected(self):
+        awareness = make_questionnaire([3], kind=QuestionnaireKind.AWARENESS)
+        core = make_questionnaire([2], kind=QuestionnaireKind.COMPLEXITY_CATEGORY)
+        with pytest.raises(InputError) as info:
+            assess_posture(awareness, core, [], Attractiveness.LOW)
+        assert str(info.value) == "core questionnaire has kind 'complexity_category'"
 
     def test_unlabelled_questionnaires_named_by_position(self):
         awareness = make_questionnaire([3], kind=QuestionnaireKind.AWARENESS)

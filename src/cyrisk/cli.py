@@ -42,8 +42,10 @@ from .errors import (
     ComputationError,
     DegenerateCurve,
     DocumentError,
+    EmptyAssessment,
     InputError,
     InvalidRange,
+    NoApplicableControls,
     RiskModelError,
     parse_enum,
     require_int64,
@@ -59,6 +61,7 @@ from .posture import (
     attacker_weight,
     classify_attractiveness,
     per_threat_maturity,
+    score_index,
 )
 from .success import SuccessDistribution, pert_from_maturity, solve_asymptotes
 # The engines load numpy, so each command imports only the ones it runs.
@@ -213,7 +216,17 @@ def cmd_assess(args: argparse.Namespace) -> Output:
         attractiveness = classify_attractiveness(args.attack_share)
     else:
         attractiveness = parse_enum(Attractiveness, args.attractiveness, "--attractiveness")
-    profile = assess_posture(awareness, core, categories, attractiveness)
+    try:
+        profile = assess_posture(awareness, core, categories, attractiveness)
+    except NoApplicableControls as exc:  # the awareness questionnaire is scored first
+        try:
+            score_index(awareness)
+            flag, path = "--maturity", args.maturity
+        except NoApplicableControls:
+            flag, path = "--awareness", args.awareness
+        raise NoApplicableControls(f"{flag}: {path}: {exc}") from None
+    except EmptyAssessment as exc:  # every complexity category is all N/A and was dropped
+        raise EmptyAssessment(f"--complexity: {', '.join(args.complexity)}: {exc}") from None
     print(
         f"posture: awareness={profile.awareness_index:.4f} "
         f"maturity={profile.maturity_index:.4f} "
@@ -286,13 +299,12 @@ def cmd_htma(args: argparse.Namespace) -> Output:
     if not np.isfinite(mean):
         ids = ", ".join(str(t.id) for t in threats)
         raise ComputationError(
-            f"threats {ids}: the mean annual loss over {result.trials} trials overflows "
-            "the float range"
+            f"threats {ids}: the mean annual loss over {trials} trials overflows the float range"
         )
-    print(f"simulated {result.trials} trials over {len(threats)} threats (seed {seed})")
+    print(f"simulated {trials} trials over {len(threats)} threats (seed {seed})")
     report = {
         "seed": seed,
-        "trials": result.trials,
+        "trials": trials,
         "threats": [{"id": t.id, "name": t.name, "likelihood": t.likelihood} for t in threats],
         "loss_statistics": {
             "mean": mean,
@@ -305,7 +317,7 @@ def cmd_htma(args: argparse.Namespace) -> Output:
             "htma_report.json": report,
             "htma_losses.csv": (
                 ["trial", "loss"],
-                Columns(result.trials, lambda i, j: [map(repr, losses[i:j].tolist())]),
+                Columns(trials, lambda i, j: [map(repr, losses[i:j].tolist())]),
             ),
             "htma_lec.csv": (
                 ["loss", "exceedance_probability"],
@@ -329,12 +341,12 @@ def cmd_fair(args: argparse.Namespace) -> Output:
     lik = incident_likelihood(dist, config.count, Regime.NO_CHANGE)
     result = run_fair(lik, categories, trials=trials, seed=seed)
     print(
-        f"simulated {result.trials} trials; mean total loss "
+        f"simulated {trials} trials; mean total loss "
         f"{result.summary['total_loss'].mean:.2f} (seed {seed})"
     )
     report = {
         "seed": seed,
-        "trials": result.trials,
+        "trials": trials,
         "slots_per_period": config.count.t,
         "success_band": {"p_m": dist.p_m, "p_star": dist.p_star, "p_M": dist.p_M},
         "analytic_mean_events": config.count.n_avg * dist.mean,
@@ -365,7 +377,7 @@ def cmd_fair(args: argparse.Namespace) -> Output:
             "fair_report.json": report,
             "fair_trials.csv": (
                 ["trial", "events", "lef", "per_event_loss", "total_loss"],
-                Columns(result.trials, block),
+                Columns(trials, block),
             ),
         },
         config.output_dir,

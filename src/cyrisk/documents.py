@@ -339,8 +339,12 @@ def _loss_category(value: Any, name: str) -> LossCategory:
 
 
 def load_loss_categories(path: str | Path) -> list[LossCategory]:
+    """The loss categories in ``path``, at least one of them primary."""
     doc = _document(path, "categories")
-    return list(doc.need("categories", _list_of(_loss_category)))
+    categories = list(doc.need("categories", _list_of(_loss_category)))
+    if all(c.secondary for c in categories):
+        raise DocumentError(f"{path}: categories: at least one primary loss category is required")
+    return categories
 
 
 # ---------------------------------------------------------------------------

@@ -33,35 +33,25 @@ def sample_event_count(
     return np.minimum(np.searchsorted(cdf, uniforms, side="right"), cdf.size - 1)
 
 
-def _pert_draws(
-    rng: np.random.Generator,
-    low: float,
-    mode: float,
-    high: float,
-    shape: float,
-    size: int,
-) -> np.ndarray:
+def _pert_draws(rng: np.random.Generator, category: LossCategory, size: int) -> np.ndarray:
+    low, mode, high = category.low, category.most_likely, category.high
     if high == low:
         return np.full(size, low)
     span = high - low
-    alpha = 1.0 + shape * (mode - low) / span
-    beta = 1.0 + shape * (high - mode) / span
+    alpha = 1.0 + category.shape * (mode - low) / span
+    beta = 1.0 + category.shape * (high - mode) / span
     return low + span * rng.beta(alpha, beta, size=size)
 
 
 def sample_loss_magnitude(
-    categories: Sequence[LossCategory],
-    rng: np.random.Generator,
-    size: int,
+    categories: Sequence[LossCategory], rng: np.random.Generator, size: int
 ) -> np.ndarray:
     """Per-event loss: the sum of one modified-PERT draw per category."""
     if not categories:
         raise InputError("at least one loss category is required")
     total = np.zeros(size)
     for category in categories:
-        total += _pert_draws(
-            rng, category.low, category.most_likely, category.high, category.shape, size
-        )
+        total += _pert_draws(rng, category, size)
     return total
 
 
@@ -86,7 +76,7 @@ class FairResult(NamedTuple):
     total_loss: np.ndarray
     summary: Mapping[str, SummaryRow]
     percentiles: Mapping[str, Mapping[int, float]]
-    trials: int
+    trials = property(lambda self: self.events.size)  # one event count per trial
 
 
 def _histogram_mode(values: np.ndarray) -> float:
@@ -129,7 +119,8 @@ def run_fair(
     secondary magnitudes, each on its own stream derived from the seed), so a
     given seed always reproduces the same trial table. Losses past the float
     range raise ComputationError naming the categories; so do more than
-    ``MAX_DRAWS`` trials, or events once their counts are drawn.
+    ``MAX_DRAWS`` trials, or events once their counts are drawn. The check for a
+    primary category is for library callers: the CLI's loader makes it.
     """
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
@@ -177,5 +168,4 @@ def run_fair(
         total_loss=total_loss,
         summary=summary,
         percentiles=percentiles,
-        trials=trials,
     )

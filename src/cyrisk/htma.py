@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ComputationError, InputError, InvalidRange
+from .errors import ComputationError, InputError
 from .model import Threat, check_draws, sorted_quantile
 
 #: A 90% confidence interval spans 2 x 1.645 log-normal standard deviations.
@@ -23,20 +23,15 @@ LEC_POINTS = 200
 LEC_UPPER_QUANTILE = 0.999
 
 
-def lognormal_params(low: float, high: float) -> tuple[float, float]:
-    """Map a 90% confidence interval to log-normal (mu, sigma)."""
-    if low <= 0:
-        raise InvalidRange(f"impact lower bound must be positive, got {low}")
-    if not high > low:
-        raise InvalidRange(f"impact upper bound must exceed the lower, got [{low}, {high}]")
-    mu = 0.5 * (math.log(high) + math.log(low))
-    sigma = (math.log(high) - math.log(low)) / LOGNORMAL_CI_FACTOR
-    return mu, sigma
+def lognormal_params(threat: Threat) -> tuple[float, float]:
+    """Log-normal (mu, sigma) of the threat's 90% impact interval, 0 < low < high."""
+    low, high = math.log(threat.impact_low), math.log(threat.impact_high)
+    return 0.5 * (high + low), (high - low) / LOGNORMAL_CI_FACTOR
 
 
 def sample_impact(threat: Threat, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` impacts from the threat's log-normal band."""
-    mu, sigma = lognormal_params(threat.impact_low, threat.impact_high)
+    mu, sigma = lognormal_params(threat)
     return rng.lognormal(mean=mu, sigma=sigma, size=size)
 
 
@@ -48,7 +43,7 @@ class HtmaResult(NamedTuple):
 
     losses: np.ndarray
     lec: tuple[np.ndarray, np.ndarray]
-    trials: int
+    trials = property(lambda self: self.losses.size)  # one loss per trial
 
 
 def loss_exceedance_curve(losses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -91,4 +86,4 @@ def run_htma(threats: Sequence[Threat], trials: int, seed: int) -> HtmaResult:
                 f"threat {threat.id}: its impact draws take the annual loss past the float "
                 f"range (impact band [{threat.impact_low!r}, {threat.impact_high!r}])"
             )
-    return HtmaResult(losses=losses, lec=loss_exceedance_curve(losses), trials=trials)
+    return HtmaResult(losses=losses, lec=loss_exceedance_curve(losses))

@@ -55,43 +55,45 @@ def _check_spread(q: float) -> None:
 
 @checked
 class LogisticParams(NamedTuple):
-    """Decreasing logistic curve with asymptotes solved from its endpoint values.
+    """Decreasing logistic curve pinned to U at x=0 and L at x=10.
 
-    B is the (negative) growth rate, x0 the midpoint, U and L the curve
-    values at x=0 and x=10. A and K are the solved lower asymptote and
-    saturation level; they are derived quantities, use :func:`solve_asymptotes`
-    rather than filling them by hand.
+    B is the (negative) growth rate and x0 the midpoint. The lower asymptote A
+    and the saturation level K are derived from these four; see ``asymptotes``.
     """
 
     B: float
     x0: float
     U: float
     L: float
-    A: float
-    K: float
 
     def _check(self) -> LogisticParams:
         check_curve(self.B, self.U, self.L, x0=self.x0)
-        # written so that a NaN A or K fails it
+        # written so that the NaN asymptotes of a singular system fail it
         if not (abs(self.curve(0.0) - self.U) <= 1e-12 and abs(self.curve(10.0) - self.L) <= 1e-12):
-            raise InputError("A and K do not satisfy the endpoint conditions f(0)=U, f(10)=L")
+            raise DegenerateCurve(f"curve is flat between x=0 and x=10 for B={self.B}, x0={self.x0}")
         return self
+
+    @property
+    def asymptotes(self) -> tuple[float, float]:
+        """(A, K): the two endpoint conditions form a 2x2 linear system in A and
+        (K - A), solved here in closed form; NaN when the system is singular."""
+        g0, g10 = (_sigmoid(self.B * (x - self.x0)) for x in (0.0, 10.0))
+        if not abs(g0 - g10) >= 1e-15:
+            return math.nan, math.nan
+        span = (self.U - self.L) / (g0 - g10)
+        a = self.U - span * g0
+        return a, a + span
 
     def curve(self, x: float) -> float:
         """Raw curve value A + (K - A) / (1 + exp(-B (x - x0)))."""
-        return self.A + (self.K - self.A) * _sigmoid(self.B * (x - self.x0))
+        a, k = self.asymptotes
+        return a + (k - a) * _sigmoid(self.B * (x - self.x0))
 
 
 def solve_asymptotes(
-    growth_rate: float,
-    midpoint: float,
-    upper: float = DEFAULT_UPPER,
-    lower: float = DEFAULT_LOWER,
+    growth_rate: float, midpoint: float, upper: float = DEFAULT_UPPER, lower: float = DEFAULT_LOWER
 ) -> LogisticParams:
-    """Solve the asymptotes A and K so the curve hits ``upper`` at x=0 and ``lower`` at x=10.
-
-    The two endpoint conditions form a 2x2 linear system in A and (K - A);
-    its solution is written out explicitly below.
+    """The curve through ``upper`` at x=0 and ``lower`` at x=10.
 
     Raises:
         DegenerateCurve: the curve is numerically flat between x=0 and x=10,
@@ -99,18 +101,7 @@ def solve_asymptotes(
             solved curve misses an endpoint by more than 1e-12.
         InputError: a curve value out of range, named before a flat curve.
     """
-    g0 = _sigmoid(growth_rate * (0.0 - midpoint))
-    g10 = _sigmoid(growth_rate * (10.0 - midpoint))
-    denom = g0 - g10
-    if abs(denom) >= 1e-15:
-        span = (upper - lower) / denom
-        a = upper - span * g0
-        k = a + span
-        # LogisticParams' endpoint test, in the same arithmetic as its curve()
-        if abs(a + (k - a) * g0 - upper) <= 1e-12 and abs(a + (k - a) * g10 - lower) <= 1e-12:
-            return LogisticParams(B=growth_rate, x0=midpoint, U=upper, L=lower, A=a, K=k)
-    check_curve(growth_rate, upper, lower, x0=midpoint)  # only a valid curve is called flat
-    raise DegenerateCurve(f"curve is flat between x=0 and x=10 for B={growth_rate}, x0={midpoint}")
+    return LogisticParams(B=growth_rate, x0=midpoint, U=upper, L=lower)
 
 
 def success_probability(params: LogisticParams, x: float, w: float = 1.0) -> float:
@@ -130,27 +121,26 @@ def success_probability(params: LogisticParams, x: float, w: float = 1.0) -> flo
 class SuccessDistribution(NamedTuple):
     """PERT band (p_m, p_star, p_M) for the single-attack success probability.
 
-    alpha and beta are the shape parameters of the underlying scaled Beta;
     ``w`` records the attacker-maturity weight already applied to the triple.
-    A zero-width band is stored as a point mass at p_star with alpha=beta=1.
+    The shapes ``alpha`` and ``beta`` of the underlying scaled Beta are derived
+    from the triple. A band narrower than ``POINT_MASS_EPS`` is stored as a
+    point mass at p_star, with alpha = beta = 1.
     """
 
     p_m: float
     p_star: float
     p_M: float
-    alpha: float
-    beta: float
-    w: float = 1.0
+    w: float
 
     def _check(self) -> SuccessDistribution:
-        require_finite("PERT band", alpha=self.alpha, beta=self.beta)
-        if not (0.0 < self.p_m <= self.p_star <= self.p_M < 1.0):
-            raise InvalidRange(
-                "need 0 < p_m <= p_star <= p_M < 1, got "
-                f"({self.p_m}, {self.p_star}, {self.p_M})"
-            )
-        if not (self.alpha >= 1.0 and self.beta >= 1.0):
-            raise InputError(f"shape parameters must be >= 1, got ({self.alpha}, {self.beta})")
+        got = f"got ({self.p_m}, {self.p_star}, {self.p_M})"
+        if not self.p_m <= self.p_star <= self.p_M:
+            raise InvalidRange(f"need p_m <= p_star <= p_M, {got}")
+        # a collapsed band holds p_star itself three times; "==" would miss -0.0 vs 0.0
+        if self.is_point_mass and not (self.p_m is self.p_star is self.p_M):
+            return self._replace(p_m=self.p_star, p_M=self.p_star)
+        if not (0.0 < self.p_m and self.p_M < 1.0):
+            raise InvalidRange(f"need 0 < p_m <= p_star <= p_M < 1, {got}")
         if not 0.0 < self.w <= 1.0:
             raise InputError(f"attacker weight must be in (0, 1], got {self.w}")
         return self
@@ -158,25 +148,25 @@ class SuccessDistribution(NamedTuple):
     @classmethod
     def from_triple(
         cls, p_m: float, p_star: float, p_M: float, w: float = 1.0
-    ) -> "SuccessDistribution":
-        """Build the band from its triple, deriving the canonical shapes."""
-        if not p_m <= p_star <= p_M:
-            raise InvalidRange(f"need p_m <= p_star <= p_M, got ({p_m}, {p_star}, {p_M})")
-        if p_M - p_m < POINT_MASS_EPS:
-            return cls.point_mass(p_star, w=w)
-        span = p_M - p_m
-        return cls(
-            p_m=p_m,
-            p_star=p_star,
-            p_M=p_M,
-            alpha=1.0 + 4.0 * (p_star - p_m) / span,
-            beta=1.0 + 4.0 * (p_M - p_star) / span,
-            w=w,
-        )
+    ) -> SuccessDistribution:
+        """The band of the triple, weighted by ``w``."""
+        return cls(p_m, p_star, p_M, w)
 
     @classmethod
-    def point_mass(cls, p: float, w: float = 1.0) -> "SuccessDistribution":
-        return cls(p_m=p, p_star=p, p_M=p, alpha=1.0, beta=1.0, w=w)
+    def point_mass(cls, p: float, w: float = 1.0) -> SuccessDistribution:
+        return cls(p, p, p, w)
+
+    @property
+    def alpha(self) -> float:
+        """Canonical PERT shape 1 + 4 (p_star - p_m) / (p_M - p_m); 1.0 for a point mass."""
+        span = self.p_M - self.p_m  # 0.0 for a point mass, which _check collapses
+        return 1.0 + 4.0 * (self.p_star - self.p_m) / span if span else 1.0
+
+    @property
+    def beta(self) -> float:
+        """Canonical PERT shape 1 + 4 (p_M - p_star) / (p_M - p_m); 1.0 for a point mass."""
+        span = self.p_M - self.p_m
+        return 1.0 + 4.0 * (self.p_M - self.p_star) / span if span else 1.0
 
     @property
     def is_point_mass(self) -> bool:
@@ -189,10 +179,7 @@ class SuccessDistribution(NamedTuple):
 
 
 def pert_from_maturity(
-    params: LogisticParams,
-    x: float,
-    w: float = 1.0,
-    q: float = DEFAULT_SPREAD,
+    params: LogisticParams, x: float, w: float = 1.0, q: float = DEFAULT_SPREAD
 ) -> SuccessDistribution:
     """PERT band for the success probability around maturity x.
 

@@ -13,6 +13,7 @@ a 0.001 grid the nearest, (-1.014, 4.276), still misses by 0.00505.
 
 import functools
 import json
+import math
 import signal
 from contextlib import contextmanager
 
@@ -274,3 +275,71 @@ def subset_maturity(questionnaire, matrix, threat_id):
             f"threat {threat_id}: none of its weighted controls appear in the responses"
         )
     return score_index(questionnaire._replace(responses=tuple(subset)))
+
+
+# ---------------------------------------------------------------------------
+# the success curve and band as they stored their derived values
+
+
+def _reference_sigmoid(z):
+    if z >= 0.0:
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
+    return e / (1.0 + e)
+
+
+def _reference_check_curve(B, U, L, x0):
+    from cyrisk.errors import InputError
+
+    for name, value in (("B", B), ("x0", x0), ("U", U), ("L", L)):
+        if not math.isfinite(value):
+            raise InputError(f"logistic curve: {name} must be finite, got {value}")
+    if not B < 0:
+        raise InputError(f"growth rate B must be negative, got {B}")
+    if not (0.0 < L < U < 1.0):
+        raise InputError(f"need 0 < L < U < 1, got L={L}, U={U}")
+
+
+def reference_asymptotes(growth_rate, midpoint, upper, lower):
+    """(A, K) as the curve stored them when they were fields, solved from the
+    endpoint system by the same arithmetic, or the error the solve raised."""
+    from cyrisk.errors import DegenerateCurve
+
+    g0 = _reference_sigmoid(growth_rate * (0.0 - midpoint))
+    g10 = _reference_sigmoid(growth_rate * (10.0 - midpoint))
+    denom = g0 - g10
+    if abs(denom) >= 1e-15:
+        span = (upper - lower) / denom
+        a = upper - span * g0
+        k = a + span
+        if abs(a + (k - a) * g0 - upper) <= 1e-12 and abs(a + (k - a) * g10 - lower) <= 1e-12:
+            _reference_check_curve(growth_rate, upper, lower, midpoint)
+            return a, k
+    _reference_check_curve(growth_rate, upper, lower, midpoint)
+    raise DegenerateCurve(f"curve is flat between x=0 and x=10 for B={growth_rate}, x0={midpoint}")
+
+
+def reference_band(p_m, p_star, p_M, w=1.0):
+    """(p_m, p_star, p_M, w, alpha, beta) as the band stored them when alpha and
+    beta were fields, derived by the same arithmetic, or the error it raised."""
+    from cyrisk.errors import InputError, InvalidRange
+
+    if not p_m <= p_star <= p_M:
+        raise InvalidRange(f"need p_m <= p_star <= p_M, got ({p_m}, {p_star}, {p_M})")
+    if p_M - p_m < 1e-12:  # the point-mass width
+        p_m = p_M = p_star
+        alpha = beta = 1.0
+    else:
+        span = p_M - p_m
+        alpha = 1.0 + 4.0 * (p_star - p_m) / span
+        beta = 1.0 + 4.0 * (p_M - p_star) / span
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not math.isfinite(value):
+            raise InputError(f"PERT band: {name} must be finite, got {value}")
+    if not (0.0 < p_m <= p_star <= p_M < 1.0):
+        raise InvalidRange(f"need 0 < p_m <= p_star <= p_M < 1, got ({p_m}, {p_star}, {p_M})")
+    if not (alpha >= 1.0 and beta >= 1.0):
+        raise InputError(f"shape parameters must be >= 1, got ({alpha}, {beta})")
+    if not 0.0 < w <= 1.0:
+        raise InputError(f"attacker weight must be in (0, 1], got {w}")
+    return p_m, p_star, p_M, w, alpha, beta

@@ -114,6 +114,51 @@ class TestAssess:
         assert code == 2
         assert "NoApplicableControls" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("all_na", [["--awareness"], ["--maturity"], ["--awareness", "--maturity"]])
+    def test_all_na_questionnaire_exits_2_naming_the_flag_and_file(
+        self, tmp_path, questionnaires, capsys, all_na
+    ):
+        aw, core, cats = questionnaires
+        kinds = {"--awareness": "awareness", "--maturity": "maturity_core"}
+        files = {"--awareness": aw, "--maturity": core}
+        for flag in all_na:
+            files[flag] = ref.write_questionnaire(tmp_path / f"na{flag}.json", kinds[flag], [None])
+        out = tmp_path / "out"
+        argv = [item for flag, path in files.items() for item in (flag, path)]
+        assert run(["assess", *argv, "--complexity", *cats, "--attack-share", "3.0",
+                    "--out", out]) == 2
+        # the awareness questionnaire is scored first
+        flag = all_na[0]
+        assert capsys.readouterr().err == (
+            f"validation error [NoApplicableControls]: {flag}: {files[flag]}: "
+            "no applicable control with positive weight\n"
+        )
+        assert not out.exists()
+
+    def test_all_na_complexity_exits_2_naming_the_flag_and_files(
+        self, tmp_path, questionnaires, capsys
+    ):
+        aw, core, _ = questionnaires
+        cats = [
+            ref.write_questionnaire(tmp_path / f"na{i}.json", "complexity_category", [None],
+                                    label=f"c{i}")
+            for i in range(2)
+        ]
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning) as dropped:
+            code = run(["assess", "--awareness", aw, "--maturity", core, "--complexity", *cats,
+                        "--attack-share", "3.0", "--out", out])
+        assert code == 2
+        assert [str(w.message) for w in dropped] == [
+            f"complexity category 'c{i}' has no applicable controls and was dropped"
+            for i in range(2)
+        ]
+        assert capsys.readouterr().err == (
+            f"validation error [EmptyAssessment]: --complexity: {cats[0]}, {cats[1]}: "
+            "complexity index needs at least one category\n"
+        )
+        assert not out.exists()
+
     def test_bad_attractiveness_label_exits_2(self, tmp_path, questionnaires, capsys):
         aw, core, cats = questionnaires
         code = run(
@@ -516,6 +561,25 @@ class TestFair:
         )
         assert run(["fair", "--config", fair_config, "--out", tmp_path / "out"]) == 2
         assert "categories[0].max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "categories",
+        [[], [{"name": "fines", "min": 1, "most_likely": 2, "max": 3, "secondary": True}]],
+        ids=["none", "secondary-only"],
+    )
+    def test_no_primary_category_exits_2_naming_the_file(
+        self, tmp_path, fair_config, capsys, categories
+    ):
+        path = ref.write_json(
+            tmp_path / "categories.json", {"schema_version": "1", "categories": categories}
+        )
+        out = tmp_path / "out"
+        assert run(["fair", "--config", fair_config, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"validation error [DocumentError]: {path}: categories: "
+            "at least one primary loss category is required\n"
+        )
+        assert not out.exists()
 
     def test_overflowing_losses_exit_1_naming_the_categories(self, tmp_path, fair_config, capsys):
         # two losses near 1e308 per event sum past the float range

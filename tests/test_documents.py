@@ -406,6 +406,12 @@ class TestRunConfigDocument:
         assert config.count == AttackCountModel(t=365, n_avg=0.0)
         assert (config.trials, config.replications, config.inputs) == (10_000, 100_000, {})
 
+    def test_curve_defaults_fill_an_empty_logistic_block(self, tmp_path):
+        config = load_run_config(dump(tmp_path / "run.json", {"logistic": {}}))
+        assert (config.growth_rate, config.upper, config.lower, config.spread) == (
+            -2.0, 0.97, 0.03, 1.0
+        )
+
     def test_absolute_input_kept(self, tmp_path):
         (tmp_path / "sub").mkdir()
         target = tmp_path / "elsewhere" / "profile.json"

@@ -164,13 +164,13 @@ class TestPerThreatMaturity:
 
 class TestImpactSampling:
     def test_ci_mapping_hand_values(self):
-        mu, sigma = lognormal_params(1.0, math.exp(3.29))
+        mu, sigma = lognormal_params(make_threat(low=1.0, high=math.exp(3.29)))
         assert mu == pytest.approx(1.645, abs=1e-12)
         assert sigma == pytest.approx(1.0, abs=1e-12)
 
     def test_nonpositive_lower_bound_rejected(self):
         with pytest.raises(InvalidRange):
-            lognormal_params(0.0, 2.0)
+            lognormal_params(make_threat(low=0.0, high=2.0))
 
     def test_near_degenerate_interval_concentrates(self):
         threat = make_threat(low=100.0, high=100.0 * (1 + 1e-9))

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from cyrisk.errors import DegenerateCurve, InputError
+from cyrisk.errors import DegenerateCurve, InputError, InvalidRange
 from cyrisk.success import (
     LogisticParams,
     SuccessDistribution,
@@ -12,6 +13,7 @@ from cyrisk.success import (
     solve_asymptotes,
     success_probability,
 )
+import reference_data as ref
 from reference_data import GAUSS_JACOBI_NODES, gauss_jacobi_rule
 
 
@@ -28,9 +30,9 @@ def oracle_solve(growth_rate, midpoint, upper, lower):
 
 class TestSolveAsymptotes:
     def test_hand_solved_example(self):
-        params = solve_asymptotes(-1.0, 5.0, 0.97, 0.03)
-        assert params.A == pytest.approx(0.023623, abs=1e-6)
-        assert params.K == pytest.approx(0.976377, abs=1e-6)
+        a, k = solve_asymptotes(-1.0, 5.0, 0.97, 0.03).asymptotes
+        assert a == pytest.approx(0.023623, abs=1e-6)
+        assert k == pytest.approx(0.976377, abs=1e-6)
 
     def test_endpoints_by_construction(self):
         params = solve_asymptotes(-1.0, 5.0, 0.97, 0.03)
@@ -46,8 +48,8 @@ class TestSolveAsymptotes:
             up = float(rng.uniform(low + 0.05, 0.999))
             params = solve_asymptotes(growth, mid, up, low)
             a, k = oracle_solve(growth, mid, up, low)
-            assert params.A == pytest.approx(a, abs=1e-10)
-            assert params.K == pytest.approx(k, abs=1e-10)
+            assert params.asymptotes[0] == pytest.approx(a, abs=1e-10)
+            assert params.asymptotes[1] == pytest.approx(k, abs=1e-10)
 
     def test_symmetric_midpoint_value(self):
         # for x0 centered in the scale the midpoint value is exactly (U + L) / 2
@@ -78,10 +80,6 @@ class TestSolveAsymptotes:
     def test_bad_levels_rejected(self):
         with pytest.raises(InputError):
             solve_asymptotes(-1.0, 5.0, 0.03, 0.97)
-
-    def test_inconsistent_asymptotes_rejected(self):
-        with pytest.raises(InputError):
-            LogisticParams(B=-1.0, x0=5.0, U=0.97, L=0.03, A=0.1, K=0.9)
 
 
 class TestSuccessProbability:
@@ -164,6 +162,10 @@ class TestPertFromMaturity:
             for q in (0.25, 1.0, 3.0):
                 dist = pert_from_maturity(params, float(x), w=0.8, q=q)
                 assert dist.p_m <= dist.p_star <= dist.p_M
+
+    def test_defaults_are_full_weight_and_unit_spread(self):
+        params = solve_asymptotes(-1.0, 4.3, 0.97, 0.03)
+        assert pert_from_maturity(params, 4.3) == pert_from_maturity(params, 4.3, w=1.0, q=1.0)
 
     def test_invalid_spread_rejected(self):
         params = solve_asymptotes(-1.0, 5.0, 0.97, 0.03)
@@ -256,3 +258,100 @@ class TestPertPdf:
             SuccessDistribution.from_triple(0.9, 0.1, 0.2)
         with pytest.raises(InputError):
             SuccessDistribution.from_triple(0.5, 0.9, 0.5 + 1e-13)
+
+
+class TestDerivedValues:
+    """A, K, alpha and beta, derived where they are read, against the same
+    arithmetic run once and stored, as the curve and band did when they were fields."""
+
+    EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-300, 1.0, 1e308, -1e308]
+
+    @staticmethod
+    def outcome(build):
+        """``build()``'s floats as ``float.hex``, or its error's type and message."""
+        try:
+            return tuple(map(float.hex, build()))
+        except InputError as exc:
+            return type(exc), str(exc)
+
+    reals = st.one_of(st.floats(), st.sampled_from(EDGES))
+    # at x0 = 5 the system's determinant is about 2.5 |B|, so these put it near 1e-15
+    growth_rates = st.one_of(
+        reals,
+        st.floats(-50.0, 0.0),
+        st.floats(-5.0, -0.05),
+        st.floats(0.2, 5.0).map(lambda k: -4e-16 * k),
+        st.floats(1e-15, 1e-5).map(lambda b: -b),
+    )
+    levels = st.one_of(reals, st.floats(0.0, 1.0))
+    # (U, L): mostly a valid pair, L < U inside (0, 1)
+    ends = st.one_of(
+        st.tuples(levels, levels),
+        st.lists(st.floats(1e-9, 1.0 - 1e-9), min_size=2, max_size=2, unique=True).map(
+            lambda pair: (max(pair), min(pair))
+        ),
+    )
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(B=growth_rates, x0=st.one_of(st.floats(-20.0, 30.0), reals), ends=ends)
+    @example(B=-1.0, x0=5.0, ends=(0.97, 0.03))
+    @example(B=-1e-16, x0=5.0, ends=(0.97, 0.03))
+    @example(B=-4e-16, x0=5.0, ends=(0.97, 0.03))
+    @example(B=-1e-10, x0=5.0, ends=(0.97, 0.03))
+    @example(B=-60.0, x0=-40.0, ends=(0.97, 0.03))
+    # both sigmoids near 0: a determinant of 1.7e-15 still solves within 1e-12
+    @example(B=-1.0, x0=-34.0, ends=(0.97, 0.03))
+    @example(B=math.nan, x0=5.0, ends=(0.97, 0.03))
+    @example(B=-math.inf, x0=5.0, ends=(0.97, 0.03))
+    @example(B=-1.0, x0=math.inf, ends=(0.97, 0.03))
+    @example(B=0.5, x0=5.0, ends=(0.97, 0.03))
+    @example(B=-1.0, x0=5.0, ends=(0.03, 0.97))
+    @example(B=-1.0, x0=5.0, ends=(1.0, 0.03))
+    @example(B=-1.0, x0=5.0, ends=(0.97, 0.0))
+    def test_asymptotes(self, B, x0, ends):
+        U, L = ends
+        expected = self.outcome(lambda: ref.reference_asymptotes(B, x0, U, L))
+        assert self.outcome(lambda: solve_asymptotes(B, x0, U, L).asymptotes) == expected
+        assert self.outcome(lambda: LogisticParams(B, x0, U, L).asymptotes) == expected
+
+    probabilities = st.one_of(reals, st.floats(0.0, 1.0))
+    narrow = st.builds(
+        lambda p, width, at: (p, p + at * width, p + width),
+        st.floats(0.0, 1.0), st.floats(5e-13, 2e-12), st.floats(0.0, 1.0),
+    )
+    weights = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 1.0 + 2**-52, 1.5, math.nan]))
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(
+        triple=st.one_of(st.tuples(probabilities, probabilities, probabilities), narrow),
+        w=weights,
+    )
+    @example(triple=(0.28, 0.5, 0.72), w=1.0)
+    @example(triple=(0.5, 0.5, 0.5 + 1e-13), w=0.8)
+    @example(triple=(0.5, 0.5, 0.5 + 1e-12), w=0.8)
+    @example(triple=(0.0, 0.4, 0.7), w=1.0)
+    @example(triple=(-1e-13, 0.0, 0.0), w=1.0)
+    @example(triple=(-0.0, 0.0, 0.0), w=1.0)
+    @example(triple=(0.5, 0.4, 0.7), w=1.0)
+    @example(triple=(0.5, 0.9, 0.5 + 1e-13), w=1.0)
+    @example(triple=(0.28, 0.5, 0.72), w=0.0)
+    @example(triple=(0.28, 0.5, 0.72), w=1.5)
+    @example(triple=(0.28, math.nan, 0.72), w=1.0)
+    @example(triple=(-math.inf, 0.5, 0.72), w=1.0)
+    @example(triple=(0.28, 0.5, math.inf), w=1.0)
+    @example(triple=(0.0, 0.0, 1e308), w=1.0)
+    def test_band_shapes(self, triple, w):
+        def band():
+            dist = SuccessDistribution.from_triple(*triple, w)
+            return (*dist, dist.alpha, dist.beta)
+
+        expected = self.outcome(lambda: ref.reference_band(*triple, w))
+        if expected[1].startswith("PERT band: "):
+            # a stored shape was checked to be finite, and was not for a band too
+            # wide for a float (an end of +-inf, or a width near 1e308); such a band
+            # lies outside (0, 1), so the range check, next in line, names it
+            assert not all(0.0 <= p <= 1.0 for p in triple)
+            expected = InvalidRange, "need 0 < p_m <= p_star <= p_M < 1, got ({}, {}, {})".format(
+                *triple
+            )
+        assert self.outcome(band) == expected

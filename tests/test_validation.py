@@ -100,7 +100,7 @@ VALIDATED = {
         ("maturity_index", -1.0), "maturity_index must be in [0, 10]",
     ),
     "LogisticParams": (
-        LogisticParams, CURVE._asdict(), ("A", CURVE.A + 0.1), "A and K do not satisfy",
+        LogisticParams, CURVE._asdict(), ("B", -1e-17), "curve is flat between x=0 and x=10",
     ),
     "SuccessDistribution": (
         SuccessDistribution, SuccessDistribution.from_triple(0.28, 0.5, 0.72)._asdict(),
@@ -159,11 +159,11 @@ def test_normalizing_types_normalize_on_every_path():
 INSTANCES = {
     **{name: cls(**fields) for name, (cls, fields, _, _) in VALIDATED.items()},
     "CvssVector": CvssVector(AccessVector.LOCAL, AccessComplexity.LOW, Authentication.NONE),
-    "HtmaResult": HtmaResult(np.zeros(2), (np.zeros(1), np.ones(1)), 2),
+    "HtmaResult": HtmaResult(np.zeros(2), (np.zeros(1), np.ones(1))),
     "EmpiricalCounts": EmpiricalCounts(np.ones(1), 10),
     "OracleReport": OracleReport(True, 1e-3, 0.0, 0, 1.0, (), 0.0, (0.0,)),
     "SummaryRow": SummaryRow(0.0, 0.0, 0.0, 0.0),
-    "FairResult": FairResult(np.zeros(1, int), np.zeros(1), np.zeros(1), {}, {}, 1),
+    "FairResult": FairResult(np.zeros(1, int), np.zeros(1), np.zeros(1), {}, {}),
 }
 
 

@@ -11,12 +11,13 @@ Each command returns its reports and tables keyed by file name, and ``main``
 writes them all in one place. Every command is deterministic given its inputs
 and seed; a missing seed is generated once, printed, and embedded in the
 outputs for replay. Exit codes: 0 success, 1 runtime failure, 2 validation
-failure.
+failure. ``run`` is the process entry point; library callers use ``main``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
 from pathlib import Path
@@ -61,7 +62,6 @@ from .posture import (
     attacker_weight,
     classify_attractiveness,
     per_threat_maturity,
-    score_index,
 )
 from .success import SuccessDistribution, pert_from_maturity, solve_asymptotes
 # The engines load numpy, so each command imports only the ones it runs.
@@ -218,12 +218,11 @@ def cmd_assess(args: argparse.Namespace) -> Output:
         attractiveness = parse_enum(Attractiveness, args.attractiveness, "--attractiveness")
     try:
         profile = assess_posture(awareness, core, categories, attractiveness)
-    except NoApplicableControls as exc:  # the awareness questionnaire is scored first
-        try:
-            score_index(awareness)
-            flag, path = "--maturity", args.maturity
-        except NoApplicableControls:
+    except NoApplicableControls as exc:  # from the awareness or the core questionnaire
+        if exc.questionnaire is awareness:
             flag, path = "--awareness", args.awareness
+        else:
+            flag, path = "--maturity", args.maturity
         raise NoApplicableControls(f"{flag}: {path}: {exc}") from None
     except EmptyAssessment as exc:  # every complexity category is all N/A and was dropped
         raise EmptyAssessment(f"--complexity: {', '.join(args.complexity)}: {exc}") from None
@@ -532,5 +531,35 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
 
 
+def run() -> int:
+    """The ``cyrisk`` process: ``main()`` on ``sys.argv``, then the process ends
+    with its exit code as soon as stdout and stderr are flushed, skipping the
+    interpreter's teardown of every module the command imported (numpy's most
+    of all).
+
+    Skipping the teardown loses nothing a command produced:
+    - ``_write`` writes each file inside a ``with`` block (``write_csv`` and
+      ``write_json``'s ``Path.write_text``), so every output is closed when
+      ``main`` returns;
+    - no ``cyrisk`` module imports ``atexit``, so no exit handler of its own
+      is skipped;
+    - ``cyrisk`` keeps no file open past ``_write`` and sets up no logging
+      handler, so stdout and stderr are the only buffered streams, and both
+      are flushed here.
+
+    A flush that fails (stdout a closed pipe) returns the code instead, so the
+    normal exit reports it as it would without this function. A usage error,
+    ``--help`` and an uncaught exception raise out of ``main`` and leave by the
+    normal path too.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        return code
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

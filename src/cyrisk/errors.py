@@ -29,7 +29,12 @@ class ComputationError(RiskModelError):
 
 
 class NoApplicableControls(InputError):
-    """Every response is N/A, or the applicable responses have zero total weight."""
+    """Every response is N/A, or the applicable responses have zero total weight.
+    ``questionnaire`` is the questionnaire whose responses were scored, if any."""
+
+    def __init__(self, message: str, questionnaire: Any = None):
+        super().__init__(message)
+        self.questionnaire = questionnaire
 
 
 class EmptyAssessment(InputError):

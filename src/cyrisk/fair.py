@@ -29,7 +29,7 @@ def sample_event_count(
         raise InputError("event-count sampling needs the full no-change pmf")
     cdf = np.cumsum(lik.pmf)
     cdf /= cdf[-1]  # absorb the tail mass past the support and the rounding
-    uniforms = rng.uniform(size=size)
+    uniforms = rng.random(size)
     return np.minimum(np.searchsorted(cdf, uniforms, side="right"), cdf.size - 1)
 
 

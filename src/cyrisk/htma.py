@@ -78,7 +78,7 @@ def run_htma(threats: Sequence[Threat], trials: int, seed: int) -> HtmaResult:
     streams = np.random.SeedSequence(seed).spawn(len(threats))
     for threat, stream in zip(threats, streams):
         rng = np.random.default_rng(stream)
-        fired = rng.uniform(size=trials) < threat.likelihood
+        fired = rng.random(trials) < threat.likelihood
         impacts = sample_impact(threat, rng, size=trials)
         np.add(losses, impacts, out=losses, where=fired)
         if not np.isfinite(losses).all():

@@ -169,7 +169,7 @@ def _weighted_index(
             else ""
         )
         raise NoApplicableControls(
-            f"no applicable control with positive weight{where}"
+            f"no applicable control with positive weight{where}", questionnaire
         )
     return (numerator / total_weight) * (10.0 / questionnaire.s_max)
 

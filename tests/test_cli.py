@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from cyrisk import cli
 from cyrisk.cli import RUN_COMMANDS, _bands, main
 from cyrisk.documents import (
     BLOCK_ROWS,
@@ -1260,3 +1262,86 @@ def test_readme_walkthrough_runs(tmp_path, monkeypatch, capsys):
     assert len(listed) == 11
     for name in listed:
         assert (tmp_path / "run" / name).is_file(), name
+
+
+# ---------------------------------------------------------------------------
+# the process entry point: `python -m cyrisk.cli`, which ends through `run`
+
+
+def write_documents(directory):
+    """The documents the process cases read, under names relative to ``directory``."""
+    directory.mkdir()
+    ref.write_profile(directory / "profile.json")
+    ref.write_threat_catalog(directory / "threats.json")
+    inputs = {"profile": "profile.json", "threats": "threats.json"}
+    band = {"success": {"p_m": 0.28, "p_star": 0.50, "p_M": 0.72}}
+    ref.write_run_config(directory / "run.json", inputs, extra=band)
+    ref.write_run_config(directory / "negative_seed.json", inputs, seed=-1)
+
+
+def process(argv, cwd, stdout=subprocess.PIPE):
+    """``python -m cyrisk.cli`` in ``cwd``, its stdout buffered as when redirected."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, "-m", "cyrisk.cli", *argv], cwd=cwd, env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60)
+
+
+def tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+LIKELIHOOD = ["likelihood", "--config", "run.json", "--out", "out"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (LIKELIHOOD, 0),
+        (["htma", "--config", "negative_seed.json", "--out", "out"], 2),
+        (["simulate", "--config", "run.json", "--replications", str(10**12), "--out", "out"], 1),
+        (["likelihood", "--trials", "5"], 2),  # argparse: no --config, and an unknown flag
+    ],
+    ids=["report", "bad-config", "work-cap", "usage"],
+)
+def test_process_matches_main(tmp_path, monkeypatch, capsys, argv, code):
+    inside, outside = tmp_path / "inside", tmp_path / "outside"
+    write_documents(inside)
+    write_documents(outside)
+    monkeypatch.chdir(inside)
+    try:
+        assert main(argv) == code
+    except SystemExit as exc:  # a usage error leaves main by argparse's own exit
+        assert exc.code == code
+    expected = capsys.readouterr()
+    result = process(argv, outside)
+    assert (result.returncode, result.stdout, result.stderr) == (code, *expected)
+    assert tree(outside) == tree(inside)
+    assert (code == 0) == (outside / "out").is_dir()
+
+
+def test_closed_stdout_exits_120_without_a_traceback(tmp_path):
+    # the read end is closed before the spawn, so the flush in `run` fails and
+    # the process leaves by the normal exit, which reports the lost output
+    write_documents(tmp_path / "docs")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = process(LIKELIHOOD, tmp_path / "docs", stdout=write)
+    finally:
+        os.close(write)
+    assert result.returncode == 120
+    assert "BrokenPipeError" in result.stderr and "Traceback" not in result.stderr
+    assert (tmp_path / "docs" / "out" / "likelihood_report.json").is_file()
+
+
+def test_script_entry_is_the_main_block_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    root = Path(__file__).resolve().parents[1]
+    scripts = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+    module, _, name = scripts["project"]["scripts"]["cyrisk"].partition(":")
+    assert module == "cyrisk.cli"
+    source = (root / "src" / "cyrisk" / "cli.py").read_text(encoding="utf-8")
+    block = ast.parse(source).body[-1]
+    assert ast.unparse(block) == f"if __name__ == '__main__':\n    sys.exit({name}())"
+    assert getattr(cli, name) is cli.run

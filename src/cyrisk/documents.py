@@ -434,7 +434,7 @@ def write_json(path: str | Path, payload: Mapping[str, Any]) -> None:
 
 
 #: Rows a column table formats and writes at a time: the rows of one block
-#: share every digit of their index but the last three (``_index_endings``).
+#: share every digit of their index but the last three.
 BLOCK_ROWS = 1000
 
 
@@ -446,7 +446,7 @@ class Columns:
     each giving the bytes ``csv.writer`` writes for that cell (``repr`` for a
     float, ``str`` for an int). Not a tuple and without ``len()``: a table is
     not a sequence of rows. The writer joins each block from these cells, the
-    block's shared index prefix, cached index endings and shared separators.
+    block's shared index prefix, the index endings and shared separators.
     """
 
     __slots__ = ("rows", "block")
@@ -454,13 +454,6 @@ class Columns:
     def __init__(self, rows: int, block: Callable[[int, int], Sequence[Iterable[str]]]) -> None:
         self.rows = rows
         self.block = block
-
-
-@cache
-def _index_endings() -> tuple[list[str], list[str]]:
-    """The last digits and comma of each row's index: in block 0, and in later blocks."""
-    rows = range(BLOCK_ROWS)
-    return [f"{r}," for r in rows], [f"{r:03}," for r in rows]
 
 
 def write_csv(
@@ -474,7 +467,9 @@ def write_csv(
         if not isinstance(rows, Columns):
             writer.writerows(rows)
             return
-        first, later = _index_endings()
+        # the last digits and comma of each row's index: in block 0, and in later blocks
+        first = [f"{r}," for r in range(BLOCK_ROWS)]
+        later = [f"{r:03}," for r in range(BLOCK_ROWS)]
         for k, start in enumerate(range(0, rows.rows, BLOCK_ROWS)):
             n = min(BLOCK_ROWS, rows.rows - start)
             columns = rows.block(start, start + n)

@@ -53,10 +53,6 @@ class DocumentError(InputError):
     """An input document failed to parse or validate; the message names the field."""
 
 
-class SupportMismatch(ComputationError):
-    """Two distributions under comparison are not defined on comparable supports."""
-
-
 def require_finite(context: str, **fields: float | None) -> None:
     """Raise InputError naming the first of ``fields`` that is NaN or infinite.
 

@@ -68,7 +68,7 @@ class FairResult(NamedTuple):
     per_event_loss holds each trial's mean loss per event (zero for trials
     without events), so it equals total_loss bit for bit wherever a trial saw
     at most one event; summaries of it cover only trials that saw at least one
-    event.
+    event, and are all zero when none did.
     """
 
     events: np.ndarray
@@ -80,9 +80,7 @@ class FairResult(NamedTuple):
 
 
 def _histogram_mode(values: np.ndarray) -> float:
-    """Midpoint of the densest equal-width bin; ties go to the lower bin."""
-    if values.size == 0:
-        return 0.0
+    """Midpoint of the densest equal-width bin over non-empty ``values``; ties go low."""
     low, high = float(values.min()), float(values.max())
     if low == high:
         return low
@@ -92,8 +90,6 @@ def _histogram_mode(values: np.ndarray) -> float:
 
 
 def _summary(values: np.ndarray, mode: float) -> SummaryRow:
-    if values.size == 0:
-        return SummaryRow(0.0, 0.0, 0.0, 0.0)
     return SummaryRow(
         minimum=float(values.min()),
         mean=float(values.mean()),
@@ -103,9 +99,7 @@ def _summary(values: np.ndarray, mode: float) -> SummaryRow:
 
 
 def _percentiles(values: np.ndarray) -> dict[int, float]:
-    """``SUMMARY_PERCENTILES`` of ``values``, all from one sort; 0.0 when empty."""
-    if values.size == 0:
-        return dict.fromkeys(SUMMARY_PERCENTILES, 0.0)
+    """``SUMMARY_PERCENTILES`` of the non-empty ``values``, all from one sort."""
     ordered = np.sort(values)
     return {p: sorted_quantile(ordered, p / 100) for p in SUMMARY_PERCENTILES}
 
@@ -118,9 +112,10 @@ def run_fair(
     The draw order is fixed (event counts, then primary magnitudes, then
     secondary magnitudes, each on its own stream derived from the seed), so a
     given seed always reproduces the same trial table. Losses past the float
-    range raise ComputationError naming the categories; so do more than
-    ``MAX_DRAWS`` trials, or events once their counts are drawn. The check for a
-    primary category is for library callers: the CLI's loader makes it.
+    range, in a trial's total or in a summary's mean or mode, raise
+    ComputationError naming the categories; so do more than ``MAX_DRAWS``
+    trials, or events once their counts are drawn. The check for a primary
+    category is for library callers: the CLI's loader makes it.
     """
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
@@ -144,21 +139,26 @@ def run_fair(
         )
     owner = np.repeat(np.arange(trials), events)
     total_loss = np.bincount(owner, weights=losses, minlength=trials)
+    names = ", ".join(repr(c.name) for c in categories)
+    overflow = f"loss categories {names}: the losses overflow the float range"
     # per_event_loss is total_loss over a count >= 1, or 0.0, so both are finite
     # when total_loss is
     if not np.isfinite(total_loss).all():
-        names = ", ".join(repr(c.name) for c in categories)
-        raise ComputationError(f"loss categories {names}: the losses overflow the float range")
+        raise ComputationError(overflow)
     with_events = events > 0
     per_event_loss = np.where(with_events, total_loss / np.maximum(events, 1), 0.0)
 
-    magnitudes = per_event_loss[with_events]
-    summary = {
-        "events_per_period": _summary(events, float(np.argmax(np.bincount(events)))),
-        "per_event_loss": _summary(magnitudes, _histogram_mode(magnitudes)),
-        "total_loss": _summary(total_loss, _histogram_mode(total_loss)),
-    }
-    percentiles = {
+    # if no trial saw an event, one zero stands for the per-event losses
+    magnitudes = per_event_loss[with_events] if with_events.any() else np.zeros(1)
+    with np.errstate(over="ignore"):  # a mean or a mode can pass the float range
+        summary = {
+            "events_per_period": _summary(events, float(np.argmax(np.bincount(events)))),
+            "per_event_loss": _summary(magnitudes, _histogram_mode(magnitudes)),
+            "total_loss": _summary(total_loss, _histogram_mode(total_loss)),
+        }
+    if not np.isfinite(list(summary.values())).all():
+        raise ComputationError(overflow)
+    percentiles = {  # each lies between two finite losses
         "per_event_loss": _percentiles(magnitudes),
         "total_loss": _percentiles(total_loss),
     }

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, SupportMismatch
+from .errors import InputError
 from .model import AttackCountModel, CountKind, IncidentLikelihood, check_draws
 from .success import SuccessDistribution
 
@@ -105,12 +105,11 @@ def compare_to_analytic(empirical: EmpiricalCounts, analytic: IncidentLikelihood
 
     Per-cell z-scores use standard errors from the analytic probabilities
     (the null hypothesis), so an exact match scores zero everywhere. Only a
-    library caller can pass a change-regime likelihood, which raises SupportMismatch.
+    library caller can pass a change-regime likelihood; it raises InputError,
+    as in ``fair.sample_event_count``.
     """
     if analytic.pmf is None:
-        raise SupportMismatch(
-            "comparison needs the full no-change pmf, not a scalar likelihood"
-        )
+        raise InputError("comparison needs the full no-change pmf, not a scalar likelihood")
     reps = empirical.replications
     # both columns padded with zeros to one length, indexed by incident count
     size = max(empirical.probabilities.size, len(analytic.pmf))

@@ -152,10 +152,6 @@ class SuccessDistribution(NamedTuple):
         """The band of the triple, weighted by ``w``."""
         return cls(p_m, p_star, p_M, w)
 
-    @classmethod
-    def point_mass(cls, p: float, w: float = 1.0) -> SuccessDistribution:
-        return cls(p, p, p, w)
-
     @property
     def alpha(self) -> float:
         """Canonical PERT shape 1 + 4 (p_star - p_m) / (p_M - p_m); 1.0 for a point mass."""

@@ -184,7 +184,7 @@ def test_criterion_03_curve_endpoint_conditions():
 
 
 def test_criterion_04_point_mass_closed_form():
-    band = SuccessDistribution.point_mass(0.5)
+    band = SuccessDistribution.from_triple(0.5, 0.5, 0.5)
     value = incident_likelihood(band, YEAR, Regime.CHANGE).value
     expected = 1.0 - (1.0 - 2.0 / 365.0) ** 365
     deviation = abs(value - expected)

@@ -598,6 +598,31 @@ class TestFair:
         assert "float range" in err
         assert not out.exists()
 
+    def test_overflowing_summary_exits_1_naming_the_categories(self, tmp_path, capsys):
+        # every trial's total is finite, at most about 3e307, but their sum over
+        # 2,000 trials is not, so the summary's mean overflows
+        ref.write_profile(tmp_path / "profile.json", maturity=4.3)
+        ref.write_json(
+            tmp_path / "categories.json",
+            [{"name": "big", "min": 1e306, "most_likely": 2e306, "max": 3e306}],
+        )
+        config = ref.write_run_config(
+            tmp_path / "run.json",
+            {"profile": "profile.json", "loss_categories": "categories.json"},
+            n_avg=4.0,
+            seed=5,
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning would end the run
+            assert run(["fair", "--config", config, "--out", out]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error [ComputationError]: loss categories 'big': "
+            "the losses overflow the float range\n",
+        )
+        assert not out.exists()
+
     def test_emits_report_and_trials(self, tmp_path, fair_config):
         out = tmp_path / "out"
         with pytest.warns(UserWarning, match="not ordered"):

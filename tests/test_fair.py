@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ import reference_data as ref
 from cyrisk.cli import main
 from cyrisk.errors import ComputationError, InputError
 from cyrisk.fair import (
+    SUMMARY_PERCENTILES,
     LossCategory,
+    SummaryRow,
     run_fair,
     sample_event_count,
     sample_loss_magnitude,
@@ -141,9 +144,15 @@ class TestSampleLossMagnitude:
 class TestRunFair:
     def test_no_events_no_losses(self):
         lik = IncidentLikelihood(pmf=(1.0,), value=None, quadrature_error=0.0)
-        result = run_fair(lik, [RESPONSE], trials=500, seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no summary may warn on the empty column
+            result = run_fair(lik, [RESPONSE], trials=500, seed=4)
         assert np.all(result.total_loss == 0.0)
         assert result.summary["total_loss"].maximum == 0.0
+        zero = SummaryRow(0.0, 0.0, 0.0, 0.0)
+        assert result.summary == dict.fromkeys(result.summary, zero)
+        zeros = dict.fromkeys(SUMMARY_PERCENTILES, 0.0)
+        assert result.percentiles == {"per_event_loss": zeros, "total_loss": zeros}
 
     def test_single_event_degenerate_categories_exact(self):
         lik = IncidentLikelihood(pmf=(0.0, 1.0), value=None, quadrature_error=0.0)
@@ -273,12 +282,17 @@ class TestRunFair:
     def test_primary_category_required(self):
         lik = two_point_pmf()
         secondary = LossCategory("s", 1.0, 2.0, 3.0, secondary=True)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="at least one primary loss category is required"):
             run_fair(lik, [secondary], trials=10, seed=0)
 
     def test_trials_validated(self):
         with pytest.raises(InputError, match="trials must be >= 1, got 0"):
             run_fair(two_point_pmf(), [RESPONSE], trials=0, seed=0)
+
+    def test_one_trial_is_enough(self):
+        result = run_fair(IncidentLikelihood((0.0, 1.0), None, 0.0), [RESPONSE], trials=1, seed=0)
+        assert result.trials == 1
+        assert result.summary["total_loss"].minimum == result.total_loss[0] >= RESPONSE.low
 
     def test_per_event_summary_skips_empty_trials(self):
         result = run_fair(two_point_pmf(), [RESPONSE], trials=5_000, seed=12)

@@ -62,7 +62,7 @@ class TestConditionalSuccess:
         assert len(conditional_pmf(MALWARE_BAND, 2)) == 3  # s = 0, 1, 2
 
     def test_point_mass_reduces_to_binomial(self):
-        dist = SuccessDistribution.point_mass(0.5)
+        dist = SuccessDistribution.from_triple(0.5, 0.5, 0.5)
         assert conditional_pmf(dist, 2)[1] == pytest.approx(0.5, rel=1e-12)
 
     def test_single_attempt_equals_band_mean(self):
@@ -130,7 +130,7 @@ class TestLikelihoodNoChange:
 
 class TestLikelihoodChange:
     def test_point_mass_closed_form(self):
-        dist = SuccessDistribution.point_mass(0.5)
+        dist = SuccessDistribution.from_triple(0.5, 0.5, 0.5)
         expected = 1.0 - (1.0 - 2.0 / 365.0) ** 365
         lik = incident_likelihood(dist, YEAR, Regime.CHANGE)
         assert lik.value == pytest.approx(expected, abs=1e-6)
@@ -303,7 +303,7 @@ class TestIncidentLikelihood:
                 assert mean == pytest.approx(4.0 * band.mean, rel=1e-9), (triple, kind)
 
     def test_point_mass_band_needs_no_quadrature(self):
-        dist = SuccessDistribution.point_mass(0.3)
+        dist = SuccessDistribution.from_triple(0.3, 0.3, 0.3)
         lik = incident_likelihood(dist, YEAR, Regime.NO_CHANGE)
         assert lik.quadrature_error == 0.0
         assert sum(lik.pmf) == pytest.approx(1.0, abs=1e-9)
@@ -331,7 +331,8 @@ class TestNoChangeSeries:
 
     @pytest.mark.parametrize("model", COUNT_MODELS, ids=model_id)
     def test_matches_gauss_jacobi_reference(self, model):
-        for band in [*GRID_BANDS, STEEP_BAND, SKEWED_BAND, SuccessDistribution.point_mass(0.3)]:
+        point = SuccessDistribution.from_triple(0.3, 0.3, 0.3)
+        for band in [*GRID_BANDS, STEEP_BAND, SKEWED_BAND, point]:
             assert_matches_reference(band, model, no_change(band, model))
 
     def test_large_slot_count_keeps_pmf_zero(self):
@@ -370,7 +371,8 @@ class TestNoChangeSeries:
         for band in (MALWARE_BAND, SKEWED_BAND, STEEP_BAND):
             for model in COUNT_MODELS:
                 assert 0.0 <= no_change(band, model).quadrature_error <= 2 * SERIES_TOL
-        point = incident_likelihood(SuccessDistribution.point_mass(0.3), YEAR, Regime.NO_CHANGE)
+        point_band = SuccessDistribution.from_triple(0.3, 0.3, 0.3)
+        point = incident_likelihood(point_band, YEAR, Regime.NO_CHANGE)
         assert point.quadrature_error == 0.0
         idle_year = AttackCountModel(t=365, n_avg=0.0)
         idle = incident_likelihood(MALWARE_BAND, idle_year, Regime.NO_CHANGE)
@@ -386,7 +388,7 @@ def bands():
         return SuccessDistribution.from_triple(low, mode, high)
 
     return st.one_of(
-        st.floats(1e-9, 0.999).map(SuccessDistribution.point_mass),
+        st.floats(1e-9, 0.999).map(lambda p: SuccessDistribution.from_triple(p, p, p)),
         st.builds(triple, st.floats(1e-6, 0.5), st.floats(0.5, 0.999), unit),
         st.builds(triple, st.floats(1e-12, 1e-6), st.floats(1e-3, 0.99), unit),
         st.builds(triple, st.floats(0.01, 0.9), st.floats(1 - 1e-6, 1 - 1e-9), unit),

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from cyrisk.errors import InputError, SupportMismatch
+from cyrisk.errors import InputError
 from cyrisk.incidence import (
     AttackCountModel,
     CountKind,
@@ -47,8 +48,9 @@ def cell_by_cell(empirical, analytic):
 class TestSimulate:
     def test_certain_success_with_fixed_attempts(self):
         # n_avg = t makes every slot an attempt; p = 1 turns each into an incident
+        p = 1.0 - 1e-12
         counts = simulate(
-            SuccessDistribution.point_mass(1.0 - 1e-12),
+            SuccessDistribution.from_triple(p, p, p),
             AttackCountModel(t=12, n_avg=12.0),
             replications=5_000,
             seed=1,
@@ -92,6 +94,23 @@ class TestSimulate:
         with pytest.raises(InputError):
             simulate(MALWARE_BAND, YEAR, replications=0, seed=0)
 
+    def test_one_replication_leaves_no_degrees_of_freedom(self):
+        analytic = incident_likelihood(MALWARE_BAND, YEAR, Regime.NO_CHANGE)
+        report = compare_to_analytic(simulate(MALWARE_BAND, YEAR, replications=1, seed=0), analytic)
+        # no cell expects MIN_EXPECTED_COUNT counts, so all are pooled
+        assert (report.degrees_of_freedom, report.p_value, report.passed) == (0, 1.0, True)
+        assert report.pooled_cells == tuple(range(len(report.z_scores)))
+
+    def test_no_attempts_score_zero_without_warning(self):
+        no_attempts = AttackCountModel(t=365, n_avg=0.0)
+        analytic = incident_likelihood(MALWARE_BAND, no_attempts, Regime.NO_CHANGE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # 0/0 where pmf = freq = 1 would warn
+            empirical = simulate(MALWARE_BAND, no_attempts, replications=1_000, seed=1)
+            report = compare_to_analytic(empirical, analytic)
+        assert report.z_scores == (0.0,)
+        assert (report.chi_square, report.max_abs_deviation) == (0.0, 0.0)
+
 
 class TestCompareToAnalytic:
     def test_exact_match_passes_with_zero_deviation(self):
@@ -127,7 +146,7 @@ class TestCompareToAnalytic:
         assert report.passed, f"max |z|={max(abs(z) for z in report.z_scores):.2f}"
 
     def test_point_mass_band_agrees_too(self):
-        dist = SuccessDistribution.point_mass(0.5)
+        dist = SuccessDistribution.from_triple(0.5, 0.5, 0.5)
         analytic = incident_likelihood(dist, YEAR, Regime.NO_CHANGE)
         report = compare_to_analytic(
             simulate(dist, YEAR, replications=5 * 10**5, seed=11), analytic
@@ -144,13 +163,19 @@ class TestCompareToAnalytic:
             (0.4, 2, 2.0, [30, 50, 18, 2], 2.083333333333335, 2, (2, 3), {3: 1.0}),
             # a certain zero: its one cell is absorbed, leaving no degrees of freedom
             (0.5, 4, 0.0, [9, 1], 0.0, 0, (0, 1), {0: -1.0, 1: 1.0}),
+            # pmf (1/2, 1/2) over 10 replications: a cell expecting exactly 5 is
+            # kept; with the pooled bin expecting 0, it absorbs cell 0
+            (0.5, 1, 1.0, [5, 5], 0.0, 1, (0,), {}),
+            # pmf (1/4, 1/2, 1/4): the pooled bin of cells 0 and 2 expects exactly
+            # 5 over 10 replications, so it absorbs no kept cell
+            (0.5, 2, 2.0, [3, 5, 2], 0.0, 1, (0, 2), {}),
         ],
-        ids=["outside_support", "pooled_bin_absorbs", "nothing_kept"],
+        ids=["outside_support", "pooled_bin_absorbs", "nothing_kept", "cell_expects_5",
+             "pooled_bin_expects_5"],
     )
     def test_edge_cells_are_pooled(self, p, t, n_avg, counts, chi_square, dof, pooled, infinite):
-        analytic = incident_likelihood(
-            SuccessDistribution.point_mass(p), AttackCountModel(t=t, n_avg=n_avg), Regime.NO_CHANGE
-        )
+        band = SuccessDistribution.from_triple(p, p, p)
+        analytic = incident_likelihood(band, AttackCountModel(t=t, n_avg=n_avg), Regime.NO_CHANGE)
         replications = sum(counts)
         empirical = EmpiricalCounts(np.array(counts) / replications, replications)
         report = compare_to_analytic(empirical, analytic)
@@ -169,7 +194,8 @@ class TestCompareToAnalytic:
             (MALWARE_BAND, YEAR, 200_000),
             (SuccessDistribution.from_triple(0.10, 0.20, 0.70), AttackCountModel(
                 t=365, n_avg=30.0, kind=CountKind.POISSON), 20_000),
-            (SuccessDistribution.point_mass(0.5), AttackCountModel(t=12, n_avg=12.0), 500),
+            (SuccessDistribution.from_triple(0.5, 0.5, 0.5),
+             AttackCountModel(t=12, n_avg=12.0), 500),
         ],
         ids=["malware_2e3", "malware_2e5", "skewed_poisson", "point_mass_saturated"],
     )
@@ -181,7 +207,7 @@ class TestCompareToAnalytic:
 
     def test_scalar_analytic_rejected(self):
         analytic = incident_likelihood(MALWARE_BAND, YEAR, Regime.CHANGE)
-        with pytest.raises(SupportMismatch):
+        with pytest.raises(InputError, match="comparison needs the full no-change pmf"):
             compare_to_analytic(simulate(MALWARE_BAND, YEAR, replications=1_000, seed=0), analytic)
 
 
@@ -202,3 +228,7 @@ class TestChiSquareTail:
             assert _chi_square_tail(1, x) == pytest.approx(math.erfc(math.sqrt(x / 2.0)), rel=1e-14)
         assert 0.0 < _chi_square_tail(400, 2000.0) < 1e-200
         assert _chi_square_tail(399, 1e-9) == 1.0
+
+    def test_rounding_stops_at_one(self):
+        # the terms' rounded sum here is one ulp above 1
+        assert _chi_square_tail(15, 0.02) == 1.0

@@ -48,7 +48,7 @@ from .errors import (
     InvalidRange,
     NoApplicableControls,
     RiskModelError,
-    parse_enum,
+    parse_choice,
     require_int64,
 )
 from .incidence import incident_likelihood
@@ -215,7 +215,8 @@ def cmd_assess(args: argparse.Namespace) -> Output:
             )
         attractiveness = classify_attractiveness(args.attack_share)
     else:
-        attractiveness = parse_enum(Attractiveness, args.attractiveness, "--attractiveness")
+        choices = {level.value: level for level in Attractiveness}
+        attractiveness = parse_choice(choices, args.attractiveness, "--attractiveness")
     try:
         profile = assess_posture(awareness, core, categories, attractiveness)
     except NoApplicableControls as exc:  # from the awareness or the core questionnaire

@@ -1,87 +1,47 @@
 """Product-of-metrics likelihood baseline used for side-by-side comparisons.
 
-Each metric level maps to a fixed factor; the likelihood is the plain product
-of the five factors, so it always lands in (0, 1].
+``FACTORS`` maps each metric, in ``CvssVector``'s field order, to its levels in
+order and each level's fixed factor (CVSS v2). ``access_vector``,
+``access_complexity`` and ``authentication`` are required; ``exploitability``
+and ``report_confidence`` default to ``"not_defined"``, whose factor is 1. The
+likelihood is the plain product of the five factors, so it lands in (0, 1].
 """
 
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import NamedTuple
 
-
-class _Metric(Enum):
-    @property
-    def factor(self) -> float:
-        return _FACTORS[self]
-
-
-class AccessVector(_Metric):
-    LOCAL = "local"
-    ADJACENT = "adjacent"
-    NETWORK = "network"
-
-
-class AccessComplexity(_Metric):
-    HIGH = "high"
-    MEDIUM = "medium"
-    LOW = "low"
-
-
-class Authentication(_Metric):
-    MULTIPLE = "multiple"
-    SINGLE = "single"
-    NONE = "none"
-
-
-class Exploitability(_Metric):
-    UNPROVEN = "unproven"
-    PROOF_OF_CONCEPT = "proof_of_concept"
-    FUNCTIONAL = "functional"
-    HIGH = "high"
-    NOT_DEFINED = "not_defined"
-
-
-class ReportConfidence(_Metric):
-    UNCONFIRMED = "unconfirmed"
-    UNCORROBORATED = "uncorroborated"
-    CONFIRMED = "confirmed"
-    NOT_DEFINED = "not_defined"
-
-
-_FACTORS: dict[Enum, float] = {
-    AccessVector.LOCAL: 0.4,
-    AccessVector.ADJACENT: 0.6,
-    AccessVector.NETWORK: 1.0,
-    AccessComplexity.HIGH: 0.5,
-    AccessComplexity.MEDIUM: 0.75,
-    AccessComplexity.LOW: 1.0,
-    Authentication.MULTIPLE: 0.5,
-    Authentication.SINGLE: 0.55,
-    Authentication.NONE: 1.0,
-    Exploitability.UNPROVEN: 0.85,
-    Exploitability.PROOF_OF_CONCEPT: 0.9,
-    Exploitability.FUNCTIONAL: 0.95,
-    Exploitability.HIGH: 1.0,
-    Exploitability.NOT_DEFINED: 1.0,
-    ReportConfidence.UNCONFIRMED: 0.9,
-    ReportConfidence.UNCORROBORATED: 0.9,
-    ReportConfidence.CONFIRMED: 1.0,
-    ReportConfidence.NOT_DEFINED: 1.0,
+FACTORS: dict[str, dict[str, float]] = {
+    "access_vector": {"local": 0.4, "adjacent": 0.6, "network": 1.0},
+    "access_complexity": {"high": 0.5, "medium": 0.75, "low": 1.0},
+    "authentication": {"multiple": 0.5, "single": 0.55, "none": 1.0},
+    "exploitability": {
+        "unproven": 0.85,
+        "proof_of_concept": 0.9,
+        "functional": 0.95,
+        "high": 1.0,
+        "not_defined": 1.0,
+    },
+    "report_confidence": {
+        "unconfirmed": 0.9,
+        "uncorroborated": 0.9,
+        "confirmed": 1.0,
+        "not_defined": 1.0,
+    },
 }
 
 
 class CvssVector(NamedTuple):
-    """The five metric levels scoring one threat."""
+    """The five metric levels scoring one threat, each a level of ``FACTORS``."""
 
-    access_vector: AccessVector
-    access_complexity: AccessComplexity
-    authentication: Authentication
-    exploitability: Exploitability = Exploitability.NOT_DEFINED
-    report_confidence: ReportConfidence = ReportConfidence.NOT_DEFINED
+    access_vector: str
+    access_complexity: str
+    authentication: str
+    exploitability: str = "not_defined"
+    report_confidence: str = "not_defined"
 
 
 def cvss_likelihood(vector: CvssVector) -> float:
     """Likelihood baseline: the product of the five metric factors, in field order."""
-    return math.prod(metric.factor for metric in vector)
+    return math.prod(FACTORS[field][level] for field, level in zip(FACTORS, vector))

@@ -23,15 +23,8 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
-from .cvss import (
-    AccessComplexity,
-    AccessVector,
-    Authentication,
-    CvssVector,
-    Exploitability,
-    ReportConfidence,
-)
-from .errors import ComputationError, DocumentError, InputError, checked, parse_enum, require_int64
+from .cvss import FACTORS, CvssVector
+from .errors import ComputationError, DocumentError, InputError, checked, parse_choice, require_int64
 from .model import (
     AttackCountModel,
     ControlWeightMatrix,
@@ -159,7 +152,15 @@ def _optional(read: Callable[[Any, str], _T]) -> Callable[[Any, str], _T | None]
 
 @cache
 def _enum(enum_type: type[_E]) -> Callable[[Any, str], _E]:
-    return lambda value, name: parse_enum(enum_type, value, name)
+    choices = {member.value: member for member in enum_type}
+    return lambda value, name: parse_choice(choices, value, name)
+
+
+@cache
+def _level(metric: str) -> Callable[[Any, str], str]:
+    """A level of the cvss ``metric``, read as its key in ``FACTORS``."""
+    choices = {level: level for level in FACTORS[metric]}
+    return lambda value, name: parse_choice(choices, value, name)
 
 
 def _number(value: Any, name: str) -> float:
@@ -281,11 +282,11 @@ def _cvss(value: Any, name: str) -> CvssVector:
     cvss = _object(value, name)
     return cvss.build(
         CvssVector,
-        access_vector=cvss.need("av", _enum(AccessVector)),
-        access_complexity=cvss.need("ac", _enum(AccessComplexity)),
-        authentication=cvss.need("au", _enum(Authentication)),
-        exploitability=cvss.get("e", _enum(Exploitability)),
-        report_confidence=cvss.get("rc", _enum(ReportConfidence)),
+        access_vector=cvss.need("av", _level("access_vector")),
+        access_complexity=cvss.need("ac", _level("access_complexity")),
+        authentication=cvss.need("au", _level("authentication")),
+        exploitability=cvss.get("e", _level("exploitability")),
+        report_confidence=cvss.get("rc", _level("report_confidence")),
     )
 
 

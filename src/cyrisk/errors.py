@@ -9,10 +9,9 @@ the former to exit code 2 and the latter to exit code 1.
 from __future__ import annotations
 
 import math
-from enum import Enum
-from typing import Any, TypeVar
+from typing import Any, Mapping, TypeVar
 
-_E = TypeVar("_E", bound=Enum)
+_T = TypeVar("_T")
 _C = TypeVar("_C", bound=type)
 
 
@@ -75,12 +74,12 @@ def require_int64(context: str, value: int) -> int:
     return value
 
 
-def parse_enum(enum_type: type[_E], value: Any, context: str) -> _E:
-    """The member of ``enum_type`` whose value is ``value`` trimmed and lower-cased."""
+def parse_choice(choices: Mapping[str, _T], value: Any, context: str) -> _T:
+    """The choice whose key is ``value`` trimmed and lower-cased."""
     try:
-        return enum_type(str(value).strip().lower())
-    except ValueError:
-        allowed = ", ".join(m.value for m in enum_type)
+        return choices[str(value).strip().lower()]
+    except KeyError:
+        allowed = ", ".join(choices)
         raise DocumentError(
             f"{context}: unknown value {value!r} (expected one of: {allowed})"
         ) from None

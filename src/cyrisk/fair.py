@@ -28,9 +28,8 @@ def sample_event_count(
     if lik.pmf is None:
         raise InputError("event-count sampling needs the full no-change pmf")
     cdf = np.cumsum(lik.pmf)
-    cdf /= cdf[-1]  # absorb the tail mass past the support and the rounding
-    uniforms = rng.random(size)
-    return np.minimum(np.searchsorted(cdf, uniforms, side="right"), cdf.size - 1)
+    cdf /= cdf[-1]  # absorb the tail mass past the support and the rounding: cdf[-1] is 1.0
+    return np.searchsorted(cdf, rng.random(size), side="right")
 
 
 def _pert_draws(rng: np.random.Generator, category: LossCategory, size: int) -> np.ndarray:

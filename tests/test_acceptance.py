@@ -16,15 +16,7 @@ import numpy as np
 
 import reference_data as ref
 from cyrisk.cli import main as cli_main
-from cyrisk.cvss import (
-    AccessComplexity,
-    AccessVector,
-    Authentication,
-    CvssVector,
-    Exploitability,
-    ReportConfidence,
-    cvss_likelihood,
-)
+from cyrisk.cvss import CvssVector, cvss_likelihood
 from cyrisk.fair import LossCategory, run_fair
 from cyrisk.htma import Threat, run_htma
 from cyrisk.incidence import (
@@ -345,36 +337,9 @@ def test_criterion_08_loss_exposure_trends():
 
 def test_criterion_09_product_baseline_values():
     checks = [
-        (
-            CvssVector(
-                AccessVector.LOCAL,
-                AccessComplexity.MEDIUM,
-                Authentication.MULTIPLE,
-                Exploitability.HIGH,
-                ReportConfidence.CONFIRMED,
-            ),
-            0.15,
-        ),
-        (
-            CvssVector(
-                AccessVector.NETWORK,
-                AccessComplexity.LOW,
-                Authentication.NONE,
-                Exploitability.UNPROVEN,
-                ReportConfidence.UNCONFIRMED,
-            ),
-            0.765,
-        ),
-        (
-            CvssVector(
-                AccessVector.NETWORK,
-                AccessComplexity.LOW,
-                Authentication.NONE,
-                Exploitability.HIGH,
-                ReportConfidence.CONFIRMED,
-            ),
-            1.0,
-        ),
+        (CvssVector("local", "medium", "multiple", "high", "confirmed"), 0.15),
+        (CvssVector("network", "low", "none", "unproven", "unconfirmed"), 0.765),
+        (CvssVector("network", "low", "none", "high", "confirmed"), 1.0),
     ]
     deviations = [abs(cvss_likelihood(v) - expected) for v, expected in checks]
     report(

@@ -168,7 +168,10 @@ class TestAssess:
              "--attractiveness", "extreme", "--out", tmp_path / "out"]
         )
         assert code == 2
-        assert "attractiveness" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "validation error [DocumentError]: --attractiveness: unknown value 'extreme' "
+            "(expected one of: very_low, low, medium, high, very_high)\n"
+        )
 
 
     def test_attack_share_out_of_range_exits_2_naming_the_flag(

@@ -2,24 +2,16 @@ import itertools
 
 import pytest
 
-from cyrisk.cvss import (
-    AccessComplexity,
-    AccessVector,
-    Authentication,
-    CvssVector,
-    Exploitability,
-    ReportConfidence,
-    cvss_likelihood,
-)
+from cyrisk.cvss import FACTORS, CvssVector, cvss_likelihood
 
 
 def test_all_maximal_factors_give_one():
     vector = CvssVector(
-        access_vector=AccessVector.NETWORK,
-        access_complexity=AccessComplexity.LOW,
-        authentication=Authentication.NONE,
-        exploitability=Exploitability.HIGH,
-        report_confidence=ReportConfidence.CONFIRMED,
+        access_vector="network",
+        access_complexity="low",
+        authentication="none",
+        exploitability="high",
+        report_confidence="confirmed",
     )
     assert cvss_likelihood(vector) == 1.0
 
@@ -27,11 +19,11 @@ def test_all_maximal_factors_give_one():
 def test_local_medium_multiple_product():
     # 0.4 * 0.75 * 0.5 * 1.0 * 1.0 = 0.15
     vector = CvssVector(
-        access_vector=AccessVector.LOCAL,
-        access_complexity=AccessComplexity.MEDIUM,
-        authentication=Authentication.MULTIPLE,
-        exploitability=Exploitability.HIGH,
-        report_confidence=ReportConfidence.CONFIRMED,
+        access_vector="local",
+        access_complexity="medium",
+        authentication="multiple",
+        exploitability="high",
+        report_confidence="confirmed",
     )
     assert cvss_likelihood(vector) == pytest.approx(0.15, abs=1e-12)
 
@@ -39,49 +31,44 @@ def test_local_medium_multiple_product():
 def test_temporal_factors_product():
     # 1.0 * 1.0 * 1.0 * 0.85 * 0.9 = 0.765
     vector = CvssVector(
-        access_vector=AccessVector.NETWORK,
-        access_complexity=AccessComplexity.LOW,
-        authentication=Authentication.NONE,
-        exploitability=Exploitability.UNPROVEN,
-        report_confidence=ReportConfidence.UNCONFIRMED,
+        access_vector="network",
+        access_complexity="low",
+        authentication="none",
+        exploitability="unproven",
+        report_confidence="unconfirmed",
     )
     assert cvss_likelihood(vector) == pytest.approx(0.765, abs=1e-12)
 
 
 def test_minimal_product_floor():
     minimal = CvssVector(
-        access_vector=AccessVector.LOCAL,
-        access_complexity=AccessComplexity.HIGH,
-        authentication=Authentication.MULTIPLE,
-        exploitability=Exploitability.UNPROVEN,
-        report_confidence=ReportConfidence.UNCONFIRMED,
+        access_vector="local",
+        access_complexity="high",
+        authentication="multiple",
+        exploitability="unproven",
+        report_confidence="unconfirmed",
     )
     floor = cvss_likelihood(minimal)
     assert floor == pytest.approx(0.4 * 0.5 * 0.5 * 0.85 * 0.9, abs=1e-12)
-    for av, ac, au in itertools.product(AccessVector, AccessComplexity, Authentication):
+    for av, ac, au in itertools.product(*list(FACTORS.values())[:3]):
         vector = CvssVector(av, ac, au)
         assert floor <= cvss_likelihood(vector) <= 1.0
 
 
 def test_monotone_in_each_factor():
     base = dict(
-        access_vector=AccessVector.ADJACENT,
-        access_complexity=AccessComplexity.MEDIUM,
-        authentication=Authentication.SINGLE,
-        exploitability=Exploitability.FUNCTIONAL,
-        report_confidence=ReportConfidence.UNCONFIRMED,
+        access_vector="adjacent",
+        access_complexity="medium",
+        authentication="single",
+        exploitability="functional",
+        report_confidence="unconfirmed",
     )
     orders = {
-        "access_vector": [AccessVector.LOCAL, AccessVector.ADJACENT, AccessVector.NETWORK],
-        "access_complexity": [AccessComplexity.HIGH, AccessComplexity.MEDIUM, AccessComplexity.LOW],
-        "authentication": [Authentication.MULTIPLE, Authentication.SINGLE, Authentication.NONE],
-        "exploitability": [
-            Exploitability.UNPROVEN,
-            Exploitability.PROOF_OF_CONCEPT,
-            Exploitability.FUNCTIONAL,
-            Exploitability.HIGH,
-        ],
-        "report_confidence": [ReportConfidence.UNCONFIRMED, ReportConfidence.CONFIRMED],
+        "access_vector": ["local", "adjacent", "network"],
+        "access_complexity": ["high", "medium", "low"],
+        "authentication": ["multiple", "single", "none"],
+        "exploitability": ["unproven", "proof_of_concept", "functional", "high"],
+        "report_confidence": ["unconfirmed", "uncorroborated", "confirmed"],
     }
     for field, levels in orders.items():
         values = [cvss_likelihood(CvssVector(**{**base, field: level})) for level in levels]
@@ -90,13 +77,13 @@ def test_monotone_in_each_factor():
 
 def test_not_defined_matches_highest_temporal_factor():
     kwargs = dict(
-        access_vector=AccessVector.NETWORK,
-        access_complexity=AccessComplexity.LOW,
-        authentication=Authentication.NONE,
+        access_vector="network",
+        access_complexity="low",
+        authentication="none",
     )
     defined = CvssVector(
-        exploitability=Exploitability.HIGH,
-        report_confidence=ReportConfidence.CONFIRMED,
+        exploitability="high",
+        report_confidence="confirmed",
         **kwargs,
     )
     undefined = CvssVector(**kwargs)

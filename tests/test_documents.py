@@ -8,15 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from cyrisk.cvss import (
-    AccessComplexity,
-    AccessVector,
-    Authentication,
-    CvssVector,
-    Exploitability,
-    ReportConfidence,
-    cvss_likelihood,
-)
+from cyrisk.cvss import CvssVector, cvss_likelihood
 from cyrisk.documents import (
     BLOCK_ROWS,
     Columns,
@@ -191,11 +183,11 @@ class TestThreatCatalog:
         )
         threats = load_threats(path)
         assert threats[0].cvss == CvssVector(
-            access_vector=AccessVector.LOCAL,
-            access_complexity=AccessComplexity.MEDIUM,
-            authentication=Authentication.MULTIPLE,
-            exploitability=Exploitability.HIGH,
-            report_confidence=ReportConfidence.CONFIRMED,
+            access_vector="local",
+            access_complexity="medium",
+            authentication="multiple",
+            exploitability="high",
+            report_confidence="confirmed",
         )
         assert cvss_likelihood(threats[0].cvss) == pytest.approx(0.15)
         assert threats[0].expert_likelihood == 0.8
@@ -209,7 +201,19 @@ class TestThreatCatalog:
         )
         assert len(load_threats(path)) == 1
 
-    def test_bad_cvss_level_named(self, tmp_path):
+    @pytest.mark.parametrize(
+        "key, levels",
+        [
+            ("av", "local, adjacent, network"),
+            ("ac", "high, medium, low"),
+            ("au", "multiple, single, none"),
+            ("e", "unproven, proof_of_concept, functional, high, not_defined"),
+            ("rc", "unconfirmed, uncorroborated, confirmed, not_defined"),
+        ],
+        ids=["av", "ac", "au", "e", "rc"],
+    )
+    def test_bad_cvss_level_named(self, tmp_path, key, levels):
+        cvss = {"av": "local", "ac": "low", "au": "none", "e": "high", "rc": "confirmed"}
         path = dump(
             tmp_path / "threats.json",
             [
@@ -218,14 +222,15 @@ class TestThreatCatalog:
                     "name": "x",
                     "impact_low": 1.0,
                     "impact_high": 2.0,
-                    "cvss": {"av": "remote", "ac": "low", "au": "none", "e": "high",
-                             "rc": "confirmed"},
+                    "cvss": {**cvss, key: "remote"},
                 }
             ],
         )
-        with pytest.raises(DocumentError, match=r"threats\[0\].*av") as caught:
+        with pytest.raises(DocumentError, match=rf"threats\[0\].*{key}") as caught:
             load_threats(path)
-        assert str(caught.value).startswith(f"{path}: threats[0].cvss.av: unknown value")
+        assert str(caught.value) == (
+            f"{path}: threats[0].cvss.{key}: unknown value 'remote' (expected one of: {levels})"
+        )
         assert str(caught.value).count(str(path)) == 1
 
     def test_missing_cvss_level_names_file_once(self, tmp_path):
@@ -426,6 +431,10 @@ class TestRunConfigDocument:
             ({"logistic": {"B": 0.5}}, "growth rate B must be negative"),
             ({"logistic": {"q": 0.0}}, "spread q must be positive"),
             ({"trials": 0}, "trials must be >= 1, got 0"),
+            (
+                {"count": {"kind": "normal"}},
+                "count.kind: unknown value 'normal' (expected one of: binomial, poisson)",
+            ),
         ],
     )
     def test_checked_when_read(self, tmp_path, payload, message):

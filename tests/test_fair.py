@@ -111,6 +111,22 @@ class TestSampleEventCount:
         with pytest.raises(InputError):
             sample_event_count(lik, np.random.default_rng(0), size=1)
 
+    @pytest.mark.parametrize(
+        "pmf",
+        [(0.5, 0.3), (0.33, 0.56, 0.11)],
+        ids=["truncated-tail", "cumsum-above-one"],
+    )
+    def test_largest_uniform_draws_the_top_count(self, pmf):
+        # the normalised cdf ends at exactly 1.0, above every draw of rng.random
+        assert np.cumsum(pmf)[-1] != 1.0
+
+        class LargestUniform:
+            def random(self, size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        lik = IncidentLikelihood(pmf=pmf, value=None, quadrature_error=0.0)
+        assert sample_event_count(lik, LargestUniform(), size=3).tolist() == [len(pmf) - 1] * 3
+
 
 class TestSampleLossMagnitude:
     def test_degenerate_category_is_constant(self):

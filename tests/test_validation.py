@@ -9,12 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cyrisk.cvss import (
-    AccessComplexity,
-    AccessVector,
-    Authentication,
-    CvssVector,
-)
+from cyrisk.cvss import CvssVector
 from cyrisk.documents import RunConfig
 from cyrisk.errors import InputError
 from cyrisk.fair import FairResult, SummaryRow
@@ -158,7 +153,7 @@ def test_normalizing_types_normalize_on_every_path():
 #: One instance of every value type in the package.
 INSTANCES = {
     **{name: cls(**fields) for name, (cls, fields, _, _) in VALIDATED.items()},
-    "CvssVector": CvssVector(AccessVector.LOCAL, AccessComplexity.LOW, Authentication.NONE),
+    "CvssVector": CvssVector("local", "low", "none"),
     "HtmaResult": HtmaResult(np.zeros(2), (np.zeros(1), np.ones(1))),
     "EmpiricalCounts": EmpiricalCounts(np.ones(1), 10),
     "OracleReport": OracleReport(True, 1e-3, 0.0, 0, 1.0, (), 0.0, (0.0,)),

@@ -52,12 +52,11 @@ from .errors import (
     require_int64,
 )
 from .incidence import incident_likelihood
-from .model import IncidentLikelihood, Regime, Threat
+from .model import IncidentLikelihood, Threat
 from .posture import (
-    Attractiveness,
+    ATTACKER_WEIGHTS,
     PostureProfile,
     Questionnaire,
-    QuestionnaireKind,
     assess_posture,
     attacker_weight,
     classify_attractiveness,
@@ -141,7 +140,7 @@ def _assess_threats(
     config: RunConfig,
     profile: PostureProfile,
     threats: Iterable[tuple[int, Threat]],
-    regime: Regime,
+    regime: str,
 ) -> list[Assessment]:
     """Maturity, success band and incident likelihood of each ``(catalog index,
     threat)``; a threat without a maturity index takes it from the weight matrix."""
@@ -180,7 +179,7 @@ def _assess_threats(
     return rows
 
 
-def _catalog_assessments(config: RunConfig, regime: Regime) -> list[Assessment]:
+def _catalog_assessments(config: RunConfig, regime: str) -> list[Assessment]:
     """Every threat in the catalog, assessed against the profile."""
     profile = load_profile(config.input("profile"))
     threats = load_threats(config.input("threats"))
@@ -191,21 +190,19 @@ def _catalog_assessments(config: RunConfig, regime: Regime) -> list[Assessment]:
 # commands
 
 
-def _questionnaire(flag: str, path: str, kind: QuestionnaireKind) -> Questionnaire:
+def _questionnaire(flag: str, path: str, kind: str) -> Questionnaire:
     """The questionnaire in ``path``, given by ``flag``, which must be of ``kind``."""
     questionnaire = load_questionnaire(path)
-    if questionnaire.kind is not kind:
-        raise DocumentError(
-            f"{flag}: {path}: kind: expected {kind.value!r}, got {questionnaire.kind.value!r}"
-        )
+    if questionnaire.kind != kind:
+        raise DocumentError(f"{flag}: {path}: kind: expected {kind!r}, got {questionnaire.kind!r}")
     return questionnaire
 
 
 def cmd_assess(args: argparse.Namespace) -> Output:
-    awareness = _questionnaire("--awareness", args.awareness, QuestionnaireKind.AWARENESS)
-    core = _questionnaire("--maturity", args.maturity, QuestionnaireKind.MATURITY_CORE)
+    awareness = _questionnaire("--awareness", args.awareness, "awareness")
+    core = _questionnaire("--maturity", args.maturity, "maturity_core")
     categories = [
-        _questionnaire("--complexity", path, QuestionnaireKind.COMPLEXITY_CATEGORY)
+        _questionnaire("--complexity", path, "complexity_category")
         for path in args.complexity
     ]
     if args.attack_share is not None:
@@ -215,8 +212,7 @@ def cmd_assess(args: argparse.Namespace) -> Output:
             )
         attractiveness = classify_attractiveness(args.attack_share)
     else:
-        choices = {level.value: level for level in Attractiveness}
-        attractiveness = parse_choice(choices, args.attractiveness, "--attractiveness")
+        attractiveness = parse_choice(ATTACKER_WEIGHTS, args.attractiveness, "--attractiveness")
     try:
         profile = assess_posture(awareness, core, categories, attractiveness)
     except NoApplicableControls as exc:  # from the awareness or the core questionnaire
@@ -231,19 +227,19 @@ def cmd_assess(args: argparse.Namespace) -> Output:
         f"posture: awareness={profile.awareness_index:.4f} "
         f"maturity={profile.maturity_index:.4f} "
         f"complexity={profile.complexity_index:.4f} "
-        f"attractiveness={profile.attractiveness.value}"
+        f"attractiveness={profile.attractiveness}"
     )
     return Output({"posture_profile.json": profile_to_dict(profile)})
 
 
 def cmd_likelihood(args: argparse.Namespace) -> Output:
     config = load_run_config(args.config)
-    regime = config.regime if args.regime is None else Regime(args.regime.replace("-", "_"))
+    regime = config.regime if args.regime is None else args.regime.replace("-", "_")
     rows = _catalog_assessments(config, regime)
-    print(f"assessed {len(rows)} threats ({regime.value})")
+    print(f"assessed {len(rows)} threats ({regime})")
     report = {
-        "regime": regime.value,
-        "count": {**config.count._asdict(), "kind": config.count.kind.value},
+        "regime": regime,
+        "count": config.count._asdict(),
         "threats": [
             {
                 "id": row.threat.id,
@@ -289,7 +285,7 @@ def cmd_htma(args: argparse.Namespace) -> Output:
     missing = [(i, t) for i, t in enumerate(threats) if t.likelihood is None]
     if missing:  # threats without a given likelihood get the change-regime value
         profile = load_profile(config.input("profile"))
-        for row in _assess_threats(config, profile, missing, Regime.CHANGE):
+        for row in _assess_threats(config, profile, missing, "change"):
             threats[row.index] = row.threat._replace(likelihood=row.probability)
 
     result = run_htma(threats, trials=trials, seed=seed)
@@ -338,7 +334,7 @@ def cmd_fair(args: argparse.Namespace) -> Output:
     categories = load_loss_categories(config.input("loss_categories"))
 
     dist = _bands(config, profile)(profile.maturity_index)
-    lik = incident_likelihood(dist, config.count, Regime.NO_CHANGE)
+    lik = incident_likelihood(dist, config.count, "no_change")
     result = run_fair(lik, categories, trials=trials, seed=seed)
     print(
         f"simulated {trials} trials; mean total loss "
@@ -394,7 +390,7 @@ def cmd_compare(args: argparse.Namespace) -> Output:
             "likelihood_cvss": None if row.threat.cvss is None else cvss_likelihood(row.threat.cvss),
             "likelihood_expert": row.threat.expert_likelihood,
         }
-        for row in _catalog_assessments(config, Regime.CHANGE)
+        for row in _catalog_assessments(config, "change")
     ]
     print(f"compared {len(table)} threats")
     return Output(
@@ -436,7 +432,7 @@ def cmd_simulate(args: argparse.Namespace) -> Output:
     replications = _count("--replications", args.replications, config.replications)
     seed = _resolve_seed(args.seed, config.seed)
     dist = _success_band(config)
-    analytic = incident_likelihood(dist, config.count, Regime.NO_CHANGE)
+    analytic = incident_likelihood(dist, config.count, "no_change")
     report = compare_to_analytic(simulate(dist, config.count, replications, seed), analytic)
     status = "pass" if report.passed else "FAIL"
     print(

@@ -17,7 +17,6 @@ import csv
 import json
 import math
 from contextlib import suppress
-from enum import Enum
 from functools import cache
 from pathlib import Path
 from types import MappingProxyType
@@ -26,28 +25,27 @@ from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence, TypeV
 from .cvss import FACTORS, CvssVector
 from .errors import ComputationError, DocumentError, InputError, checked, parse_choice, require_int64
 from .model import (
+    COUNT_KINDS,
+    REGIMES,
     AttackCountModel,
     ControlWeightMatrix,
-    CountKind,
     IncidentLikelihood,
     LossCategory,
-    Regime,
     Threat,
 )
 from .posture import (
-    Attractiveness,
+    ATTACKER_WEIGHTS,
+    QUESTIONNAIRE_KINDS,
     CategoryComplexity,
     ControlResponse,
     PostureProfile,
     Questionnaire,
-    QuestionnaireKind,
 )
 from .success import DEFAULT_GROWTH_RATE, DEFAULT_LOWER, DEFAULT_SPREAD, DEFAULT_UPPER, check_curve
 
 SCHEMA_VERSION = "1"
 
 _T = TypeVar("_T")
-_E = TypeVar("_E", bound=Enum)
 
 _NA_TOKENS = {"na", "n/a"}
 
@@ -151,16 +149,9 @@ def _optional(read: Callable[[Any, str], _T]) -> Callable[[Any, str], _T | None]
 
 
 @cache
-def _enum(enum_type: type[_E]) -> Callable[[Any, str], _E]:
-    choices = {member.value: member for member in enum_type}
-    return lambda value, name: parse_choice(choices, value, name)
-
-
-@cache
-def _level(metric: str) -> Callable[[Any, str], str]:
-    """A level of the cvss ``metric``, read as its key in ``FACTORS``."""
-    choices = {level: level for level in FACTORS[metric]}
-    return lambda value, name: parse_choice(choices, value, name)
+def _choice(words: tuple[str, ...]) -> Callable[[Any, str], str]:
+    """One of ``words``, in any case and with spaces around it."""
+    return lambda value, name: parse_choice(words, value, name)
 
 
 def _number(value: Any, name: str) -> float:
@@ -235,7 +226,7 @@ def load_questionnaire(path: str | Path) -> Questionnaire:
     doc = _document(path)
     return doc.build(
         Questionnaire,
-        kind=doc.need("kind", _enum(QuestionnaireKind)),
+        kind=doc.need("kind", _choice(QUESTIONNAIRE_KINDS)),
         s_max=doc.need("s_max", _int),
         category_label=doc.get("category_label", _optional(_str)),
         responses=doc.need("responses", _list_of(_response)),
@@ -245,7 +236,6 @@ def load_questionnaire(path: str | Path) -> Questionnaire:
 def profile_to_dict(profile: PostureProfile) -> dict[str, Any]:
     return {
         **profile._asdict(),
-        "attractiveness": profile.attractiveness.value,
         "categories": [c._asdict() for c in profile.categories],
     }
 
@@ -268,7 +258,7 @@ def load_profile(path: str | Path) -> PostureProfile:
         awareness_index=doc.need("awareness_index", _number),
         maturity_index=doc.need("maturity_index", _number),
         complexity_index=doc.need("complexity_index", _number),
-        attractiveness=doc.need("attractiveness", _enum(Attractiveness)),
+        attractiveness=doc.need("attractiveness", _choice(tuple(ATTACKER_WEIGHTS))),
         awareness_control_count=doc.get("awareness_control_count", _int),
         core_control_count=doc.get("core_control_count", _int),
     )
@@ -282,11 +272,11 @@ def _cvss(value: Any, name: str) -> CvssVector:
     cvss = _object(value, name)
     return cvss.build(
         CvssVector,
-        access_vector=cvss.need("av", _level("access_vector")),
-        access_complexity=cvss.need("ac", _level("access_complexity")),
-        authentication=cvss.need("au", _level("authentication")),
-        exploitability=cvss.get("e", _level("exploitability")),
-        report_confidence=cvss.get("rc", _level("report_confidence")),
+        access_vector=cvss.need("av", _choice(tuple(FACTORS["access_vector"]))),
+        access_complexity=cvss.need("ac", _choice(tuple(FACTORS["access_complexity"]))),
+        authentication=cvss.need("au", _choice(tuple(FACTORS["authentication"]))),
+        exploitability=cvss.get("e", _choice(tuple(FACTORS["exploitability"]))),
+        report_confidence=cvss.get("rc", _choice(tuple(FACTORS["report_confidence"]))),
     )
 
 
@@ -367,7 +357,7 @@ class RunConfig(NamedTuple):
     trials: int = 10_000
     replications: int = 100_000
     seed: int | None = None
-    regime: Regime = Regime.CHANGE
+    regime: str = "change"
     inputs: Mapping[str, Path] = MappingProxyType({})  # read-only, so safe to share
     output_dir: str | None = None
     #: Optional explicit success band for ``simulate``: {"p_m", "p_star", "p_M"}
@@ -412,11 +402,11 @@ def load_run_config(path: str | Path) -> RunConfig:
             t=count.get("t", _int),
             delta_t=count.get("delta_t", _number),
             n_avg=count.get("n_avg", _number),
-            kind=count.get("kind", _enum(CountKind)),
+            kind=count.get("kind", _choice(COUNT_KINDS)),
         ),
         trials=doc.get("trials", _int),
         replications=doc.get("replications", _int),
-        regime=doc.get("regime", _enum(Regime)),
+        regime=doc.get("regime", _choice(REGIMES)),
     )
 
 
@@ -488,7 +478,7 @@ def write_csv(
 
 def likelihood_to_dict(lik: IncidentLikelihood) -> dict[str, Any]:
     payload: dict[str, Any] = {
-        "regime": lik.regime.value,
+        "regime": lik.regime,
         "quadrature_error": lik.quadrature_error,
     }
     if lik.pmf is not None:

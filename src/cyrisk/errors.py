@@ -9,9 +9,8 @@ the former to exit code 2 and the latter to exit code 1.
 from __future__ import annotations
 
 import math
-from typing import Any, Mapping, TypeVar
+from typing import Any, Collection, TypeVar
 
-_T = TypeVar("_T")
 _C = TypeVar("_C", bound=type)
 
 
@@ -74,15 +73,14 @@ def require_int64(context: str, value: int) -> int:
     return value
 
 
-def parse_choice(choices: Mapping[str, _T], value: Any, context: str) -> _T:
-    """The choice whose key is ``value`` trimmed and lower-cased."""
-    try:
-        return choices[str(value).strip().lower()]
-    except KeyError:
-        allowed = ", ".join(choices)
+def parse_choice(words: Collection[str], value: Any, context: str) -> str:
+    """The one of ``words`` that is ``value`` trimmed and lower-cased."""
+    word = str(value).strip().lower()
+    if word not in words:
         raise DocumentError(
-            f"{context}: unknown value {value!r} (expected one of: {allowed})"
-        ) from None
+            f"{context}: unknown value {value!r} (expected one of: {', '.join(words)})"
+        )
+    return word
 
 
 def checked(cls: _C) -> _C:

@@ -52,8 +52,8 @@ import math
 from operator import add
 from typing import Callable
 
-from .errors import ComputationError
-from .model import AttackCountModel, CountKind, IncidentLikelihood, Regime
+from .errors import ComputationError, InputError
+from .model import REGIMES, AttackCountModel, IncidentLikelihood
 from .success import SuccessDistribution
 
 #: The no-change support ends where the incident tail at p_M is below this.
@@ -114,7 +114,7 @@ def _log_point(x: int, n: int | None, p: float, q: float = 0.0) -> float:
 
 def _kernel(model: AttackCountModel, p: float, top: int) -> list[float]:
     """Pr(S = s | p) for s = 0..top, outward from the mode by term ratios."""
-    binomial = model.kind is CountKind.BINOMIAL
+    binomial = model.kind == "binomial"
     rate = p * (model.attempt_probability if binomial else model.n_avg)
     if rate == 0.0:
         return [1.0] + [0.0] * top
@@ -152,7 +152,7 @@ def _support_end(model: AttackCountModel, p: float) -> int:
         return 0
     third = -math.log(TAIL_CUTOFF) / 3.0
     top = math.ceil(mu + third + math.sqrt(third * third + 6.0 * third * mu))
-    return min(top, model.t) if model.kind is CountKind.BINOMIAL else top
+    return min(top, model.t) if model.kind == "binomial" else top
 
 
 def _over_cap(work: int) -> ComputationError:
@@ -171,7 +171,7 @@ def _attempts(
     For binomial attempts first - step i = n - i, the slots left, as an exact float.
     """
     w = dist.p_M - dist.p_m
-    if model.kind is CountKind.BINOMIAL:
+    if model.kind == "binomial":
         r = model.attempt_probability
         # 1 - z = (1 - r p_M) / (1 - r p_m) keeps its precision as z nears one
         miss_m, miss_M = 1.0 - r * dist.p_m, 1.0 - r * dist.p_M
@@ -302,7 +302,7 @@ def incident_pmf(dist: SuccessDistribution, model: AttackCountModel) -> tuple[li
     if cells + top - lo + 1 > MAX_WORK:
         raise _over_cap(cells + top - lo + 1)
 
-    binomial = model.kind is CountKind.BINOMIAL
+    binomial = model.kind == "binomial"
     n = model.t - lo
     row, tail = _excess_pmf(dist, model, n, top - lo, cells)
     pmf = [0.0] * (top + 1)
@@ -332,7 +332,7 @@ def no_incident(dist: SuccessDistribution, model: AttackCountModel) -> tuple[flo
     """
     a, b = dist.alpha, dist.beta
     first, odds, step, log_b = _attempts(dist, model, model.t)
-    if model.kind is CountKind.BINOMIAL:
+    if model.kind == "binomial":
         log_floor = model.t * math.log1p(-model.attempt_probability * dist.p_m)
     else:
         log_floor = -model.n_avg * dist.p_m
@@ -370,14 +370,17 @@ def no_incident(dist: SuccessDistribution, model: AttackCountModel) -> tuple[flo
 
 
 def incident_likelihood(
-    dist: SuccessDistribution, model: AttackCountModel, regime: Regime
+    dist: SuccessDistribution, model: AttackCountModel, regime: str
 ) -> IncidentLikelihood:
-    """Evaluate the incident distribution for one period under the given regime.
+    """Evaluate one period's incident distribution under ``regime``, one of ``REGIMES``.
 
     Raises:
+        InputError: ``regime`` is not one of ``REGIMES``.
         ComputationError: the sums need more cells and terms than the work cap.
     """
-    if regime is Regime.CHANGE:
+    if regime not in REGIMES:
+        raise InputError(f"regime must be one of {', '.join(REGIMES)}, got {regime!r}")
+    if regime == "change":
         value, error = no_incident(dist, model)
         return IncidentLikelihood(pmf=None, value=value, quadrature_error=error)
     pmf, error = incident_pmf(dist, model)

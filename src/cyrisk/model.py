@@ -1,6 +1,8 @@
 """Value types the documents describe, free of numpy: the analytic layer and the
 engines (``incidence``, ``htma``, ``fair``, ``oracle``) compute with
 them, and ``documents`` and ``cli`` read and write them without loading numpy.
+The attempt-count kind and the regime are the words the documents write:
+one of ``COUNT_KINDS`` and one of ``REGIMES``.
 ``sorted_quantile`` is the one sample quantile the engines report, and
 ``check_draws`` holds each engine run to ``MAX_DRAWS``.
 
@@ -14,7 +16,6 @@ from __future__ import annotations
 import math
 import warnings
 from contextlib import suppress
-from enum import Enum
 from typing import NamedTuple, Sequence
 
 from .cvss import CvssVector
@@ -30,15 +31,8 @@ MAX_DRAWS = 2**25
 CONFIDENCE_TO_SHAPE = 5.0
 DEFAULT_CONFIDENCE = 20.0
 
-
-class CountKind(Enum):
-    BINOMIAL = "binomial"
-    POISSON = "poisson"
-
-
-class Regime(Enum):
-    NO_CHANGE = "no_change"
-    CHANGE = "change"
+COUNT_KINDS = ("binomial", "poisson")
+REGIMES = ("no_change", "change")
 
 
 @checked
@@ -51,7 +45,7 @@ class AttackCountModel(NamedTuple):
 
     t: int = 365
     n_avg: float = 0.0
-    kind: CountKind = CountKind.BINOMIAL
+    kind: str = "binomial"
     delta_t: float = 1.0
 
     def _check(self) -> AttackCountModel:
@@ -60,7 +54,9 @@ class AttackCountModel(NamedTuple):
             raise InputError(f"slot count t must be >= 1, got {self.t}")
         if not self.n_avg >= 0:
             raise InputError(f"n_avg must be >= 0, got {self.n_avg}")
-        if self.kind is CountKind.BINOMIAL and self.n_avg > self.t:
+        if self.kind not in COUNT_KINDS:
+            raise InputError(f"kind must be one of {', '.join(COUNT_KINDS)}, got {self.kind!r}")
+        if self.kind == "binomial" and self.n_avg > self.t:
             raise InputError(
                 f"binomial model needs n_avg <= t, got n_avg={self.n_avg}, t={self.t}"
             )
@@ -78,12 +74,12 @@ class AttackCountModel(NamedTuple):
 class IncidentLikelihood(NamedTuple):
     """Incident-likelihood result for one period.
 
-    NO_CHANGE carries the full pmf over incident counts as a dense tuple,
-    pmf[s] = Pr(S = s) for s = 0 up to the top of the truncated support;
-    CHANGE carries the scalar probability 1 - pmf[0] of the first incident.
+    A no_change result carries the full pmf over incident counts as a dense
+    tuple, pmf[s] = Pr(S = s) for s = 0 up to the top of the truncated support;
+    a change result carries the scalar probability 1 - pmf[0] of the first incident.
     quadrature_error bounds the truncation error of the series behind the
-    result: for NO_CHANGE, of every pmf cell (the series tails and the floor
-    counts left out), and for CHANGE, of the value (the tails of pmf[0]'s row
+    result: for no_change, of every pmf cell (the series tails and the floor
+    counts left out), and for change, of the value (the tails of pmf[0]'s row
     and of its complement, or, where a bound on pmf[0] is below 2^-54 and the
     value is 1.0, that bound). It is 0 for a zero-width band.
     """
@@ -104,9 +100,9 @@ class IncidentLikelihood(NamedTuple):
         return self
 
     @property
-    def regime(self) -> Regime:
-        """NO_CHANGE for a result that carries a pmf, CHANGE for one that carries a value."""
-        return Regime.CHANGE if self.pmf is None else Regime.NO_CHANGE
+    def regime(self) -> str:
+        """The result's regime: "no_change" if it carries a pmf, "change" if a value."""
+        return "change" if self.pmf is None else "no_change"
 
 
 @checked

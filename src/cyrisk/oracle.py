@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError
-from .model import AttackCountModel, CountKind, IncidentLikelihood, check_draws
+from .model import AttackCountModel, IncidentLikelihood, check_draws
 from .success import SuccessDistribution
 
 #: Chi-square level: the oracle's false-alarm rate at a correct pmf.
@@ -46,7 +46,7 @@ def simulate(
     else:
         draws = rng.beta(dist.alpha, dist.beta, size=replications)
         p = dist.p_m + (dist.p_M - dist.p_m) * draws
-    if model.kind is CountKind.BINOMIAL:
+    if model.kind == "binomial":
         attempts = rng.binomial(model.t, model.attempt_probability, size=replications)
     else:
         attempts = rng.poisson(model.n_avg, size=replications)

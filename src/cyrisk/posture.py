@@ -1,5 +1,9 @@
 """Questionnaire scoring: awareness, maturity and complexity indices, attractiveness.
 
+A questionnaire's kind is one of ``QUESTIONNAIRE_KINDS``. An attractiveness
+class, how interesting the organization looks to attackers from its sector's
+share of attacks, is a key of ``ATTACKER_WEIGHTS``.
+
 All indices live on a 0..10 scale. Scoring is a weighted average of control
 scores rescaled by the questionnaire's maximum score; controls marked not
 applicable are excluded from numerator and denominator alike, so they can
@@ -10,45 +14,18 @@ from __future__ import annotations
 
 import math
 import warnings
-from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyAssessment, InputError, NoApplicableControls, checked, require_finite
 from .model import ControlWeightMatrix
 
+QUESTIONNAIRE_KINDS = ("awareness", "maturity_core", "complexity_category")
 
-class QuestionnaireKind(Enum):
-    AWARENESS = "awareness"
-    MATURITY_CORE = "maturity_core"
-    COMPLEXITY_CATEGORY = "complexity_category"
-
-
-class Attractiveness(Enum):
-    """How interesting the organization looks to attackers, from sector attack share."""
-
-    VERY_LOW = "very_low"
-    LOW = "low"
-    MEDIUM = "medium"
-    HIGH = "high"
-    VERY_HIGH = "very_high"
-
-
-# Upper bin edges (percent of sector attacks, exclusive); >= 10% is VERY_HIGH.
-_ATTRACTIVENESS_BINS = (
-    (1.25, Attractiveness.VERY_LOW),
-    (2.5, Attractiveness.LOW),
-    (5.0, Attractiveness.MEDIUM),
-    (10.0, Attractiveness.HIGH),
-)
+# Upper bin edges (percent of sector attacks, exclusive); >= 10% is very_high.
+_ATTRACTIVENESS_BINS = ((1.25, "very_low"), (2.5, "low"), (5.0, "medium"), (10.0, "high"))
 
 #: Attacker-maturity weight for malicious threats, by attractiveness class.
-ATTACKER_WEIGHTS = {
-    Attractiveness.VERY_LOW: 0.6,
-    Attractiveness.LOW: 0.7,
-    Attractiveness.MEDIUM: 0.8,
-    Attractiveness.HIGH: 0.9,
-    Attractiveness.VERY_HIGH: 1.0,
-}
+ATTACKER_WEIGHTS = {"very_low": 0.6, "low": 0.7, "medium": 0.8, "high": 0.9, "very_high": 1.0}
 
 
 @checked
@@ -78,12 +55,17 @@ class Questionnaire(NamedTuple):
 
     responses: tuple[ControlResponse, ...]
     s_max: int
-    kind: QuestionnaireKind
+    kind: str
     category_label: str | None = None
 
     def _check(self) -> Questionnaire:
         if not isinstance(self.responses, tuple):
             return self._replace(responses=tuple(self.responses))
+        if self.kind not in QUESTIONNAIRE_KINDS:
+            raise InputError(
+                f"questionnaire kind must be one of {', '.join(QUESTIONNAIRE_KINDS)}, "
+                f"got {self.kind!r}"
+            )
         if self.s_max < 1:
             raise InputError(f"s_max must be >= 1, got {self.s_max}")
         if not self.responses:
@@ -125,7 +107,7 @@ class PostureProfile(NamedTuple):
     awareness_index: float
     maturity_index: float
     complexity_index: float
-    attractiveness: Attractiveness
+    attractiveness: str
     awareness_control_count: int = 0
     core_control_count: int = 0
     categories: tuple[CategoryComplexity, ...] = ()
@@ -135,6 +117,11 @@ class PostureProfile(NamedTuple):
             value = getattr(self, name)
             if not 0.0 <= value <= 10.0:
                 raise InputError(f"{name} must be in [0, 10], got {value}")
+        if self.attractiveness not in ATTACKER_WEIGHTS:
+            raise InputError(
+                f"attractiveness must be one of {', '.join(ATTACKER_WEIGHTS)}, "
+                f"got {self.attractiveness!r}"
+            )
         if not isinstance(self.categories, tuple):
             return self._replace(categories=tuple(self.categories))
         return self
@@ -227,7 +214,7 @@ def category_complexity(questionnaire: Questionnaire) -> CategoryComplexity:
     )
 
 
-def classify_attractiveness(attack_share_percent: float) -> Attractiveness:
+def classify_attractiveness(attack_share_percent: float) -> str:
     """Bin a sector's share of observed attacks (percent) into an attractiveness class.
 
     Lower bounds are inclusive, upper bounds exclusive; every non-negative
@@ -238,10 +225,10 @@ def classify_attractiveness(attack_share_percent: float) -> Attractiveness:
     for upper, cls in _ATTRACTIVENESS_BINS:
         if attack_share_percent < upper:
             return cls
-    return Attractiveness.VERY_HIGH
+    return "very_high"
 
 
-def attacker_weight(attractiveness: Attractiveness, malicious: bool = True) -> float:
+def attacker_weight(attractiveness: str, malicious: bool = True) -> float:
     """Attacker-maturity weight: always 1.0 for non-malicious threats."""
     if not malicious:
         return 1.0
@@ -252,7 +239,7 @@ def assess_posture(
     awareness: Questionnaire,
     core: Questionnaire,
     complexity_categories: Sequence[Questionnaire],
-    attractiveness: Attractiveness,
+    attractiveness: str,
 ) -> PostureProfile:
     """Run the full scoring pipeline over the three questionnaire groups.
 
@@ -260,10 +247,10 @@ def assess_posture(
     warning rather than poisoning the weighted average. The questionnaire kind
     checks are for library callers: the CLI checks each kind as it reads the file.
     """
-    if awareness.kind is not QuestionnaireKind.AWARENESS:
-        raise InputError(f"awareness questionnaire has kind {awareness.kind.value!r}")
-    if core.kind is not QuestionnaireKind.MATURITY_CORE:
-        raise InputError(f"core questionnaire has kind {core.kind.value!r}")
+    if awareness.kind != "awareness":
+        raise InputError(f"awareness questionnaire has kind {awareness.kind!r}")
+    if core.kind != "maturity_core":
+        raise InputError(f"core questionnaire has kind {core.kind!r}")
 
     awareness_score = score_index(awareness)
     core_score = score_index(core)
@@ -275,8 +262,8 @@ def assess_posture(
     for i, q in enumerate(complexity_categories):
         # an unlabelled questionnaire is named by its position in the list
         name = repr(q.category_label) if q.category_label else f"[{i}]"
-        if q.kind is not QuestionnaireKind.COMPLEXITY_CATEGORY:
-            raise InputError(f"complexity questionnaire {name} has kind {q.kind.value!r}")
+        if q.kind != "complexity_category":
+            raise InputError(f"complexity questionnaire {name} has kind {q.kind!r}")
         try:
             categories.append(category_complexity(q))
         except NoApplicableControls:

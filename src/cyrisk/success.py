@@ -78,7 +78,7 @@ class LogisticParams(NamedTuple):
         """(A, K): the two endpoint conditions form a 2x2 linear system in A and
         (K - A), solved here in closed form; NaN when the system is singular."""
         g0, g10 = (_sigmoid(self.B * (x - self.x0)) for x in (0.0, 10.0))
-        if not abs(g0 - g10) >= 1e-15:
+        if g0 == g10:
             return math.nan, math.nan
         span = (self.U - self.L) / (g0 - g10)
         a = self.U - span * g0

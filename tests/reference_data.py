@@ -175,9 +175,7 @@ def attempt_pmf(model, n):
     ``cyrisk.incidence``."""
     import math
 
-    from cyrisk.model import CountKind
-
-    if model.kind is CountKind.BINOMIAL:
+    if model.kind == "binomial":
         r = model.n_avg / model.t
         return math.comb(model.t, n) * r**n * (1.0 - r) ** (model.t - n)
     return math.exp(-model.n_avg) * math.prod(model.n_avg / k for k in range(1, n + 1))
@@ -233,8 +231,6 @@ def reference_pmf(dist, model, top):
 
     import numpy as np
 
-    from cyrisk.model import CountKind
-
     if dist.is_point_mass:
         nodes, weights = np.array([dist.p_star]), np.array([1.0])
     else:
@@ -242,7 +238,7 @@ def reference_pmf(dist, model, top):
     s = np.arange(top + 1)
     k = np.arange(top)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if model.kind is CountKind.BINOMIAL:
+        if model.kind == "binomial":
             rate = nodes[:, None] * (model.n_avg / model.t)
             terms = np.log((model.t - k) / (k + 1.0)).tolist()
             log_pmf = (np.where(s == 0, 0.0, s * np.log(rate))
@@ -308,7 +304,7 @@ def reference_asymptotes(growth_rate, midpoint, upper, lower):
     g0 = _reference_sigmoid(growth_rate * (0.0 - midpoint))
     g10 = _reference_sigmoid(growth_rate * (10.0 - midpoint))
     denom = g0 - g10
-    if abs(denom) >= 1e-15:
+    if denom != 0.0:
         span = (upper - lower) / denom
         a = upper - span * g0
         k = a + span

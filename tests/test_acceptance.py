@@ -21,8 +21,6 @@ from cyrisk.fair import LossCategory, run_fair
 from cyrisk.htma import Threat, run_htma
 from cyrisk.incidence import (
     AttackCountModel,
-    CountKind,
-    Regime,
     incident_likelihood,
 )
 from cyrisk.oracle import compare_to_analytic, simulate
@@ -61,7 +59,7 @@ def test_criterion_01_reported_bands_reproduce_likelihood_column():
     deviations = []
     for tid, _, (p_m, p_star, p_M), reported in reference_bands():
         band = SuccessDistribution.from_triple(p_m, p_star, p_M)
-        value = incident_likelihood(band, YEAR, Regime.CHANGE).value
+        value = incident_likelihood(band, YEAR, "change").value
         deviations.append((tid, abs(value - reported)))
     elapsed = time.perf_counter() - started
     worst = max(d for _, d in deviations)
@@ -126,7 +124,7 @@ def test_threat_7_p_m_erratum():
     from_printed = SuccessDistribution.from_triple(*printed)
     assert truncated_cents(computed.p_m) == round(corrected * 100)
     computed_l, printed_l = (
-        incident_likelihood(band, YEAR, Regime.CHANGE).value for band in (computed, from_printed)
+        incident_likelihood(band, YEAR, "change").value for band in (computed, from_printed)
     )
     assert truncated_cents(computed_l) == round(likelihood * 100)
     assert truncated_cents(printed_l) != round(likelihood * 100)
@@ -177,7 +175,7 @@ def test_criterion_03_curve_endpoint_conditions():
 
 def test_criterion_04_point_mass_closed_form():
     band = SuccessDistribution.from_triple(0.5, 0.5, 0.5)
-    value = incident_likelihood(band, YEAR, Regime.CHANGE).value
+    value = incident_likelihood(band, YEAR, "change").value
     expected = 1.0 - (1.0 - 2.0 / 365.0) ** 365
     deviation = abs(value - expected)
     report(
@@ -197,7 +195,7 @@ def test_criterion_05_simulation_oracle_grid():
         for maturity in (2.0, 5.0, 8.0):
             band = pert_from_maturity(DERIVED_PARAMS, maturity, w=1.0, q=ref.SPREAD)
             model = AttackCountModel(t=365, n_avg=n_avg)
-            analytic = incident_likelihood(band, model, Regime.NO_CHANGE)
+            analytic = incident_likelihood(band, model, "no_change")
             empirical = simulate(band, model, replications=10**6, seed=900 + index)
             outcome = compare_to_analytic(empirical, analytic)
             worst_z = max(worst_z, max(abs(z) for z in outcome.z_scores))
@@ -218,13 +216,13 @@ def test_criterion_06_normalization_and_monotonicity_suite():
 
     # incident pmf sums to one
     band = SuccessDistribution.from_triple(0.28, 0.50, 0.72)
-    pmf_total = sum(incident_likelihood(band, YEAR, Regime.NO_CHANGE).pmf)
+    pmf_total = sum(incident_likelihood(band, YEAR, "no_change").pmf)
     if abs(pmf_total - 1.0) > 1e-6:
         problems.append(f"pmf total {pmf_total:.8f}")
 
     # monotone in the mean attempt count
     by_attempts = [
-        incident_likelihood(band, AttackCountModel(t=365, n_avg=n), Regime.CHANGE).value
+        incident_likelihood(band, AttackCountModel(t=365, n_avg=n), "change").value
         for n in (1.0, 2.0, 4.0, 8.0, 16.0)
     ]
     if not all(a <= b + 1e-12 for a, b in zip(by_attempts, by_attempts[1:])):
@@ -233,7 +231,7 @@ def test_criterion_06_normalization_and_monotonicity_suite():
     # monotone under uniform upward band shifts
     by_shift = [
         incident_likelihood(
-            SuccessDistribution.from_triple(0.28 + s, 0.50 + s, 0.72 + s), YEAR, Regime.CHANGE
+            SuccessDistribution.from_triple(0.28 + s, 0.50 + s, 0.72 + s), YEAR, "change"
         ).value
         for s in (0.0, 0.05, 0.10, 0.15)
     ]
@@ -253,7 +251,7 @@ def test_criterion_06_normalization_and_monotonicity_suite():
     # binomial vs Poisson attempt models stay within the quadratic bound
     for n_avg in range(1, 11):
         binom = AttackCountModel(t=365, n_avg=float(n_avg))
-        poisson = AttackCountModel(t=365, n_avg=float(n_avg), kind=CountKind.POISSON)
+        poisson = AttackCountModel(t=365, n_avg=float(n_avg), kind="poisson")
         tv = 0.5 * sum(
             abs(ref.attempt_pmf(binom, n) - ref.attempt_pmf(poisson, n))
             for n in range(366)
@@ -290,7 +288,7 @@ def _fair_pmf(complexity: float, maturity: float, n_avg: float):
     params = solve_asymptotes(-2.0, complexity, ref.CURVE_UPPER, ref.CURVE_LOWER)
     band = pert_from_maturity(params, maturity, w=1.0, q=ref.SPREAD)
     model = AttackCountModel(t=365, n_avg=n_avg)
-    return incident_likelihood(band, model, Regime.NO_CHANGE)
+    return incident_likelihood(band, model, "no_change")
 
 
 def _sign_test_p_value(successes: int, n: int) -> float:

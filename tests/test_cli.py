@@ -24,7 +24,6 @@ from cyrisk.documents import (
 from cyrisk.fair import run_fair
 from cyrisk.htma import run_htma
 from cyrisk.incidence import incident_likelihood
-from cyrisk.model import Regime
 
 import reference_data as ref
 
@@ -660,7 +659,7 @@ class TestFair:
         config = load_run_config(fair_config)
         profile = load_profile(tmp_path / "profile.json")
         band = _bands(config, profile)(profile.maturity_index)
-        lik = incident_likelihood(band, config.count, Regime.NO_CHANGE)
+        lik = incident_likelihood(band, config.count, "no_change")
         result = run_fair(lik, categories, trials=BLOCKS_TRIALS, seed=seed)
         # trials with no event, one event and several events, over three blocks
         assert {0, 1} <= set(result.events.tolist()) and result.events.max() > 1

@@ -25,8 +25,8 @@ from cyrisk.documents import (
 )
 from cyrisk.cli import _bands
 from cyrisk.errors import ComputationError, DocumentError
-from cyrisk.model import AttackCountModel, CountKind, IncidentLikelihood, Regime
-from cyrisk.posture import Attractiveness, PostureProfile, QuestionnaireKind
+from cyrisk.model import AttackCountModel, IncidentLikelihood
+from cyrisk.posture import PostureProfile
 
 
 def dump(path, payload):
@@ -51,7 +51,7 @@ class TestQuestionnaireDocument:
             },
         )
         q = load_questionnaire(path)
-        assert q.kind is QuestionnaireKind.AWARENESS
+        assert q.kind == "awareness"
         assert q.s_max == 4
         assert q.responses[0].weight == 2.0
         assert q.responses[1].score is None  # "NA" token
@@ -114,7 +114,7 @@ class TestProfileDocument:
             awareness_index=7.25,
             maturity_index=6.125,
             complexity_index=5.0,
-            attractiveness=Attractiveness.VERY_HIGH,
+            attractiveness="very_high",
             awareness_control_count=4,
             core_control_count=11,
         )
@@ -128,7 +128,7 @@ class TestProfileDocument:
             awareness_index=7.123456789,
             maturity_index=6.0,
             complexity_index=5.0,
-            attractiveness=Attractiveness.LOW,
+            attractiveness="low",
         )
         path = tmp_path / "profile.json"
         write_json(path, profile_to_dict(profile))
@@ -386,8 +386,9 @@ class TestRunConfigDocument:
         assert config.upper == 0.97  # default
         assert config.spread == 1.0  # default
         assert config.count == AttackCountModel(t=365, n_avg=4.0)
-        assert config.count.kind is CountKind.BINOMIAL
-        assert config.regime is Regime.NO_CHANGE
+        assert config.count.kind == "binomial"
+        assert config.count.delta_t == 1.0  # default
+        assert config.regime == "no_change"
         assert config.seed == 7
         assert config.path == path
         assert config.input("profile") == tmp_path / "profile.json"
@@ -403,7 +404,7 @@ class TestRunConfigDocument:
         )
         model = load_run_config(path).count
         assert model.t == 100
-        assert model.kind is CountKind.POISSON
+        assert model.kind == "poisson"
         assert model.delta_t == 0.5
 
     def test_defaults_fill_an_empty_document(self, tmp_path):
@@ -617,7 +618,7 @@ VALID_DOCUMENTS = {
 #: A profile whose complexity index puts the curve's midpoint mid-scale.
 COMPLEXITY_5 = PostureProfile(
     awareness_index=5.0, maturity_index=5.0, complexity_index=5.0,
-    attractiveness=Attractiveness.VERY_LOW,
+    attractiveness="very_low",
 )
 
 DELETE = object()

@@ -20,10 +20,9 @@ from cyrisk.fair import (
 from cyrisk.incidence import (
     AttackCountModel,
     IncidentLikelihood,
-    Regime,
     incident_likelihood,
 )
-from cyrisk.model import MAX_DRAWS, CountKind
+from cyrisk.model import MAX_DRAWS
 from cyrisk.oracle import LEVEL, EmpiricalCounts, compare_to_analytic
 from cyrisk.success import pert_from_maturity, solve_asymptotes
 
@@ -42,13 +41,13 @@ def case_study_band():
 
 def case_study_pmf(model):
     """No-change incident pmf for the case study."""
-    return incident_likelihood(case_study_band(), model, Regime.NO_CHANGE)
+    return incident_likelihood(case_study_band(), model, "no_change")
 
 
 #: Binomial and Poisson attempts for the case study.
 case_study_models = pytest.mark.parametrize(
     "model",
-    [AttackCountModel(t=365, n_avg=84.0), AttackCountModel(n_avg=3.0, kind=CountKind.POISSON)],
+    [AttackCountModel(t=365, n_avg=84.0), AttackCountModel(n_avg=3.0, kind="poisson")],
     ids=["binomial", "poisson"],
 )
 
@@ -61,8 +60,9 @@ def healthcare_pmf():
 class TestLossCategory:
     def test_out_of_order_band_is_reordered_loudly(self):
         # headers swapped in the source data: (min, max, most likely)
-        with pytest.warns(UserWarning, match="not ordered"):
+        with pytest.warns(UserWarning, match="not ordered") as record:
             category = LossCategory("response", 2_750.0, 22_000.0, 8_250.0)
+        assert record[0].filename == __file__  # the warning points at the caller
         assert (category.low, category.most_likely, category.high) == (
             2_750.0,
             8_250.0,
@@ -72,6 +72,7 @@ class TestLossCategory:
     def test_confidence_maps_to_canonical_shape(self):
         assert RESPONSE.shape == pytest.approx(4.0)
         assert LossCategory("x", 0.0, 1.0, 2.0, confidence=10.0).shape == pytest.approx(2.0)
+        assert LossCategory("x", 0.0, 1.0, 2.0, confidence=0.5).shape == pytest.approx(0.1)
 
     def test_mean_closed_form(self):
         assert REPLACEMENT.mean == pytest.approx((20_000 + 4 * 30_000 + 50_000) / 6)

@@ -13,7 +13,7 @@ from cyrisk.htma import (
     sample_impact,
 )
 from cyrisk.model import MAX_DRAWS, ControlWeightMatrix, check_draws, sorted_quantile
-from cyrisk.posture import ControlResponse, Questionnaire, QuestionnaireKind, per_threat_maturity
+from cyrisk.posture import ControlResponse, Questionnaire, per_threat_maturity
 
 import reference_data as ref
 
@@ -37,7 +37,7 @@ def make_questionnaire(scores, weights=None, s_max=4):
             for i, (s, w) in enumerate(zip(scores, weights))
         ),
         s_max=s_max,
-        kind=QuestionnaireKind.MATURITY_CORE,
+        kind="maturity_core",
     )
 
 
@@ -60,7 +60,7 @@ def maturity_cases(draw):
         for i in range(n)
     )
     label = draw(st.sampled_from([None, "", "network"]))
-    questionnaire = Questionnaire(responses, s_max, QuestionnaireKind.MATURITY_CORE, label)
+    questionnaire = Questionnaire(responses, s_max, "maturity_core", label)
     controls = draw(st.lists(st.sampled_from([f"c{i}" for i in range(n)]), unique=True))
     rows = [(draw(_factors), draw(_factors)) for _ in controls]
     matrix = ControlWeightMatrix((*controls, "other"), (1, 2), (*rows, (1.0, 1.0)))
@@ -153,6 +153,10 @@ class TestPerThreatMaturity:
             ControlWeightMatrix(controls=("a",), threats=(1,), weights=())
         with pytest.raises(InputError):
             ControlWeightMatrix(controls=("a",), threats=(1,), weights=((1.0, 2.0),))
+        with pytest.raises(InputError, match="^weight matrix has 2 rows for 1 controls$"):
+            ControlWeightMatrix(controls=("a",), threats=(1,), weights=((1.0,), (1.0,)))
+        with pytest.raises(InputError, match="^weight for control 'a' must be >= 0, got -1.0$"):
+            ControlWeightMatrix(controls=("a",), threats=(1, 2), weights=((0.0, -1.0),))
         with pytest.raises(InputError):
             ControlWeightMatrix(controls=("a",), threats=(1,), weights=((-1.0,),))
         with pytest.raises(InputError):
@@ -270,7 +274,7 @@ class TestRunHtma:
         se = losses.std(ddof=1) / math.sqrt(trials)
         assert abs(losses.mean() - expected) <= Z_1E3 * se
 
-    def test_work_cap_holds_before_any_draw(self):
+    def test_work_cap_holds_before_any_draw(self, monkeypatch):
         check_draws("x", MAX_DRAWS)
         with pytest.raises(ComputationError) as info:
             check_draws("2 trials of 3 threats", MAX_DRAWS + 1)
@@ -283,6 +287,11 @@ class TestRunHtma:
             run_htma([], trials=MAX_DRAWS + 1, seed=0)
         # the largest engine run of the benchmark: 250,000 trials of 9 threats
         assert 10 * 250_000 * 9 <= MAX_DRAWS
+        # without threats each trial counts as one draw, so the cap binds at itself
+        monkeypatch.setattr("cyrisk.model.MAX_DRAWS", 10)
+        assert run_htma([], trials=10, seed=0).losses.size == 10
+        with pytest.raises(ComputationError, match="^11 trials of 0 threats need 11 draws"):
+            run_htma([], trials=11, seed=0)
 
     def test_deterministic_for_fixed_seed(self):
         threats = [make_threat(likelihood=0.4, threat_id=i) for i in range(4)]
@@ -318,6 +327,7 @@ class TestRunHtma:
     def test_trials_validated(self):
         with pytest.raises(InputError):
             run_htma([make_threat()], trials=0, seed=0)
+        assert run_htma([make_threat()], trials=1, seed=0).losses.size == 1
 
 
 class TestLossExceedanceCurve:
@@ -392,3 +402,5 @@ class TestThreatValidation:
     def test_maturity_range(self):
         with pytest.raises(InputError):
             Threat(id=1, name="x", impact_low=1.0, impact_high=2.0, maturity_index=11.0)
+        for edge in (0.0, 0.5, 10.0):
+            Threat(id=1, name="x", impact_low=1.0, impact_high=2.0, maturity_index=edge)

@@ -7,8 +7,6 @@ import pytest
 from cyrisk.errors import InputError
 from cyrisk.incidence import (
     AttackCountModel,
-    CountKind,
-    Regime,
     incident_likelihood,
 )
 from cyrisk.oracle import (
@@ -73,7 +71,7 @@ class TestSimulate:
         replications = 10**6
         counts = simulate(MALWARE_BAND, YEAR, replications, seed=42)
         empirical_any = 1.0 - counts.probabilities[0]
-        analytic = incident_likelihood(MALWARE_BAND, YEAR, Regime.CHANGE).value
+        analytic = incident_likelihood(MALWARE_BAND, YEAR, "change").value
         se = math.sqrt(analytic * (1.0 - analytic) / replications)
         assert abs(empirical_any - analytic) <= 3 * se
         # and the analytic value agrees with the reported 0.86 at two decimals
@@ -86,7 +84,7 @@ class TestSimulate:
         assert mean == pytest.approx(4.0 * MALWARE_BAND.mean, rel=0.01)
 
     def test_poisson_counts_supported(self):
-        model = AttackCountModel(t=365, n_avg=4.0, kind=CountKind.POISSON)
+        model = AttackCountModel(t=365, n_avg=4.0, kind="poisson")
         counts = simulate(MALWARE_BAND, model, replications=200_000, seed=5)
         assert counts.probabilities.sum() == pytest.approx(1.0)
 
@@ -95,7 +93,7 @@ class TestSimulate:
             simulate(MALWARE_BAND, YEAR, replications=0, seed=0)
 
     def test_one_replication_leaves_no_degrees_of_freedom(self):
-        analytic = incident_likelihood(MALWARE_BAND, YEAR, Regime.NO_CHANGE)
+        analytic = incident_likelihood(MALWARE_BAND, YEAR, "no_change")
         report = compare_to_analytic(simulate(MALWARE_BAND, YEAR, replications=1, seed=0), analytic)
         # no cell expects MIN_EXPECTED_COUNT counts, so all are pooled
         assert (report.degrees_of_freedom, report.p_value, report.passed) == (0, 1.0, True)
@@ -103,7 +101,7 @@ class TestSimulate:
 
     def test_no_attempts_score_zero_without_warning(self):
         no_attempts = AttackCountModel(t=365, n_avg=0.0)
-        analytic = incident_likelihood(MALWARE_BAND, no_attempts, Regime.NO_CHANGE)
+        analytic = incident_likelihood(MALWARE_BAND, no_attempts, "no_change")
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # 0/0 where pmf = freq = 1 would warn
             empirical = simulate(MALWARE_BAND, no_attempts, replications=1_000, seed=1)
@@ -114,7 +112,7 @@ class TestSimulate:
 
 class TestCompareToAnalytic:
     def test_exact_match_passes_with_zero_deviation(self):
-        analytic = incident_likelihood(MALWARE_BAND, YEAR, Regime.NO_CHANGE)
+        analytic = incident_likelihood(MALWARE_BAND, YEAR, "no_change")
         probabilities = np.array(analytic.pmf)
         empirical = EmpiricalCounts(
             probabilities=probabilities,
@@ -126,7 +124,7 @@ class TestCompareToAnalytic:
         assert all(z == 0.0 for z in report.z_scores)
 
     def test_gross_shift_fails_loudly(self):
-        analytic = incident_likelihood(MALWARE_BAND, YEAR, Regime.NO_CHANGE)
+        analytic = incident_likelihood(MALWARE_BAND, YEAR, "no_change")
         probabilities = np.array(analytic.pmf)
         probabilities[0] += 0.1
         probabilities /= probabilities.sum()
@@ -139,7 +137,7 @@ class TestCompareToAnalytic:
         assert abs(report.z_scores[0]) > 3
 
     def test_simulation_agrees_with_analytic(self):
-        analytic = incident_likelihood(MALWARE_BAND, YEAR, Regime.NO_CHANGE)
+        analytic = incident_likelihood(MALWARE_BAND, YEAR, "no_change")
         report = compare_to_analytic(
             simulate(MALWARE_BAND, YEAR, replications=10**6, seed=42), analytic
         )
@@ -147,7 +145,7 @@ class TestCompareToAnalytic:
 
     def test_point_mass_band_agrees_too(self):
         dist = SuccessDistribution.from_triple(0.5, 0.5, 0.5)
-        analytic = incident_likelihood(dist, YEAR, Regime.NO_CHANGE)
+        analytic = incident_likelihood(dist, YEAR, "no_change")
         report = compare_to_analytic(
             simulate(dist, YEAR, replications=5 * 10**5, seed=11), analytic
         )
@@ -175,7 +173,7 @@ class TestCompareToAnalytic:
     )
     def test_edge_cells_are_pooled(self, p, t, n_avg, counts, chi_square, dof, pooled, infinite):
         band = SuccessDistribution.from_triple(p, p, p)
-        analytic = incident_likelihood(band, AttackCountModel(t=t, n_avg=n_avg), Regime.NO_CHANGE)
+        analytic = incident_likelihood(band, AttackCountModel(t=t, n_avg=n_avg), "no_change")
         replications = sum(counts)
         empirical = EmpiricalCounts(np.array(counts) / replications, replications)
         report = compare_to_analytic(empirical, analytic)
@@ -193,20 +191,20 @@ class TestCompareToAnalytic:
             (MALWARE_BAND, YEAR, 2_000),
             (MALWARE_BAND, YEAR, 200_000),
             (SuccessDistribution.from_triple(0.10, 0.20, 0.70), AttackCountModel(
-                t=365, n_avg=30.0, kind=CountKind.POISSON), 20_000),
+                t=365, n_avg=30.0, kind="poisson"), 20_000),
             (SuccessDistribution.from_triple(0.5, 0.5, 0.5),
              AttackCountModel(t=12, n_avg=12.0), 500),
         ],
         ids=["malware_2e3", "malware_2e5", "skewed_poisson", "point_mass_saturated"],
     )
     def test_cells_match_the_cell_by_cell_reference(self, band, model, replications):
-        analytic = incident_likelihood(band, model, Regime.NO_CHANGE)
+        analytic = incident_likelihood(band, model, "no_change")
         empirical = simulate(band, model, replications, seed=replications)
         report = compare_to_analytic(empirical, analytic)
         assert (report.z_scores, report.pooled_cells) == cell_by_cell(empirical, analytic)
 
     def test_scalar_analytic_rejected(self):
-        analytic = incident_likelihood(MALWARE_BAND, YEAR, Regime.CHANGE)
+        analytic = incident_likelihood(MALWARE_BAND, YEAR, "change")
         with pytest.raises(InputError, match="comparison needs the full no-change pmf"):
             compare_to_analytic(simulate(MALWARE_BAND, YEAR, replications=1_000, seed=0), analytic)
 

@@ -4,11 +4,10 @@ from hypothesis import given, strategies as st
 from cyrisk.errors import EmptyAssessment, InputError, NoApplicableControls
 from cyrisk.posture import (
     ATTACKER_WEIGHTS,
-    Attractiveness,
     CategoryComplexity,
     ControlResponse,
+    PostureProfile,
     Questionnaire,
-    QuestionnaireKind,
     assess_posture,
     attacker_weight,
     category_complexity,
@@ -19,7 +18,7 @@ from cyrisk.posture import (
 )
 
 
-def make_questionnaire(scores, weights=None, s_max=4, kind=QuestionnaireKind.AWARENESS,
+def make_questionnaire(scores, weights=None, s_max=4, kind="awareness",
                        label=None):
     weights = weights or [1.0] * len(scores)
     responses = tuple(
@@ -148,23 +147,30 @@ class TestComplexityIndex:
         assert 3.0 <= complexity_index(cats) <= 9.0
 
 
+def class_id(value):
+    """The test id of an attractiveness class, spelt as the ids of these cases
+    have always been, so that their names stay the same."""
+    return f"Attractiveness.{value.upper()}" if isinstance(value, str) else None
+
+
 class TestAttractiveness:
     @pytest.mark.parametrize(
         "share,expected",
         [
-            (0.0, Attractiveness.VERY_LOW),
-            (0.5, Attractiveness.VERY_LOW),
-            (1.25, Attractiveness.LOW),       # lower bound inclusive
-            (2.5, Attractiveness.MEDIUM),
-            (3.0, Attractiveness.MEDIUM),
-            (5.0, Attractiveness.HIGH),       # boundary inclusive
-            (9.99, Attractiveness.HIGH),
-            (10.0, Attractiveness.VERY_HIGH),
-            (42.0, Attractiveness.VERY_HIGH),
+            (0.0, "very_low"),
+            (0.5, "very_low"),
+            (1.25, "low"),       # lower bound inclusive
+            (2.5, "medium"),
+            (3.0, "medium"),
+            (5.0, "high"),       # boundary inclusive
+            (9.99, "high"),
+            (10.0, "very_high"),
+            (42.0, "very_high"),
         ],
+        ids=class_id,
     )
     def test_bins(self, share, expected):
-        assert classify_attractiveness(share) is expected
+        assert classify_attractiveness(share) == expected
 
     def test_negative_rejected(self):
         with pytest.raises(InputError):
@@ -173,85 +179,102 @@ class TestAttractiveness:
     @pytest.mark.parametrize(
         "cls,expected",
         [
-            (Attractiveness.VERY_LOW, 0.6),
-            (Attractiveness.LOW, 0.7),
-            (Attractiveness.MEDIUM, 0.8),
-            (Attractiveness.HIGH, 0.9),
-            (Attractiveness.VERY_HIGH, 1.0),
+            ("very_low", 0.6),
+            ("low", 0.7),
+            ("medium", 0.8),
+            ("high", 0.9),
+            ("very_high", 1.0),
         ],
+        ids=class_id,
     )
     def test_attacker_weights(self, cls, expected):
         assert attacker_weight(cls, malicious=True) == pytest.approx(expected)
 
     def test_non_malicious_always_one(self):
-        for cls in Attractiveness:
+        for cls in ATTACKER_WEIGHTS:
             assert attacker_weight(cls, malicious=False) == 1.0
 
     def test_weights_monotone_in_attractiveness(self):
-        values = [ATTACKER_WEIGHTS[cls] for cls in Attractiveness]
+        values = list(ATTACKER_WEIGHTS.values())
         assert values == sorted(values)
 
 
 class TestAssessPosture:
     def test_full_pipeline(self):
-        awareness = make_questionnaire([3, 4, None], s_max=4, kind=QuestionnaireKind.AWARENESS)
-        core = make_questionnaire([2, 2, 3, 1], s_max=4, kind=QuestionnaireKind.MATURITY_CORE)
+        awareness = make_questionnaire([3, 4, None], s_max=4, kind="awareness")
+        core = make_questionnaire([2, 2, 3, 1], s_max=4, kind="maturity_core")
         categories = [
-            make_questionnaire([1, 2], s_max=4, kind=QuestionnaireKind.COMPLEXITY_CATEGORY,
+            make_questionnaire([1, 2], s_max=4, kind="complexity_category",
                                label="networks"),
-            make_questionnaire([4, 0, 3], s_max=4, kind=QuestionnaireKind.COMPLEXITY_CATEGORY,
+            make_questionnaire([4, 0, 3], s_max=4, kind="complexity_category",
                                label="services"),
         ]
-        profile = assess_posture(awareness, core, categories, Attractiveness.VERY_HIGH)
+        profile = assess_posture(awareness, core, categories, "very_high")
         assert 0.0 <= profile.awareness_index <= 10.0
         assert 0.0 <= profile.maturity_index <= 10.0
         assert 0.0 <= profile.complexity_index <= 10.0
         assert profile.awareness_control_count == 3
         assert profile.core_control_count == 4
         assert len(profile.categories) == 2
+        assert attacker_weight(profile.attractiveness) == 1.0
+        edges = PostureProfile(0.0, 0.5, 10.0, "very_low")  # indices at and inside [0, 10]
+        assert (edges.awareness_control_count, edges.core_control_count) == (0, 0)
+        with pytest.raises(InputError) as info:
+            profile._replace(attractiveness="extreme")
+        assert str(info.value) == (
+            "attractiveness must be one of very_low, low, medium, high, very_high, got 'extreme'"
+        )
 
     def test_all_na_category_dropped_with_warning(self):
-        awareness = make_questionnaire([3], kind=QuestionnaireKind.AWARENESS)
-        core = make_questionnaire([2], kind=QuestionnaireKind.MATURITY_CORE)
+        awareness = make_questionnaire([3], kind="awareness")
+        core = make_questionnaire([2], kind="maturity_core")
         categories = [
-            make_questionnaire([None, None], kind=QuestionnaireKind.COMPLEXITY_CATEGORY,
+            make_questionnaire([None, None], kind="complexity_category",
                                label="empty"),
-            make_questionnaire([2], kind=QuestionnaireKind.COMPLEXITY_CATEGORY, label="apps"),
+            make_questionnaire([2], kind="complexity_category", label="apps"),
         ]
-        with pytest.warns(UserWarning, match="empty"):
-            profile = assess_posture(awareness, core, categories, Attractiveness.LOW)
+        with pytest.warns(UserWarning, match="empty") as record:
+            profile = assess_posture(awareness, core, categories, "low")
+        assert record[0].filename == __file__  # the warning points at the caller
         assert len(profile.categories) == 1
         assert profile.categories[0].label == "apps"
 
     def test_kind_mismatch_rejected(self):
-        awareness = make_questionnaire([3], kind=QuestionnaireKind.MATURITY_CORE)
-        core = make_questionnaire([2], kind=QuestionnaireKind.MATURITY_CORE)
-        with pytest.raises(InputError):
-            assess_posture(awareness, core, [], Attractiveness.LOW)
+        awareness = make_questionnaire([3], kind="maturity_core")
+        core = make_questionnaire([2], kind="maturity_core")
+        with pytest.raises(InputError) as info:
+            assess_posture(awareness, core, [], "low")
+        assert str(info.value) == "awareness questionnaire has kind 'maturity_core'"
+        with pytest.raises(InputError) as info:
+            make_questionnaire([3], kind="survey")
+        assert str(info.value) == (
+            "questionnaire kind must be one of awareness, maturity_core, complexity_category, "
+            "got 'survey'"
+        )
 
     def test_core_of_the_wrong_kind_rejected(self):
-        awareness = make_questionnaire([3], kind=QuestionnaireKind.AWARENESS)
-        core = make_questionnaire([2], kind=QuestionnaireKind.COMPLEXITY_CATEGORY)
+        awareness = make_questionnaire([3], kind="awareness")
+        core = make_questionnaire([2], kind="complexity_category")
         with pytest.raises(InputError) as info:
-            assess_posture(awareness, core, [], Attractiveness.LOW)
+            assess_posture(awareness, core, [], "low")
         assert str(info.value) == "core questionnaire has kind 'complexity_category'"
 
     def test_unlabelled_questionnaires_named_by_position(self):
-        awareness = make_questionnaire([3], kind=QuestionnaireKind.AWARENESS)
-        core = make_questionnaire([2], kind=QuestionnaireKind.MATURITY_CORE)
-        apps = make_questionnaire([2], kind=QuestionnaireKind.COMPLEXITY_CATEGORY, label="apps")
-        empty = make_questionnaire([None], kind=QuestionnaireKind.COMPLEXITY_CATEGORY)
+        awareness = make_questionnaire([3], kind="awareness")
+        core = make_questionnaire([2], kind="maturity_core")
+        apps = make_questionnaire([2], kind="complexity_category", label="apps")
+        empty = make_questionnaire([None], kind="complexity_category")
         with pytest.raises(InputError) as info:
-            assess_posture(awareness, core, [apps, awareness], Attractiveness.LOW)
+            assess_posture(awareness, core, [apps, awareness], "low")
         assert str(info.value) == "complexity questionnaire [1] has kind 'awareness'"
         with pytest.warns(UserWarning) as record:
-            assess_posture(awareness, core, [empty, apps], Attractiveness.LOW)
+            assess_posture(awareness, core, [empty, apps], "low")
         assert [str(w.message) for w in record] == [
             "complexity category [0] has no applicable controls and was dropped"
         ]
 
     def test_category_complexity_carries_raw_control_count(self):
-        q = make_questionnaire([2, None, 3], kind=QuestionnaireKind.COMPLEXITY_CATEGORY,
+        q = make_questionnaire([2, None, 3], kind="complexity_category",
                                label="ip")
         cat = category_complexity(q)
         assert cat.control_count == 3

@@ -301,6 +301,9 @@ class TestDerivedValues:
     @example(B=-60.0, x0=-40.0, ends=(0.97, 0.03))
     # both sigmoids near 0: a determinant of 1.7e-15 still solves within 1e-12
     @example(B=-1.0, x0=-34.0, ends=(0.97, 0.03))
+    # determinants of 2.3e-16 and 4.2e-18 still meet both endpoints within 3.2e-17
+    @example(B=-1.0, x0=-36.0, ends=(0.97, 0.03))
+    @example(B=-1.0, x0=-40.0, ends=(0.97, 0.03))
     @example(B=math.nan, x0=5.0, ends=(0.97, 0.03))
     @example(B=-math.inf, x0=5.0, ends=(0.97, 0.03))
     @example(B=-1.0, x0=math.inf, ends=(0.97, 0.03))

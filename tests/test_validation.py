@@ -23,12 +23,10 @@ from cyrisk.model import (
 )
 from cyrisk.oracle import EmpiricalCounts, OracleReport
 from cyrisk.posture import (
-    Attractiveness,
     CategoryComplexity,
     ControlResponse,
     PostureProfile,
     Questionnaire,
-    QuestionnaireKind,
 )
 from cyrisk.success import LogisticParams, SuccessDistribution, pert_from_maturity, solve_asymptotes
 
@@ -81,7 +79,7 @@ VALIDATED = {
         "control 'c': score must be >= 0",
     ),
     "Questionnaire": (
-        Questionnaire, dict(responses=(RESPONSE,), s_max=4, kind=QuestionnaireKind.AWARENESS),
+        Questionnaire, dict(responses=(RESPONSE,), s_max=4, kind="awareness"),
         ("s_max", 1), "control 'c': score 2 exceeds s_max=1",
     ),
     "CategoryComplexity": (
@@ -91,7 +89,7 @@ VALIDATED = {
     "PostureProfile": (
         PostureProfile,
         dict(awareness_index=5.0, maturity_index=5.0, complexity_index=5.0,
-             attractiveness=Attractiveness.HIGH),
+             attractiveness="high"),
         ("maturity_index", -1.0), "maturity_index must be in [0, 10]",
     ),
     "LogisticParams": (
@@ -134,10 +132,10 @@ def test_normalizing_types_normalize_on_every_path():
     assert matrix == (("a",), (1,), ((1.0,),))
     assert matrix._replace(weights=[[2.0]]).weights == ((2.0,),)
     assert ControlWeightMatrix._make([["a"], [1], [[3.0]]]).weights == ((3.0,),)
-    questionnaire = Questionnaire([RESPONSE], 4, QuestionnaireKind.AWARENESS)
+    questionnaire = Questionnaire([RESPONSE], 4, "awareness")
     assert questionnaire.responses == (RESPONSE,)
     assert questionnaire._replace(responses=[RESPONSE] * 2).responses == (RESPONSE,) * 2
-    profile = PostureProfile(5.0, 5.0, 5.0, Attractiveness.HIGH)
+    profile = PostureProfile(5.0, 5.0, 5.0, "high")
     category = CategoryComplexity("n", 5.0, 3)
     assert profile._replace(categories=[category]).categories == (category,)
     band = LossCategory("x", 1.0, 2.0, 3.0)

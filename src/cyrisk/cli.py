@@ -28,6 +28,7 @@ from .documents import (
     Columns,
     RunConfig,
     SCHEMA_VERSION,
+    by_count,
     likelihood_to_dict,
     load_loss_categories,
     load_profile,
@@ -52,7 +53,7 @@ from .errors import (
     require_int64,
 )
 from .incidence import incident_likelihood
-from .model import IncidentLikelihood, Threat
+from .model import REGIMES, IncidentLikelihood, Threat
 from .posture import (
     ATTACKER_WEIGHTS,
     PostureProfile,
@@ -233,8 +234,9 @@ def cmd_assess(args: argparse.Namespace) -> Output:
 
 
 def cmd_likelihood(args: argparse.Namespace) -> Output:
+    regime = None if args.regime is None else parse_choice(REGIMES, args.regime, "--regime")
     config = load_run_config(args.config)
-    regime = config.regime if args.regime is None else args.regime.replace("-", "_")
+    regime = regime or config.regime
     rows = _catalog_assessments(config, regime)
     print(f"assessed {len(rows)} threats ({regime})")
     report = {
@@ -445,7 +447,7 @@ def cmd_simulate(args: argparse.Namespace) -> Output:
         "seed": seed,
         "replications": replications,
         "success_band": {"p_m": dist.p_m, "p_star": dist.p_star, "p_M": dist.p_M},
-        "z_scores": {str(s): z for s, z in enumerate(report.z_scores)},
+        "z_scores": by_count(report.z_scores),
     }
     return Output({"oracle_report.json": payload}, config.output_dir, 0 if report.passed else 1)
 
@@ -458,7 +460,7 @@ RUN_FLAGS = {
     "--trials": {"type": int, "help": "override the trial count"},
     "--replications": {"type": int, "help": "override the replication count"},
     "--seed": {"type": int, "help": "random seed for replay"},
-    "--regime": {"choices": ["change", "no-change"], "help": "likelihood regime"},
+    "--regime": {"help": f"likelihood regime: {', '.join(REGIMES)}"},
 }
 
 RUN_COMMANDS = (
@@ -493,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = assess.add_mutually_exclusive_group(required=True)
     group.add_argument(
         "--attractiveness",
-        help="explicit class: very_low, low, medium, high, very_high",
+        help=f"explicit class: {', '.join(ATTACKER_WEIGHTS)}",
     )
     group.add_argument(
         "--attack-share",

@@ -17,10 +17,9 @@ import csv
 import json
 import math
 from contextlib import suppress
-from functools import cache
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Any, Callable, Collection, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 from .cvss import FACTORS, CvssVector
 from .errors import ComputationError, DocumentError, InputError, checked, parse_choice, require_int64
@@ -57,8 +56,8 @@ _ABSENT: Any = object()  # an absent optional field: the value type's default ap
 #
 # A reader is a function ``read(value, name)`` that checks one JSON value and
 # returns what it stands for; ``name`` is the value's location, such as
-# ``t.json: threats[0].cvss.av``, and begins every error message. The reader
-# builders are cached, so a loader names its readers inline at no cost per entry.
+# ``t.json: threats[0].cvss.av``, and begins every error message. A loader
+# builds its readers inline, once per document it reads.
 
 
 class _Object:
@@ -123,7 +122,6 @@ def _document(path: str | Path, bare_list: str | None = None) -> _Object:
     return _Object(doc, str(path), f"{path}: ")
 
 
-@cache
 def _list_of(read: Callable[[Any, str], _T]) -> Callable[[Any, str], tuple[_T, ...]]:
     def read_list(value: Any, name: str) -> tuple[_T, ...]:
         if not isinstance(value, list):
@@ -133,7 +131,6 @@ def _list_of(read: Callable[[Any, str], _T]) -> Callable[[Any, str], tuple[_T, .
     return read_list
 
 
-@cache
 def _map_of(read: Callable[[Any, str], _T]) -> Callable[[Any, str], dict[str, _T]]:
     def read_map(value: Any, name: str) -> dict[str, _T]:
         items = _object(value, name).data.items()
@@ -142,15 +139,13 @@ def _map_of(read: Callable[[Any, str], _T]) -> Callable[[Any, str], dict[str, _T
     return read_map
 
 
-@cache
 def _optional(read: Callable[[Any, str], _T]) -> Callable[[Any, str], _T | None]:
     """``read``, with JSON null standing for an unset value."""
     return lambda value, name: None if value is None else read(value, name)
 
 
-@cache
-def _choice(words: tuple[str, ...]) -> Callable[[Any, str], str]:
-    """One of ``words``, in any case and with spaces around it."""
+def _choice(words: Collection[str]) -> Callable[[Any, str], str]:
+    """One of ``words``, in any case, with spaces around it and ``-`` for ``_``."""
     return lambda value, name: parse_choice(words, value, name)
 
 
@@ -258,7 +253,7 @@ def load_profile(path: str | Path) -> PostureProfile:
         awareness_index=doc.need("awareness_index", _number),
         maturity_index=doc.need("maturity_index", _number),
         complexity_index=doc.need("complexity_index", _number),
-        attractiveness=doc.need("attractiveness", _choice(tuple(ATTACKER_WEIGHTS))),
+        attractiveness=doc.need("attractiveness", _choice(ATTACKER_WEIGHTS)),
         awareness_control_count=doc.get("awareness_control_count", _int),
         core_control_count=doc.get("core_control_count", _int),
     )
@@ -272,11 +267,11 @@ def _cvss(value: Any, name: str) -> CvssVector:
     cvss = _object(value, name)
     return cvss.build(
         CvssVector,
-        access_vector=cvss.need("av", _choice(tuple(FACTORS["access_vector"]))),
-        access_complexity=cvss.need("ac", _choice(tuple(FACTORS["access_complexity"]))),
-        authentication=cvss.need("au", _choice(tuple(FACTORS["authentication"]))),
-        exploitability=cvss.get("e", _choice(tuple(FACTORS["exploitability"]))),
-        report_confidence=cvss.get("rc", _choice(tuple(FACTORS["report_confidence"]))),
+        access_vector=cvss.need("av", _choice(FACTORS["access_vector"])),
+        access_complexity=cvss.need("ac", _choice(FACTORS["access_complexity"])),
+        authentication=cvss.need("au", _choice(FACTORS["authentication"])),
+        exploitability=cvss.get("e", _choice(FACTORS["exploitability"])),
+        report_confidence=cvss.get("rc", _choice(FACTORS["report_confidence"])),
     )
 
 
@@ -476,13 +471,18 @@ def write_csv(
             handle.write("".join(cells))
 
 
+def by_count(column: Sequence[float]) -> dict[str, float]:
+    """A column indexed by incident count, keyed as the JSON reports key it: by the count."""
+    return {str(s): value for s, value in enumerate(column)}
+
+
 def likelihood_to_dict(lik: IncidentLikelihood) -> dict[str, Any]:
     payload: dict[str, Any] = {
         "regime": lik.regime,
         "quadrature_error": lik.quadrature_error,
     }
     if lik.pmf is not None:
-        payload["pmf"] = {str(s): p for s, p in enumerate(lik.pmf)}
+        payload["pmf"] = by_count(lik.pmf)
     if lik.value is not None:
         payload["value"] = lik.value
     return payload

@@ -74,8 +74,9 @@ def require_int64(context: str, value: int) -> int:
 
 
 def parse_choice(words: Collection[str], value: Any, context: str) -> str:
-    """The one of ``words`` that is ``value`` trimmed and lower-cased."""
-    word = str(value).strip().lower()
+    """The one of ``words`` that is ``value`` trimmed and lower-cased, with each
+    ``-`` read as ``_``: no word holds a hyphen, so ``no-change`` is ``no_change``."""
+    word = str(value).strip().lower().replace("-", "_")
     if word not in words:
         raise DocumentError(
             f"{context}: unknown value {value!r} (expected one of: {', '.join(words)})"

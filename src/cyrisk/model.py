@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from contextlib import suppress
 from typing import NamedTuple, Sequence
 
 from .cvss import CvssVector
@@ -173,12 +172,9 @@ class ControlWeightMatrix(NamedTuple):
                     f"weight row for control {control!r} has {len(row)} entries "
                     f"for {len(self.threats)} threats"
                 )
-            with suppress(TypeError, OverflowError):  # a non-float: the loop raises on it
-                if all(map(math.isfinite, row)) and min(row, default=0.0) >= 0:
-                    continue
             for value in row:  # name the row's first bad weight
-                require_finite(f"control {control!r}", weight=value)
-                if not value >= 0:
+                if not (math.isfinite(value) and value >= 0):
+                    require_finite(f"control {control!r}", weight=value)
                     raise InputError(
                         f"weight for control {control!r} must be >= 0, got {value}"
                     )

@@ -14,7 +14,8 @@ Each mutant applies one operator at one site of the module's syntax tree:
 
 The module is rewritten from its syntax tree (``ast.unparse``) into a scratch
 copy of the repository (its working files, without ``.git`` and caches),
-and the test files that import the module run there in
+and the test files that import the module, directly or through other modules
+and test helpers, run there in
 one ``python -m pytest -x`` child at a time, under ``--timeout`` seconds. A
 mutant whose tests fail or time out is killed; one whose tests all pass
 survives. The unmutated rewrite runs first and must pass. The sweep prints
@@ -107,15 +108,30 @@ def mutant_source(source, index):
     return ast.unparse(ast.fix_missing_locations(tree)) + "\n"
 
 
+def imported(path):
+    """The modules that ``path`` imports anywhere in its body: a relative import
+    names its ``cyrisk`` module, and ``from cyrisk import x`` names ``cyrisk.x``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "cyrisk." * (node.level > 0) + (node.module or "")
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
 def test_files(module):
-    """The test files that import ``module``, or the CLI, which imports every
-    module; the module's own test file first."""
+    """The test files that import ``module``, or a ``cyrisk`` module or test helper
+    that imports it, directly or in turn; the module's own test file first."""
     name = module.stem
-    imports = (f"cyrisk.{name}", "cyrisk.cli", f"from cyrisk import {name}")
-    files = [
-        path for path in sorted((ROOT / "tests").glob("test_*.py"))
-        if any(text in path.read_text(encoding="utf-8") for text in imports)
-    ]
+    imports = {f"cyrisk.{path.stem}": imported(path) for path in module.parent.glob("*.py")}
+    imports.update((path.stem, imported(path)) for path in (ROOT / "tests").glob("*.py"))
+    reaching = {f"cyrisk.{name}"}
+    while grown := {m for m, names in imports.items() if names & reaching} - reaching:
+        reaching |= grown
+    files = [path for path in sorted((ROOT / "tests").glob("test_*.py")) if path.stem in reaching]
     return sorted(files, key=lambda path: path.name != f"test_{name}.py")
 
 

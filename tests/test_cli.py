@@ -257,6 +257,42 @@ class TestLikelihood:
         assert "pmf" in first
         assert sum(first["pmf"].values()) == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "flag, config_word",
+        [("no_change", "change"), ("No-Change", "change"), (None, "no-change")],
+    )
+    def test_regime_word_reads_hyphen_as_underscore(self, tmp_path, flag, config_word):
+        ref.write_profile(tmp_path / "profile.json")
+        ref.write_threat_catalog(tmp_path / "threats.json")
+        inputs = {"profile": "profile.json", "threats": "threats.json"}
+        config = ref.write_run_config(tmp_path / "run.json", inputs)
+        assert run(["likelihood", "--config", config, "--regime", "no-change",
+                     "--out", tmp_path / "flag"]) == 0
+        config = ref.write_run_config(tmp_path / "run.json", inputs, regime="no_change")
+        assert run(["likelihood", "--config", config, "--out", tmp_path / "config"]) == 0
+        config = ref.write_run_config(tmp_path / "run.json", inputs, regime=config_word)
+        flags = [] if flag is None else ["--regime", flag]
+        assert run(["likelihood", "--config", config, *flags, "--out", tmp_path / "out"]) == 0
+        for name in ("likelihood_report.json", "likelihood_table.csv"):
+            written = (tmp_path / "out" / name).read_bytes()
+            assert written == (tmp_path / "flag" / name).read_bytes()
+            assert written == (tmp_path / "config" / name).read_bytes()
+
+    @pytest.mark.parametrize("config_present", [True, False])
+    def test_unknown_regime_flag_exits_2_before_the_config(self, tmp_path, capsys, config_present):
+        ref.write_profile(tmp_path / "profile.json")
+        ref.write_threat_catalog(tmp_path / "threats.json")
+        config = tmp_path / "run.json"
+        if config_present:
+            ref.write_run_config(config, {"profile": "profile.json", "threats": "threats.json"})
+        out = tmp_path / "out"
+        assert run(["likelihood", "--config", config, "--regime", "bogus", "--out", out]) == 2
+        assert capsys.readouterr() == ("", (
+            "validation error [DocumentError]: --regime: unknown value 'bogus' "
+            "(expected one of: no_change, change)\n"
+        ))
+        assert not out.exists()
+
     def test_empty_catalog_is_fine(self, tmp_path):
         ref.write_profile(tmp_path / "profile.json")
         ref.write_json(tmp_path / "threats.json", {"schema_version": "1", "threats": []})

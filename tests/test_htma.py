@@ -159,6 +159,12 @@ class TestPerThreatMaturity:
             ControlWeightMatrix(controls=("a",), threats=(1, 2), weights=((0.0, -1.0),))
         with pytest.raises(InputError):
             ControlWeightMatrix(controls=("a",), threats=(1,), weights=((-1.0,),))
+        with pytest.raises(InputError, match="^control 'a': weight must be finite, got nan$"):
+            ControlWeightMatrix(controls=("a",), threats=(1, 2), weights=((1.0, math.nan),))
+        with pytest.raises(InputError, match="^control 'a': weight must be finite, got inf$"):
+            ControlWeightMatrix(controls=("a",), threats=(1, 2), weights=((math.inf, 1.0),))
+        with pytest.raises(TypeError):
+            ControlWeightMatrix(controls=("a",), threats=(1, 2), weights=((1.0, "x"),))
         with pytest.raises(InputError):
             # empty threat column
             ControlWeightMatrix(

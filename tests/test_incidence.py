@@ -11,6 +11,7 @@ from cyrisk.incidence import (
     AttackCountModel,
     IncidentLikelihood,
     incident_likelihood,
+    incident_pmf,
 )
 from cyrisk.model import COUNT_KINDS
 from cyrisk.success import SuccessDistribution, pert_from_maturity, solve_asymptotes
@@ -453,6 +454,21 @@ class TestBoundedWork:
         with deadline(10):
             for band in (MALWARE_BAND, SKEWED_BAND):
                 assert incident_likelihood(band, model, "change").value == 1.0
+
+    def test_summed_terms_hit_the_work_cap_row_by_row(self, monkeypatch):
+        # at a cap of 4,460 both pre-checks pass, so only the running count in the
+        # series loop can reject these 4,461 cells and summed terms
+        model = AttackCountModel(t=365, n_avg=30.0, kind="binomial")
+        monkeypatch.setattr("cyrisk.incidence.MAX_WORK", 4460)
+        with pytest.raises(ComputationError) as info:
+            incident_pmf(MALWARE_BAND, model)
+        assert str(info.value) == (
+            "the incident pmf needs at least 4461 cells and summed terms, "
+            "over the work cap of 4460"
+        )
+        monkeypatch.setattr("cyrisk.incidence.MAX_WORK", 4461)
+        pmf, _ = incident_pmf(MALWARE_BAND, model)
+        assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-9)
 
     def test_change_work_cap_fires_before_the_walk_to_the_mode(self):
         # the largest term of the first series sits near the attempt mode, 6e7 steps out:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from contextlib import suppress
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Callable, Collection, Iterable, Mapping, NamedTuple, Sequence, TypeVar
@@ -161,17 +160,6 @@ def _number(value: Any, name: str) -> float:
     return number
 
 
-def _weight_row(value: Any, name: str) -> tuple[float, ...]:
-    """A row of numbers, read whole when every entry is an int or a float that is
-    finite as a float; any other row is read entry by entry, naming its first bad one."""
-    if isinstance(value, list) and set(map(type, value)) <= {int, float}:
-        with suppress(OverflowError):  # an integer literal past the float range
-            row = tuple(map(float, value))
-            if all(map(math.isfinite, row)):
-                return row
-    return _list_of(_number)(value, name)
-
-
 def _seed(value: Any, name: str) -> int:
     """An integer of any size; ``RunConfig`` rejects a negative seed."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -302,7 +290,7 @@ def load_weight_matrix(path: str | Path) -> ControlWeightMatrix:
         ControlWeightMatrix,
         controls=doc.need("controls", _list_of(_str)),
         threats=doc.need("threats", _list_of(_int)),
-        weights=doc.need("weights", _list_of(_weight_row)),
+        weights=doc.need("weights", _list_of(_list_of(_number))),
     )
 
 

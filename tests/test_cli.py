@@ -189,6 +189,16 @@ class TestAssess:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("share, label", [("0", "very_low"), ("100", "very_high")])
+    def test_attack_share_edges_are_percentages(self, tmp_path, questionnaires, share, label):
+        aw, core, cats = questionnaires
+        out = tmp_path / "out"
+        assert run(
+            ["assess", "--awareness", aw, "--maturity", core, "--complexity", *cats,
+             "--attack-share", share, "--out", out]
+        ) == 0
+        assert read_json(out / "posture_profile.json")["attractiveness"] == label
+
     @pytest.mark.parametrize(
         "flag, expected",
         [
@@ -802,6 +812,23 @@ class TestSimulate:
             second / "oracle_report.json"
         ).read_bytes()
 
+    def test_failing_oracle_exits_1_with_its_report(self, tmp_path, capsys):
+        # seed 1854 is one of the 5 in 0..3999 whose 2,000 replications fail the
+        # chi-square test at level 1e-3 (p = 0.00026)
+        config = ref.write_run_config(
+            tmp_path / "run.json",
+            {},
+            seed=1854,
+            replications=2_000,
+            extra={"success": {"p_m": 0.28, "p_star": 0.50, "p_M": 0.72}},
+        )
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", config, "--out", out]) == 1
+        assert capsys.readouterr().out.startswith("oracle FAIL: chi-square 27.60 on 7 df")
+        report = read_json(out / "oracle_report.json")
+        assert report["passed"] is False
+        assert report["p_value"] < report["level"] == 1e-3
+
 
 @pytest.mark.parametrize(
     "command, field",
@@ -862,6 +889,34 @@ def test_count_flag_below_one_names_the_flag(tmp_path, capsys, command, flag, va
     assert capsys.readouterr().err == (
         f"validation error [DocumentError]: {flag}: must be >= 1, got {value}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "command, flag, field",
+    [("htma", "--trials", "trials"), ("fair", "--trials", "trials"),
+     ("simulate", "--replications", "replications"),
+     ("htma", "--seed", "seed"), ("fair", "--seed", "seed"), ("simulate", "--seed", "seed")],
+)
+def test_lowest_count_and_seed_flags_run(tmp_path, command, flag, field):
+    # one trial or replication and seed 0 are the smallest values each flag takes
+    ref.write_profile(tmp_path / "profile.json")
+    ref.write_threat_catalog(tmp_path / "threats.json", with_likelihood=True)
+    ref.write_json(
+        tmp_path / "categories.json", [{"name": "response", "min": 1, "most_likely": 2, "max": 3}]
+    )
+    config = ref.write_run_config(
+        tmp_path / "run.json",
+        {"profile": "profile.json", "threats": "threats.json",
+         "loss_categories": "categories.json"},
+        replications=2_000,
+        extra={"success": {"p_m": 0.28, "p_star": 0.50, "p_M": 0.72}},
+    )
+    value = 0 if flag == "--seed" else 1
+    out = tmp_path / "out"
+    assert run([command, "--config", config, flag, str(value), "--out", out]) == 0
+    report = {"htma": "htma_report.json", "fair": "fair_report.json",
+              "simulate": "oracle_report.json"}[command]
+    assert read_json(out / report)[field] == value
 
 
 @pytest.mark.parametrize(
@@ -1070,6 +1125,38 @@ def test_zero_impact_bound_names_the_catalog(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         f"validation error [DocumentError]: {catalog}: threats[0]: threat 7: impact_low must be > 0"
     )
+
+
+@pytest.mark.parametrize(
+    "command, document, field",
+    [("likelihood", "threats.json", "threats[0].malicious"),
+     ("fair", "categories.json", "categories[0].secondary")],
+    ids=["malicious", "secondary"],
+)
+def test_flag_that_is_not_a_boolean_exits_2(tmp_path, capsys, command, document, field):
+    # "no" is a true string, so only the type check keeps it from reading as true
+    ref.write_profile(tmp_path / "profile.json")
+    ref.write_json(
+        tmp_path / "threats.json",
+        [{"id": 1, "name": "a", "impact_low": 1.0, "impact_high": 2.0, "likelihood": 0.5,
+          "malicious": "no"}],
+    )
+    ref.write_json(
+        tmp_path / "categories.json",
+        [{"name": "response", "min": 1, "most_likely": 2, "max": 3, "secondary": "no"}],
+    )
+    config = ref.write_run_config(
+        tmp_path / "run.json",
+        {"profile": "profile.json", "threats": "threats.json",
+         "loss_categories": "categories.json"},
+    )
+    out = tmp_path / "out"
+    assert run([command, "--config", config, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"validation error [DocumentError]: {tmp_path / document}: {field}: "
+        "expected a boolean, got 'no'\n"
+    )
+    assert not out.exists()
 
 
 def test_output_contract(tmp_path, questionnaires, capsys):

@@ -88,6 +88,18 @@ class TestQuestionnaireDocument:
             load_questionnaire(path)
         assert str(caught.value) == f"{path}: responses[0]: control 'c1': score must be >= 0, got -1"
 
+    @pytest.mark.parametrize(
+        "s_max, message",
+        [(-2**63, "s_max must be >= 1, got -9223372036854775808"),
+         (-2**63 - 1, "s_max: a 64-bit integer is outside the signed 64-bit range")],
+        ids=["int64-min", "below-int64"],
+    )
+    def test_lowest_int64_reaches_the_field_check(self, tmp_path, s_max, message):
+        path = dump(tmp_path / "q.json", {"kind": "awareness", "s_max": s_max, "responses": []})
+        with pytest.raises(DocumentError) as caught:
+            load_questionnaire(path)
+        assert str(caught.value) == f"{path}: {message}"
+
     def test_unknown_kind_lists_choices(self, tmp_path):
         path = dump(tmp_path / "q.json", {"kind": "other", "s_max": 4, "responses": []})
         with pytest.raises(DocumentError, match="awareness"):
@@ -442,6 +454,12 @@ class TestRunConfigDocument:
         path = dump(tmp_path / "run.json", payload)
         with pytest.raises(DocumentError, match=rf"^{re.escape(f'{path}: {message}')}"):
             load_run_config(path)
+
+    def test_lowest_counts_and_seed_accepted(self, tmp_path):
+        config = load_run_config(
+            dump(tmp_path / "run.json", {"trials": 1, "replications": 1, "seed": 0})
+        )
+        assert (config.trials, config.replications, config.seed) == (1, 1, 0)
 
     def test_bad_field_named(self, tmp_path):
         path = dump(tmp_path / "run.json", {"count": {"t": "a year"}})

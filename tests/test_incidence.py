@@ -470,6 +470,32 @@ class TestBoundedWork:
         pmf, _ = incident_pmf(MALWARE_BAND, model)
         assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("kind, t, need", [("poisson", 365, 4722230),
+                                               ("binomial", 100_000, 4657316)])
+    def test_cells_pre_check_rejects_before_the_series(self, kind, t, need):
+        # the count of cells and first-row terms already passes the cap, so the
+        # pre-check names it before any series is summed
+        model = AttackCountModel(t=t, n_avg=10_000.0, kind=kind)
+        with deadline(1), pytest.raises(ComputationError) as info:
+            incident_pmf(MALWARE_BAND, model)
+        assert str(info.value) == (
+            f"the incident pmf needs at least {need} cells and summed terms, "
+            "over the work cap of 4194304"
+        )
+
+    def test_cells_pre_check_fires_above_the_cap_only(self, monkeypatch):
+        # with lo = 6 and top = 243 the pre-check counts 21,420 cells + 238 = 21,658;
+        # at a cap of exactly that it passes, and the first series' mode check fires
+        model = AttackCountModel(t=365, n_avg=200.0, kind="binomial")
+        for cap, need in ((21657, 21658), (21658, 21669)):
+            monkeypatch.setattr("cyrisk.incidence.MAX_WORK", cap)
+            with pytest.raises(ComputationError) as info:
+                incident_pmf(MALWARE_BAND, model)
+            assert str(info.value) == (
+                f"the incident pmf needs at least {need} cells and summed terms, "
+                f"over the work cap of {cap}"
+            )
+
     def test_change_work_cap_fires_before_the_walk_to_the_mode(self):
         # the largest term of the first series sits near the attempt mode, 6e7 steps out:
         # the cap must fire on that count, not after walking there

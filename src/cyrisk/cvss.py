@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .errors import InputError, checked
+
 FACTORS: dict[str, dict[str, float]] = {
     "access_vector": {"local": 0.4, "adjacent": 0.6, "network": 1.0},
     "access_complexity": {"high": 0.5, "medium": 0.75, "low": 1.0},
@@ -32,6 +34,7 @@ FACTORS: dict[str, dict[str, float]] = {
 }
 
 
+@checked
 class CvssVector(NamedTuple):
     """The five metric levels scoring one threat, each a level of ``FACTORS``."""
 
@@ -40,6 +43,12 @@ class CvssVector(NamedTuple):
     authentication: str
     exploitability: str = "not_defined"
     report_confidence: str = "not_defined"
+
+    def _check(self) -> CvssVector:
+        for (metric, levels), level in zip(FACTORS.items(), self):
+            if level not in levels:
+                raise InputError(f"{metric} must be one of {', '.join(levels)}, got {level!r}")
+        return self
 
 
 def cvss_likelihood(vector: CvssVector) -> float:

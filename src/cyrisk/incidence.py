@@ -116,8 +116,6 @@ def _kernel(model: AttackCountModel, p: float, top: int) -> list[float]:
     """Pr(S = s | p) for s = 0..top, outward from the mode by term ratios."""
     binomial = model.kind == "binomial"
     rate = p * (model.attempt_probability if binomial else model.n_avg)
-    if rate == 0.0:
-        return [1.0] + [0.0] * top
     odds = rate / (1.0 - rate) if binomial else rate
 
     def ratio(s: int) -> float:
@@ -222,7 +220,8 @@ def _excess_pmf(
     for k in range(top + 1):
         c = ab + k
         if k:
-            # to row k along j = k + i, or straight down at i = 0, then to its largest term
+            # to row k along j = k + i, or straight down at i = 0, then up to its largest
+            # term; as beta >= 1, the term before the start is never the larger
             if i:
                 peak *= i * (a + k - 1) / (k * (b + i - 1))
                 i -= 1
@@ -231,10 +230,6 @@ def _excess_pmf(
             while (ratio := (first - step * (k + i)) * odds * (b + i) / ((i + 1) * (c + i))) >= 1.0:
                 peak *= ratio
                 i += 1
-                work += 1
-            while i and (first - step * (k + i - 1)) * odds * (b + i - 1) < i * (c + i - 1):
-                peak *= i * (c + i - 1) / ((first - step * (k + i - 1)) * odds * (b + i - 1))
-                i -= 1
                 work += 1
         # outward from the largest term: past it the ratio is below one and keeps
         # falling, and so does its inverse before it; counters are exact floats
@@ -284,8 +279,8 @@ def incident_pmf(dist: SuccessDistribution, model: AttackCountModel) -> tuple[li
     if top + 1 > MAX_WORK:
         raise _over_cap(top + 1)
     floor = _kernel(model, dist.p_m, top)
-    if dist.is_point_mass or top == 0:
-        return [min(x, 1.0) for x in floor], 0.0
+    if dist.is_point_mass:
+        return floor, 0.0
 
     # the floor counts i that matter: below them at most SERIES_TOL / 2 of the
     # probability, above them at most SERIES_TOL / 2 of the floor's mean, so that
@@ -298,7 +293,7 @@ def incident_pmf(dist: SuccessDistribution, model: AttackCountModel) -> tuple[li
         dropped += floor[hi]
         moment += hi * floor[hi]
         hi -= 1
-    cells = sum(top - i + 1 for i in range(lo, hi + 1))
+    cells = (hi - lo + 1) * (2 * top + 2 - lo - hi) // 2  # the rows' cells, top - i + 1 each
     if cells + top - lo + 1 > MAX_WORK:
         raise _over_cap(cells + top - lo + 1)
 

@@ -10,7 +10,9 @@ Each mutant applies one operator at one site of the module's syntax tree:
 - an arithmetic swap: ``+`` and ``-``, ``*`` and ``/``;
 - ``min`` and ``max`` swapped;
 - a numeric constant nudged: an int by one, a float doubled (0.0 becomes 1.0);
-- a ``raise`` statement deleted.
+- a ``raise`` statement deleted;
+- an ``if`` with no ``else`` whose body ends in ``return`` deleted, the
+  fast path that the code after it may already cover.
 
 The module is rewritten from its syntax tree (``ast.unparse``) into a scratch
 copy of the repository (its working files, without ``.git`` and caches),
@@ -79,6 +81,8 @@ def sites(tree):
             found.append((node, None, f"{node.value!r} -> {_nudged(node.value)!r}"))
         elif isinstance(node, ast.Raise):
             found.append((node, None, "raise deleted"))
+        elif isinstance(node, ast.If) and not node.orelse and isinstance(node.body[-1], ast.Return):
+            found.append((node, None, "if-return deleted"))
     return sorted(found, key=lambda s: (s[0].lineno, s[0].col_offset, s[2]))
 
 
@@ -92,10 +96,10 @@ def mutate(node, slot):
         node.func.id = EXTREMES[node.func.id]
     elif isinstance(node, ast.Constant):
         node.value = _nudged(node.value)
-    else:  # a raise: keep the statement list non-empty
-        node.__class__ = ast.Pass
-        for field in ("exc", "cause"):
+    else:  # a raise or an if-return: keep the statement list non-empty
+        for field in node._fields:
             delattr(node, field)
+        node.__class__ = ast.Pass
 
 
 def mutant_source(source, index):

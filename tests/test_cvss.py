@@ -3,6 +3,8 @@ import itertools
 import pytest
 
 from cyrisk.cvss import FACTORS, CvssVector, cvss_likelihood
+from cyrisk.errors import InputError
+from cyrisk.model import Threat
 
 
 def test_all_maximal_factors_give_one():
@@ -89,3 +91,17 @@ def test_not_defined_matches_highest_temporal_factor():
     undefined = CvssVector(**kwargs)
     assert cvss_likelihood(defined) == cvss_likelihood(undefined)
 
+
+def test_unknown_level_is_named_on_every_construction_path():
+    with pytest.raises(InputError) as info:
+        CvssVector("bogus", "low", "none")
+    assert str(info.value) == "access_vector must be one of local, adjacent, network, got 'bogus'"
+    # levels are the lower-case words of FACTORS; a threat cannot carry another
+    message = "access_complexity must be one of high, medium, low, got 'LOW'"
+    with pytest.raises(InputError, match=message):
+        Threat(1, "a", 1.0, 2.0, cvss=CvssVector("network", "LOW", "none"))
+    vector = CvssVector("network", "low", "none")
+    with pytest.raises(InputError, match="exploitability must be one of unproven, .*, got 'none'"):
+        vector._replace(exploitability="none")
+    with pytest.raises(InputError, match="report_confidence must be one of .*, got 'sure'"):
+        CvssVector._make(["network", "low", "none", "high", "sure"])

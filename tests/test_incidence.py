@@ -10,6 +10,7 @@ from cyrisk.incidence import (
     SERIES_TOL,
     AttackCountModel,
     IncidentLikelihood,
+    _stirlerr,
     incident_likelihood,
     incident_pmf,
 )
@@ -74,9 +75,10 @@ class TestConditionalSuccess:
         assert conditional_pmf(MALWARE_BAND, 1)[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_attempts_yield_zero_incidents(self):
-        model = AttackCountModel(t=1, n_avg=0.0)
-        for band in (MALWARE_BAND, SKEWED_BAND):
-            assert incident_likelihood(band, model, "no_change").pmf == (1.0,)
+        for kind in COUNT_KINDS:
+            model = AttackCountModel(t=1, n_avg=0.0, kind=kind)
+            for band in (MALWARE_BAND, SKEWED_BAND):
+                assert incident_likelihood(band, model, "no_change").pmf == (1.0,), kind
 
     @pytest.mark.parametrize("n", [1, 3, 10, 25, 50])
     def test_rows_sum_to_one(self, n):
@@ -89,9 +91,12 @@ class TestConditionalSuccess:
 
 class TestLikelihoodNoChange:
     def test_no_attempts_concentrates_at_zero(self):
-        model = AttackCountModel(t=365, n_avg=0.0)
-        for band in (MALWARE_BAND, SKEWED_BAND):
-            assert incident_likelihood(band, model, "no_change").pmf == (1.0,)
+        # Poisson attempts take the series at n_avg 0, as binomial ones do
+        for kind in COUNT_KINDS:
+            model = AttackCountModel(t=365, n_avg=0.0, kind=kind)
+            for band in (MALWARE_BAND, SKEWED_BAND):
+                lik = incident_likelihood(band, model, "no_change")
+                assert (lik.pmf, lik.quadrature_error) == ((1.0,), 0.0), kind
 
     def test_pmf_sums_to_one(self):
         lik = incident_likelihood(MALWARE_BAND, YEAR, "no_change")
@@ -150,8 +155,10 @@ class TestLikelihoodChange:
         assert lik.value == pytest.approx(0.97, abs=0.01)
 
     def test_no_attempts_no_incident(self):
-        model = AttackCountModel(t=365, n_avg=0.0)
-        assert incident_likelihood(MALWARE_BAND, model, "change").value == 0.0
+        for kind in COUNT_KINDS:
+            model = AttackCountModel(t=365, n_avg=0.0, kind=kind)
+            lik = incident_likelihood(MALWARE_BAND, model, "change")
+            assert (lik.value, lik.quadrature_error) == (0.0, 0.0), kind
 
     def test_monotone_in_mean_attempts(self):
         values = [
@@ -186,6 +193,10 @@ COUNT_MODELS = [
     AttackCountModel(t=8760, n_avg=1000.0),
     AttackCountModel(t=10_000_000, n_avg=4.0),
     AttackCountModel(t=365, n_avg=4.0, kind="poisson"),
+    # SKEWED_BAND's row 24 has two largest terms, 3 and 4, equal in exact
+    # arithmetic: the walk up passes the tie in rounding, and the row's series
+    # start one past the first of them
+    AttackCountModel(t=365, n_avg=30.0, kind="poisson"),
     AttackCountModel(t=8760, n_avg=100.0, kind="poisson"),
     AttackCountModel(t=50, n_avg=0.01, kind="poisson"),
 ]
@@ -209,6 +220,20 @@ GRID_BANDS = [
 def no_change(band, model):
     """The no-change result, computed once per (band, model) for the tests that share it."""
     return incident_likelihood(band, model, "no_change")
+
+
+def closed_form_change(band, model):
+    """1 - E from the hypergeometric closed forms, evaluated in 60-digit arithmetic."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        a, b = mp.mpf(band.alpha), mp.mpf(band.beta)
+        p_m, w = mp.mpf(band.p_m), mp.mpf(band.p_M) - mp.mpf(band.p_m)
+        if model.kind == "poisson":
+            n = mp.mpf(model.n_avg)
+            return 1 - mp.exp(-n * p_m) * mp.hyp1f1(a, a + b, -n * w)
+        r = mp.mpf(model.n_avg) / model.t
+        z = r * w / (1 - r * p_m)
+        return 1 - (1 - r * p_m) ** model.t * mp.hyp2f1(-model.t, a, a + b, z)
 
 
 class TestChangeSeries:
@@ -240,30 +265,21 @@ class TestChangeSeries:
             (TINY_BAND, AttackCountModel(t=1, n_avg=1e-3, kind="poisson")),
             # the kind given as its word: about 0.9999993672, and 0.9999963963 if Poisson
             (MALWARE_BAND, AttackCountModel(t=40, n_avg=30.0, kind="binomial")),
+            # 20 slots at z = 0.49: E is 9.9e-11, far above 2^-54, so the bound on E,
+            # taken at t z, must not cut the sum short
+            (SuccessDistribution.from_triple(0.7, 0.95, 0.97), AttackCountModel(t=20, n_avg=16.0)),
         ],
         ids=lambda v: f"{v.kind}-{v.t}-{v.n_avg:g}" if isinstance(v, AttackCountModel) else None,
     )
     def test_matches_mpmath(self, band, model):
-        # the hypergeometric closed forms, evaluated in 60-digit arithmetic
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(60):
-            a, b = mp.mpf(band.alpha), mp.mpf(band.beta)
-            p_m, w = mp.mpf(band.p_m), mp.mpf(band.p_M) - mp.mpf(band.p_m)
-            if model.kind == "poisson":
-                n = mp.mpf(model.n_avg)
-                expected = 1 - mp.exp(-n * p_m) * mp.hyp1f1(a, a + b, -n * w)
-            else:
-                r = mp.mpf(model.n_avg) / model.t
-                z = r * w / (1 - r * p_m)
-                expected = 1 - (1 - r * p_m) ** model.t * mp.hyp2f1(-model.t, a, a + b, z)
-            expected = float(expected)
+        expected = float(closed_form_change(band, model))
         lik = incident_likelihood(band, model, "change")
         assert abs(lik.value - expected) <= 1e-13
         if band is TINY_BAND:
             assert abs(lik.value - expected) <= 1e-13 * expected
         assert lik.quadrature_error <= 1e-16
 
-    def test_certain_incident_skips_the_sum(self):
+    def test_certain_incident_skips_the_sum(self, monkeypatch):
         # Pr(no incident) <= 2^-54 by the bound alone, so 1.0 comes at once
         band = SuccessDistribution.from_triple(1e-9, 0.5, 0.9)
         model = AttackCountModel(t=1, n_avg=1e7, kind="poisson")
@@ -271,6 +287,49 @@ class TestChangeSeries:
             lik = incident_likelihood(band, model, "change")
         assert lik.value == 1.0
         assert 0.0 < lik.quadrature_error < 2.0**-54
+
+        # the bound on E is the error, and no series is summed: with z_eff = c = 0.5 it
+        # is K(0; p_m) = e^-50 alone, and with c = 4.5e5 it is 0.22 below 2^-54 in log
+        # and within 1e-4 of E in 60-digit arithmetic
+        def no_series(*args):
+            raise AssertionError("a series was summed")
+
+        monkeypatch.setattr("cyrisk.incidence._excess_pmf", no_series)
+        narrow = SuccessDistribution.from_triple(0.5, 0.502, 0.505)
+        model = AttackCountModel(t=365, n_avg=100.0, kind="poisson")
+        lik = incident_likelihood(narrow, model, "change")
+        assert (lik.value, lik.quadrature_error) == (1.0, math.exp(-50.0))
+        model = AttackCountModel(t=1, n_avg=5e5, kind="poisson")
+        lik = incident_likelihood(band, model, "change")
+        exact = float(1 - closed_form_change(band, model))
+        assert lik.value == 1.0
+        assert exact <= lik.quadrature_error <= (1.0 + 1e-4) * exact
+
+    @pytest.mark.parametrize(
+        "band, model",
+        [
+            (SKEWED_BAND, AttackCountModel(t=365, n_avg=50.0)),
+            (SKEWED_BAND, AttackCountModel(t=365, n_avg=30.0, kind="poisson")),
+            (SuccessDistribution.from_triple(0.6, 0.9, 0.99),
+             AttackCountModel(t=20, n_avg=0.5, kind="poisson")),
+            (SuccessDistribution.from_triple(1e-9, 0.5, 0.72),
+             AttackCountModel(t=365, n_avg=1.25, kind="poisson")),
+        ],
+        ids=lambda v: f"{v.kind}-{v.t}-{v.n_avg:g}" if isinstance(v, AttackCountModel) else None,
+    )
+    def test_error_bounds_hold_at_a_coarse_tolerance(self, band, model, monkeypatch):
+        # at SERIES_TOL = 2^-20 the series stop early enough that what they leave out
+        # shows against the references: each error still bounds it, the pmf's is at
+        # most 2 SERIES_TOL, and that of 1 - E at most SERIES_TOL of it
+        monkeypatch.setattr("cyrisk.incidence.SERIES_TOL", 2.0**-20)
+        lik = incident_likelihood(band, model, "change")
+        exact = float(closed_form_change(band, model))
+        assert abs(lik.value - exact) <= lik.quadrature_error + 1e-15
+        assert lik.quadrature_error <= 2.0**-20 * lik.value
+        pmf, error = incident_pmf(band, model)
+        expected = reference_pmf(band, model, len(pmf) - 1)
+        assert max(abs(p - e) for p, e in zip(pmf, expected.tolist())) <= error + 1e-13
+        assert error <= 2 * 2.0**-20
 
     @pytest.mark.parametrize(
         "band, model",
@@ -386,9 +445,21 @@ class TestNoChangeSeries:
         point_band = SuccessDistribution.from_triple(0.3, 0.3, 0.3)
         point = incident_likelihood(point_band, YEAR, "no_change")
         assert point.quadrature_error == 0.0
-        idle_year = AttackCountModel(t=365, n_avg=0.0)
-        idle = incident_likelihood(MALWARE_BAND, idle_year, "no_change")
-        assert (idle.pmf, idle.quadrature_error) == ((1.0,), 0.0)
+        for kind in COUNT_KINDS:
+            idle_year = AttackCountModel(t=365, n_avg=0.0, kind=kind)
+            idle = incident_likelihood(MALWARE_BAND, idle_year, "no_change")
+            assert (idle.pmf, idle.quadrature_error) == ((1.0,), 0.0), kind
+
+
+class TestSaddlePointLogs:
+    def test_stirling_error_term_matches_mpmath(self):
+        # exact ratios up to n = 15, Stirling's series from 16 on: both within
+        # 4e-16 of log n! - log(sqrt(2 pi n) (n / e)^n) in 60-digit arithmetic
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            for n in range(1, 400):
+                exact = mp.loggamma(n + 1) - mp.log(2 * mp.pi * n) / 2 - n * (mp.log(n) - 1)
+                assert abs(_stirlerr(n) - float(exact)) <= 4e-16, n
 
 
 def bands():
@@ -487,7 +558,7 @@ class TestBoundedWork:
         # with lo = 6 and top = 243 the pre-check counts 21,420 cells + 238 = 21,658;
         # at a cap of exactly that it passes, and the first series' mode check fires
         model = AttackCountModel(t=365, n_avg=200.0, kind="binomial")
-        for cap, need in ((21657, 21658), (21658, 21669)):
+        for cap, need in ((21657, 21658), (21658, 21669), (41013, 41014)):
             monkeypatch.setattr("cyrisk.incidence.MAX_WORK", cap)
             with pytest.raises(ComputationError) as info:
                 incident_pmf(MALWARE_BAND, model)
@@ -495,6 +566,64 @@ class TestBoundedWork:
                 f"the incident pmf needs at least {need} cells and summed terms, "
                 f"over the work cap of {cap}"
             )
+        # the rows start at count lo = 6: the 41,014 cells and terms fit a cap of that
+        monkeypatch.setattr("cyrisk.incidence.MAX_WORK", 41014)
+        assert math.fsum(incident_pmf(MALWARE_BAND, model)[0]) == pytest.approx(1.0, abs=1e-9)
+
+    def test_support_check_fires_above_the_cap_only(self, monkeypatch):
+        # at n_avg 4 the support ends at 28 under both kinds: a cap of 28 cannot hold
+        # its 29 cells, and at 29 the cells pre-check counts 436
+        for kind in COUNT_KINDS:
+            model = AttackCountModel(t=365, n_avg=4.0, kind=kind)
+            for cap, need in ((28, 29), (29, 436)):
+                monkeypatch.setattr("cyrisk.incidence.MAX_WORK", cap)
+                with pytest.raises(ComputationError) as info:
+                    incident_pmf(MALWARE_BAND, model)
+                assert str(info.value) == (
+                    f"the incident pmf needs at least {need} cells and summed terms, "
+                    f"over the work cap of {cap}"
+                ), kind
+        # at the real cap, a support of 7,219,958 cells is rejected before its kernel
+        monkeypatch.undo()
+        model = AttackCountModel(t=365, n_avg=1e7, kind="poisson")
+        with deadline(1), pytest.raises(ComputationError) as info:
+            incident_pmf(MALWARE_BAND, model)
+        assert str(info.value) == (
+            "the incident pmf needs at least 7219958 cells and summed terms, "
+            "over the work cap of 4194304"
+        )
+
+    def test_floor_rounding_to_no_incident_adds_one_row(self, monkeypatch):
+        # n_avg p_m = 1e-330 rounds to 0: the floor is all at count 0, and the 19 empty
+        # cells above it are dropped, so 20 cells and 20 first-row terms fit a cap of 40
+        band = SuccessDistribution.from_triple(1e-300, 0.3, 0.5)
+        for kind in COUNT_KINDS:
+            model = AttackCountModel(t=365, n_avg=1e-30, kind=kind)
+            monkeypatch.setattr("cyrisk.incidence.MAX_WORK", 39)
+            with pytest.raises(ComputationError, match="needs at least 40 cells"):
+                incident_pmf(band, model)
+            monkeypatch.setattr("cyrisk.incidence.MAX_WORK", 40)
+            pmf, error = incident_pmf(band, model)
+            assert (len(pmf), pmf[0]) == (20, 1.0) and error <= 2 * SERIES_TOL, kind
+
+    def test_change_mode_check_fires_above_the_cap_only(self, monkeypatch):
+        # p_m = 2^-30 and w = 1/2 exactly, alpha 1: the first series' largest term
+        # is estimated at (first odds - 1) / (1 + step odds), 999.0 exactly under
+        # Poisson attempts (c = 1000) and 149.4 under binomial ones; at a cap of that
+        # estimate the check passes, and the running count fires after the row
+        band = SuccessDistribution.from_triple(2**-30, 2**-30, 0.5 + 2**-30)
+        poisson = AttackCountModel(t=1, n_avg=2000.0, kind="poisson")
+        binomial = AttackCountModel(t=365, n_avg=300.0, kind="binomial")
+        for model, cap, need in (
+            (poisson, 998, 999), (poisson, 999, 1557), (binomial, 149, 150), (binomial, 150, 312)
+        ):
+            monkeypatch.setattr("cyrisk.incidence.MAX_WORK", cap)
+            with pytest.raises(ComputationError) as info:
+                incident_likelihood(band, model, "change")
+            assert str(info.value) == (
+                f"the incident pmf needs at least {need} cells and summed terms, "
+                f"over the work cap of {cap}"
+            ), model.kind
 
     def test_change_work_cap_fires_before_the_walk_to_the_mode(self):
         # the largest term of the first series sits near the attempt mode, 6e7 steps out:

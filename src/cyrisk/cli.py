@@ -415,11 +415,15 @@ def _success_band(config: RunConfig) -> SuccessDistribution:
         raise DocumentError(
             f"{config.path}: success: needs either p_m/p_star/p_M or maturity_index"
         )
+    # the maturity path takes its band and its weight from the profile, not from these keys
+    given = {key: block[key] for key in ("p_m", "p_star", "p_M", "w") if key in block}
+    if "maturity_index" in block and given:
+        raise DocumentError(
+            f"{config.path}: success: maturity_index cannot be given with {', '.join(given)}"
+        )
     try:
         if triple:
-            return SuccessDistribution.from_triple(
-                **{k: v for k, v in block.items() if k in ("p_m", "p_star", "p_M", "w")}
-            )
+            return SuccessDistribution.from_triple(**given)
         return _bands(config, load_profile(config.input("profile")))(block["maturity_index"])
     except DocumentError:  # it names its own file and field
         raise

@@ -43,7 +43,9 @@ quadrature error, a bound on each cell's truncation error.
 The no-incident probability E = pmf(0) = K(0; p_m) Q(0, t) is the first row
 alone, K(0; p) being the chance that p gives no incident. With b_i = Bin(i;
 t, z), or Pois(i; c), and rho_i = B(alpha, beta + i) / B(alpha, beta), its
-complement 1 - Q(0, t) = sum_i b_i (1 - rho_i) adds positive terms too.
+complement 1 - Q(0, t) = sum_i b_i (1 - rho_i) adds positive terms too. The
+change error is K(0; p_m) times the tail bound of the one series summed: the
+row where b_i peaks past 0, else the b_i series; or it is a bound on E below 2^-54.
 """
 
 from __future__ import annotations
@@ -318,12 +320,15 @@ def no_incident(dist: SuccessDistribution, model: AttackCountModel) -> tuple[flo
     """(1 - E, a bound on its truncation error) over the band, where E is
     Pr(no incident all period).
 
-    E = K(0; p_m) Q(0, t) is the no-change pmf's first cell. Where b_i falls from
-    i = 0 on, 1 - E is summed apart as (1 - K(0; p_m)) + K(0; p_m) (1 - Q(0, t)), so
-    that a tiny 1 - E keeps its relative precision.
+    E = K(0; p_m) Q(0, t) is the no-change pmf's first cell. Where b_i peaks past 0,
+    Q(0, t) is that row, and the error is K(0; p_m) times the row's tail. Where b_i
+    falls from i = 0 on, 1 - E is summed apart as (1 - K(0; p_m)) + K(0; p_m) (1 -
+    Q(0, t)), so that a tiny 1 - E keeps its relative precision, and the error is
+    K(0; p_m) times the b_i series' geometric tail. A bound on E below 2^-54 gives
+    1.0, with that bound as the error.
 
     Raises:
-        ComputationError: the first row's terms pass the work cap.
+        ComputationError: b_i peaks past 0, and the row's terms pass the work cap.
     """
     a, b = dist.alpha, dist.beta
     first, odds, step, log_b = _attempts(dist, model, model.t)
@@ -341,10 +346,10 @@ def no_incident(dist: SuccessDistribution, model: AttackCountModel) -> tuple[flo
             return 1.0, math.exp(log_bound)
 
     floor = math.exp(log_floor)
-    (row,), tail = _excess_pmf(dist, model, model.t, 0, 0)
     if first * odds >= 1.0:
         # b_i peaks past 0, so t z or c is at least about 1/2, and 1 - E >= 1 - Q(0, t)
         # >= (1 - e^-1/2) alpha / (alpha + beta): the subtraction loses no precision
+        (row,), tail = _excess_pmf(dist, model, model.t, 0, 0)
         return 1.0 - floor * row, floor * tail
 
     # 1 - Q(0, t) = sum_i b_i (1 - rho_i) from i = 1, as 1 - rho_0 = 0. Each term is at
@@ -360,8 +365,7 @@ def no_incident(dist: SuccessDistribution, model: AttackCountModel) -> tuple[flo
         some += term * (1.0 - rho)
         m += 1.0
         left -= step
-    error = floor * max(tail, term * ratio / (1.0 - ratio))
-    return -math.expm1(log_floor) + floor * some, error
+    return -math.expm1(log_floor) + floor * some, floor * (term * ratio / (1.0 - ratio))
 
 
 def incident_likelihood(

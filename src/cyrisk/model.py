@@ -78,9 +78,10 @@ class IncidentLikelihood(NamedTuple):
     a change result carries the scalar probability 1 - pmf[0] of the first incident.
     quadrature_error bounds the truncation error of the series behind the
     result: for no_change, of every pmf cell (the series tails and the floor
-    counts left out), and for change, of the value (the tails of pmf[0]'s row
-    and of its complement, or, where a bound on pmf[0] is below 2^-54 and the
-    value is 1.0, that bound). It is 0 for a zero-width band.
+    counts left out), and for change, of the value (the tail of pmf[0]'s row
+    where that row is summed, else of its complement's series, or, where a
+    bound on pmf[0] is below 2^-54 and the value is 1.0, that bound). It is 0
+    for a zero-width band.
     """
 
     pmf: tuple[float, ...] | None

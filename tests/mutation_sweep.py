@@ -2,7 +2,8 @@
 
 Usage, from the repository root:
 
-    python tests/mutation_sweep.py src/cyrisk/success.py [--timeout 300] [--sites 3,7] [--list]
+    python tests/mutation_sweep.py src/cyrisk/success.py [--timeout 300]
+        [--sites 3,7 | --changed REV] [--list]
 
 Each mutant applies one operator at one site of the module's syntax tree:
 
@@ -17,13 +18,19 @@ Each mutant applies one operator at one site of the module's syntax tree:
 The module is rewritten from its syntax tree (``ast.unparse``) into a scratch
 copy of the repository (its working files, without ``.git`` and caches),
 and the test files that import the module, directly or through other modules
-and test helpers, run there in
-one ``python -m pytest -x`` child at a time, under ``--timeout`` seconds. A
+and test helpers, run there in one ``python -m pytest -x`` child at a time. A
 mutant whose tests fail or time out is killed; one whose tests all pass
-survives. The unmutated rewrite runs first and must pass. The sweep prints
-one line per mutant and a summary, and exits 1 if a mutant survived. It
-needs only the standard library; pytest does not collect it, since its name
-does not start with ``test_``.
+survives. The unmutated rewrite runs first and must pass, and its wall time
+sets each mutant's timeout: ``TIMEOUT_FACTOR`` (3) times it, unless
+``--timeout`` gives the seconds, which then bound the unmutated run too. The sweep prints one line per mutant and a
+summary, and exits 1 if a mutant survived.
+
+``--changed REV`` sweeps only the sites whose source lines (from the first to
+the last line of the node) hold a line that ``git diff -U0 REV -- <module>``
+reports added or changed, so a change is swept against the commit it starts
+from. It reads the local repository only. The script needs only the standard
+library; pytest does not collect it, since its name does not start with
+``test_``.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from __future__ import annotations
 import argparse
 import ast
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -45,6 +53,10 @@ ARITHMETIC = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: as
 EXTREMES = {"min": "max", "max": "min"}
 #: What the scratch copy leaves out: history, caches and the benchmark's work files.
 SKIPPED = (".git", "__pycache__", ".pytest_cache", ".hypothesis", ".work")
+#: Without ``--timeout``, a mutant's tests may take this many times the unmutated run.
+TIMEOUT_FACTOR = 3.0
+#: A ``git diff`` hunk header; its new-file side is ``+start[,count]``.
+HUNK = re.compile(r"^@@ -\d+(?:,\d+)? \+(\d+)(?:,(\d+))? @@", re.MULTILINE)
 
 
 def _nudged(value):
@@ -84,6 +96,27 @@ def sites(tree):
         elif isinstance(node, ast.If) and not node.orelse and isinstance(node.body[-1], ast.Return):
             found.append((node, None, "if-return deleted"))
     return sorted(found, key=lambda s: (s[0].lineno, s[0].col_offset, s[2]))
+
+
+def changed_lines(diff):
+    """The line numbers that the ``git diff -U0`` text ``diff`` of one file adds or
+    changes, in the file's new version; a pure deletion adds none."""
+    lines = set()
+    for start, count in HUNK.findall(diff):
+        lines.update(range(int(start), int(start) + int(count or 1)))
+    return lines
+
+
+def on_lines(found, lines):
+    """Indices of the ``sites`` whose node spans one of ``lines``."""
+    return [i for i, (node, _, _) in enumerate(found)
+            if not lines.isdisjoint(range(node.lineno, node.end_lineno + 1))]
+
+
+def timeout_for(baseline, explicit=None):
+    """Seconds a mutant's tests may run: ``explicit`` if given, else ``TIMEOUT_FACTOR``
+    times ``baseline``, the unmutated run's wall time."""
+    return explicit if explicit is not None else TIMEOUT_FACTOR * baseline
 
 
 def mutate(node, slot):
@@ -155,17 +188,27 @@ def run_tests(copy, files, timeout):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("module", type=Path, help="a module under src/, such as src/cyrisk/success.py")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per test run")
-    parser.add_argument("--sites", help="comma-separated site indices to run (default: all)")
+    parser.add_argument("--timeout", type=float,
+                        help=f"seconds per test run (default: {TIMEOUT_FACTOR:g} times the "
+                             "unmutated run's wall time)")
+    scope = parser.add_mutually_exclusive_group()
+    scope.add_argument("--sites", help="comma-separated site indices to run (default: all)")
+    scope.add_argument("--changed", metavar="REV",
+                       help="run only the sites on lines changed since the git revision REV")
     parser.add_argument("--list", action="store_true", help="list the sites and exit")
     args = parser.parse_args(argv)
 
     module = args.module.resolve()
     source = module.read_text(encoding="utf-8")
-    described = [(s[0].lineno, s[0].col_offset, s[2]) for s in sites(ast.parse(source))]
+    found = sites(ast.parse(source))
+    described = [(s[0].lineno, s[0].col_offset, s[2]) for s in found]
     chosen = range(len(described))
     if args.sites:
         chosen = [int(i) for i in args.sites.split(",")]
+    elif args.changed:
+        diff = subprocess.run(["git", "diff", "-U0", args.changed, "--", str(module)], cwd=ROOT,
+                              capture_output=True, text=True, check=True).stdout
+        chosen = on_lines(found, changed_lines(diff))
     if args.list:
         for i in chosen:
             line, col, what = described[i]
@@ -180,15 +223,19 @@ def main(argv=None):
         target = copy / module.relative_to(ROOT)
 
         target.write_text(mutant_source(source, None), encoding="utf-8")
+        start = time.monotonic()
         if run_tests(copy, files, args.timeout) != "survived":
             print("the unmutated rewrite fails its tests; no sweep")
             return 2
+        baseline = time.monotonic() - start
+        timeout = timeout_for(baseline, args.timeout)
+        print(f"unmutated run {baseline:.1f} s; timeout {timeout:.1f} s per mutant", flush=True)
         survivors = []
         for i in chosen:
             line, col, what = described[i]
             target.write_text(mutant_source(source, i), encoding="utf-8")
             start = time.monotonic()
-            verdict = run_tests(copy, files, args.timeout)
+            verdict = run_tests(copy, files, timeout)
             print(f"{i:3} {module.name}:{line}:{col} {what}: {verdict} "
                   f"({time.monotonic() - start:.1f} s)", flush=True)
             if verdict == "survived":

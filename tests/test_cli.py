@@ -1042,7 +1042,8 @@ def test_change_series_term_cap_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "case",
-    ["profile", "success", "maturity", "success_triple", "success_maturity", "success_weight"],
+    ["profile", "success", "maturity", "success_triple", "success_maturity", "success_weight",
+     "success_both", "success_maturity_weight"],
 )
 def test_document_errors_name_their_file(tmp_path, capsys, case):
     ref.write_profile(tmp_path / "profile.json")
@@ -1054,6 +1055,9 @@ def test_document_errors_name_their_file(tmp_path, capsys, case):
         "success_triple": {"p_m": 0.5, "p_star": 0.3, "p_M": 0.4},
         "success_maturity": {"maturity_index": 12},
         "success_weight": {"p_m": 0.28, "p_star": 0.50, "p_M": 0.72, "w": 2},
+        # the maturity path takes its band and its weight from the profile
+        "success_both": {"p_m": 0.28, "p_star": 0.50, "p_M": 0.72, "maturity_index": 3.0},
+        "success_maturity_weight": {"maturity_index": 3.0, "w": 0.5},
     }.get(case)
     config = ref.write_run_config(
         tmp_path / "run.json", inputs, extra=success and {"success": success}
@@ -1071,6 +1075,12 @@ def test_document_errors_name_their_file(tmp_path, capsys, case):
         ),
         "success_weight": (
             "simulate", f"{config}: success: attacker weight must be in (0, 1], got 2.0"
+        ),
+        "success_both": (
+            "simulate", f"{config}: success: maturity_index cannot be given with p_m, p_star, p_M"
+        ),
+        "success_maturity_weight": (
+            "simulate", f"{config}: success: maturity_index cannot be given with w"
         ),
     }[case]
     assert run([command, "--config", config, "--out", tmp_path / "out"]) == 2

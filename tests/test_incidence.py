@@ -13,6 +13,7 @@ from cyrisk.incidence import (
     _stirlerr,
     incident_likelihood,
     incident_pmf,
+    no_incident,
 )
 from cyrisk.model import COUNT_KINDS
 from cyrisk.success import SuccessDistribution, pert_from_maturity, solve_asymptotes
@@ -236,6 +237,36 @@ def closed_form_change(band, model):
         return 1 - (1 - r * p_m) ** model.t * mp.hyp2f1(-model.t, a, a + b, z)
 
 
+def b_series_error(band, model):
+    """K(0; p_m) times the geometric tail bound of b_i = Bin(i; t, z), or Pois(i; c), at
+    the first i where it is at most SERIES_TOL of sum_(j <= i) b_j (1 - rho_j), with
+    each b_i and rho_i = B(alpha, beta + i) / B(alpha, beta) from log-gamma."""
+    a, b, p_m, w = band.alpha, band.beta, band.p_m, band.p_M - band.p_m
+    lg = math.lgamma
+    if model.kind == "binomial":
+        t, r = model.t, model.n_avg / model.t
+        z = r * w / (1.0 - r * p_m)
+        floor = (1.0 - r * p_m) ** t
+
+        def log_b(i):
+            log_choose = lg(t + 1) - lg(i + 1) - lg(t - i + 1)
+            return log_choose + i * math.log(z) + (t - i) * math.log1p(-z)
+    else:
+        c = model.n_avg * w
+        floor = math.exp(-model.n_avg * p_m)
+
+        def log_b(i):
+            return i * math.log(c) - c - lg(i + 1)
+
+    some, i = 0.0, 1
+    while True:
+        term, ratio = math.exp(log_b(i)), math.exp(log_b(i + 1) - log_b(i))
+        some += term * -math.expm1(lg(b + i) - lg(b) + lg(a + b) - lg(a + b + i))
+        if term * ratio <= SERIES_TOL * some * (1.0 - ratio):
+            return floor * term * ratio / (1.0 - ratio)
+        i += 1
+
+
 class TestChangeSeries:
     """The change regime's likelihood against the no-change pmf and 60-digit closed forms."""
 
@@ -304,6 +335,28 @@ class TestChangeSeries:
         exact = float(1 - closed_form_change(band, model))
         assert lik.value == 1.0
         assert exact <= lik.quadrature_error <= (1.0 + 1e-4) * exact
+
+    @pytest.mark.parametrize(
+        "model, value",
+        [
+            (AttackCountModel(t=365, n_avg=1.0, kind="binomial"), "0x1.90f9e595433b6p-2"),
+            (AttackCountModel(t=365, n_avg=0.01, kind="binomial"), "0x1.46d787b1482a5p-8"),
+            (AttackCountModel(t=365, n_avg=1.0, kind="poisson"), "0x1.90c3350411afcp-2"),
+            (AttackCountModel(t=365, n_avg=0.01, kind="poisson"), "0x1.46d6f154555fcp-8"),
+        ],
+        ids=lambda v: model_id(v) if isinstance(v, AttackCountModel) else None,
+    )
+    def test_small_rates_sum_only_the_complement(self, model, value, monkeypatch):
+        # b_i falls from i = 0 on, so 1 - E comes from the complement's series alone: the
+        # first row is never summed, the value keeps its bits, and the error is K(0; p_m)
+        # times the geometric tail of b_i where that series stops
+        def no_row(*args):
+            raise AssertionError("the first row was summed")
+
+        monkeypatch.setattr("cyrisk.incidence._excess_pmf", no_row)
+        got, error = no_incident(MALWARE_BAND, model)
+        assert got == float.fromhex(value)
+        assert error == pytest.approx(b_series_error(MALWARE_BAND, model), rel=1e-12)
 
     @pytest.mark.parametrize(
         "band, model",
